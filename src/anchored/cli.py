@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics as dg
 from .errors import DataError, InputError
 from .figures import FIGURES, make_figure
-from .instances import GENERATORS, start_point
+from .instances import DESK_SEED, GENERATORS, start_point
 from .schedules import SCHEDULE_KINDS
 from .schemes import (
     COMPATIBLE_SCHEDULES,
@@ -29,6 +29,26 @@ from .traceio import write_trace_csv
 from .verify import SUITES, format_table, run_suites
 
 
+#: closed-form residual bound (a ``diagnostics.BOUND_KINDS`` entry) of each
+#: schedule kind that has one; it fills the ``bound_value`` column
+BOUND_OF_SCHEDULE = {
+    "halpern_fast": "halpern_fast", "nesterov_fast": "halpern_fast",
+    "halpern_slow": "halpern_slow", "nesterov_slow": "halpern_slow",
+    "nag_eag": "eag", "comono_eag": "comono", "nag_comono": "comono",
+    "peag": "peag_probe",
+}
+
+
+def _number(section, key, default, cast=float):
+    """Config value ``key`` as a number; a malformed value is an input error."""
+    raw = section.get(key, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise InputError(f"config value {key} = {raw} is not {kind}") from None
+
+
 def _build_instance(cfg, seed_override=None):
     section = cfg["instance"] if cfg.has_section("instance") else {}
     generator = section.get("generator", "least_squares")
@@ -37,13 +57,13 @@ def _build_instance(cfg, seed_override=None):
     if generator == "scalar_identity":
         return GENERATORS[generator]()
     seed = seed_override if seed_override is not None \
-        else int(section.get("seed", 7))
+        else _number(section, "seed", DESK_SEED, int)
     if generator == "least_squares":
-        return GENERATORS[generator](int(section.get("n", 200)),
-                                     int(section.get("p", 100)), seed,
-                                     float(section.get("noise_var", 0.1)))
-    m = int(section.get("m", 200))
-    n = int(section.get("n", 150))
+        return GENERATORS[generator](_number(section, "n", 200, int),
+                                     _number(section, "p", 100, int), seed,
+                                     _number(section, "noise_var", 0.1))
+    m = _number(section, "m", 200, int)
+    n = _number(section, "n", 150, int)
     return GENERATORS[generator](m, n, seed)
 
 
@@ -54,14 +74,14 @@ def _schedule_kwargs(cfg):
     section = cfg["schedule"]
     for key in ("gamma", "omega", "mu", "sigma", "rho", "eta", "eta0"):
         if section.get(key, "") != "":
-            out[key] = float(section[key])
+            out[key] = _number(section, key, None)
     return out
 
 
 def _attach_diagnostics(trace, scheme, kind, kw, instance, y0):
     """Fill the lyapunov and bound columns when a matching form exists."""
     op = instance.operator
-    L = kw.get("L", op.lipschitz)
+    L = op.lipschitz
     y_star = instance.solution
     try:
         if scheme == "halpern":
@@ -78,23 +98,12 @@ def _attach_diagnostics(trace, scheme, kind, kw, instance, y0):
                 trace, op, L, kw.get("sigma", 1.0), y_star)
     except DataError:
         pass  # diagnostics stay empty when snapshots are off
-    if y_star is None:
+    if y_star is None or kind not in BOUND_OF_SCHEDULE:
         return
     d0 = float(np.linalg.norm(y0 - y_star))
-    ks = np.asarray(trace.k, dtype=float)
-    if kind == "halpern_fast" or kind == "nesterov_fast":
-        trace.bound = L * d0 / (ks + 1.0)
-    elif kind in ("halpern_slow", "nesterov_slow"):
-        trace.bound = 4.0 * L * L * d0 * d0 / ((ks + 1.0) * (ks + 3.0))
-    elif kind == "nag_eag":
-        trace.bound = 4.0 * L * L * d0 * d0 / (ks + 1.0) ** 2
-    elif kind == "comono_eag" and kw.get("rho") is not None:
-        with np.errstate(divide="ignore"):
-            trace.bound = 4.0 * L * L * d0 * d0 / (
-                (1.0 + 2.0 * kw["rho"] * L) * ks ** 2)
-    elif kind == "peag":
-        m_big = L * L * (1.0 + kw.get("sigma", 1.0))
-        trace.bound = 3.0 * (1.0 + 4.0 * m_big) * d0 * d0 / (ks + 1.0) ** 2
+    trace.bound = dg.bound_series(BOUND_OF_SCHEDULE[kind], trace.k, L, d0,
+                                  rho=kw.get("rho"),
+                                  sigma=kw.get("sigma", 1.0))
 
 
 def cmd_run(args):
@@ -112,12 +121,13 @@ def cmd_run(args):
     if kind not in SCHEDULE_KINDS:
         print(f"error: unknown schedule {kind!r}", file=sys.stderr)
         return 2
-    K = args.iters if args.iters is not None else int(section.get("iters", 100))
+    K = args.iters if args.iters is not None \
+        else _number(section, "iters", 100, int)
     instance = _build_instance(cfg, args.seed)
     kw = _schedule_kwargs(cfg)
 
     tsec = cfg["trace"] if cfg.has_section("trace") else {}
-    stride = int(tsec.get("snapshot_stride", 1))
+    stride = _number(tsec, "snapshot_stride", 1, int)
     lyap_on = tsec.get("lyapunov", "on").lower() in ("on", "true", "1", "yes")
     opts = TraceOpts(
         snapshot_stride=stride,
@@ -177,8 +187,9 @@ def cmd_verify(args):
 
 def cmd_figure(args):
     out_dir = args.out or "."
+    seed = DESK_SEED if args.seed is None else args.seed
     csv_paths, svg_path, slopes = make_figure(args.which, args.scale, out_dir,
-                                              seed=args.seed or 7)
+                                              seed=seed)
     for path in csv_paths:
         print(f"wrote {path}")
     print(f"wrote {svg_path}")

@@ -122,20 +122,6 @@ def nesterov_potential(g_y_prev, x, y, coeffs, y_star):
     return val
 
 
-def eag_potential(g_y_prev, x, z, coeffs, y_star):
-    """Same shape as :func:`nesterov_potential` with z in place of y."""
-    if g_y_prev is None:
-        raise DataError("snapshot lacks the operator value at y_{k-1}")
-    shifted = x + coeffs.t * (z - x) - y_star
-    val = (coeffs.a * float(g_y_prev @ g_y_prev)
-           + coeffs.b * float(g_y_prev @ (x - z))
-           + float(shifted @ shifted))
-    if coeffs.mu:
-        d = x - y_star
-        val += coeffs.mu * float(d @ d)
-    return val
-
-
 def peag_potential(g_y, y, z, k, L, sigma, y0, y_star, b0=1.0):
     """Past-extra potential with the probe-distance and offset terms.
 
@@ -223,30 +209,28 @@ def halpern_potential_series(trace, L, q0=1.0):
     return np.array(out)
 
 
-def nesterov_potential_series(trace, gamma, omega, y_star, mu=1.0):
-    snaps = _snapshots(trace, need=("x", "y"))
-    out = []
-    for k, s in enumerate(snaps):
-        c = omega_family_coeffs(k, gamma, omega, mu)
-        out.append(nesterov_potential(_g_prev(snaps, k), s.x, s.y, c, y_star))
-    return np.array(out)
+def corrected_potential_series(trace, coeffs_fn, y_star, field="y"):
+    """Corrected-scheme potential with per-index coefficients.
 
-
-def corrected_potential_series(trace, coeffs_fn, y_star):
-    """Generic corrected-scheme potential with per-index coefficients."""
-    snaps = _snapshots(trace, need=("x", "y"))
+    ``field`` names the snapshot iterate in the place of y_k in
+    :func:`nesterov_potential`: "y" for the corrected schemes, "z" for
+    the corrected extra-gradient scheme.
+    """
+    snaps = _snapshots(trace, need=("x", field))
     return np.array([
-        nesterov_potential(_g_prev(snaps, k), s.x, s.y, coeffs_fn(k), y_star)
+        nesterov_potential(_g_prev(snaps, k), s.x, getattr(s, field),
+                           coeffs_fn(k), y_star)
         for k, s in enumerate(snaps)])
 
 
+def nesterov_potential_series(trace, gamma, omega, y_star, mu=1.0):
+    return corrected_potential_series(
+        trace, lambda k: omega_family_coeffs(k, gamma, omega, mu), y_star)
+
+
 def eag_potential_series(trace, L, y_star, b1=None):
-    snaps = _snapshots(trace, need=("x", "z"))
-    out = []
-    for k, s in enumerate(snaps):
-        c = eag_family_coeffs(k, L, b1)
-        out.append(eag_potential(_g_prev(snaps, k), s.x, s.z, c, y_star))
-    return np.array(out)
+    return corrected_potential_series(
+        trace, lambda k: eag_family_coeffs(k, L, b1), y_star, field="z")
 
 
 def peag_potential_series(trace, operator, L, sigma, y_star, b0=1.0):
@@ -278,6 +262,35 @@ BOUND_KINDS = ("halpern_fast", "halpern_slow", "eag", "comono",
                "peag_residual", "peag_probe")
 
 
+def bound_series(bound, ks, L, dist0, rho=None, sigma=None):
+    """Closed-form right-hand side of one residual bound at indices ``ks``.
+
+    dist0 is |y0 - y*|. ``halpern_fast`` bounds |G y_k|, the others a
+    squared residual. The co-monotone bound holds from k = 1 on and is
+    inf at k = 0; it needs rho, and the past-extra bounds need sigma.
+    """
+    if bound not in BOUND_KINDS:
+        raise InputError(f"unknown bound kind {bound!r}")
+    ks = np.asarray(ks, dtype=float)
+    if bound == "halpern_fast":
+        return L * dist0 / (ks + 1.0)
+    scale = 4.0 * L * L * dist0 * dist0
+    if bound == "halpern_slow":
+        return scale / ((ks + 1.0) * (ks + 3.0))
+    if bound == "eag":
+        return scale / (ks + 1.0) ** 2
+    if bound == "comono":
+        if rho is None:
+            raise InputError("comono bound needs rho")
+        with np.errstate(divide="ignore"):
+            return scale / ((1.0 + 2.0 * rho * L) * ks ** 2)
+    if sigma is None:
+        raise InputError("past-extra bounds need sigma")
+    m_big = L * L * (1.0 + sigma)
+    weight = 2.0 if bound == "peag_residual" else 3.0
+    return weight * (1.0 + 4.0 * m_big) * dist0 * dist0 / (ks + 1.0) ** 2
+
+
 def bound_check(trace, bound, L, dist0, rho=None, sigma=None, operator=None):
     """Compare a trace against one of the closed-form residual bounds.
 
@@ -285,60 +298,34 @@ def bound_check(trace, bound, L, dist0, rho=None, sigma=None, operator=None):
     past-extra bounds need snapshots (and ``operator`` for the bound on
     the y-iterate residual, which that scheme never evaluates itself).
     """
-    if bound not in BOUND_KINDS:
-        raise InputError(f"unknown bound kind {bound!r}")
-    ks = np.asarray(trace.k, dtype=float)
-    d2 = dist0 * dist0
-    if bound == "halpern_fast":
-        obs = trace.norm_g_y
-        if np.any(np.isnan(obs)):
-            raise InputError("trace lacks |G y_k| values for this bound")
-        return _compare(bound, obs, L * dist0 / (ks + 1.0), trace.k)
-    if bound == "halpern_slow":
-        obs = trace.norm_g_y ** 2
-        if np.any(np.isnan(obs)):
-            raise InputError("trace lacks |G y_k| values for this bound")
-        theory = 4.0 * L * L * d2 / ((ks + 1.0) * (ks + 3.0))
-        return _compare(bound, obs, theory, trace.k)
-    if bound == "eag":
-        obs = trace.norm_g_y ** 2
-        if np.any(np.isnan(obs)):
-            raise InputError("trace lacks |G y_k| values for this bound")
-        theory = 4.0 * L * L * d2 / (ks + 1.0) ** 2
-        return _compare(bound, obs, theory, trace.k)
-    if bound == "comono":
-        if rho is None:
-            raise InputError("comono bound needs rho")
-        obs = trace.norm_g_y[1:] ** 2
-        if np.any(np.isnan(obs)):
-            raise InputError("trace lacks |G y_k| values for this bound")
-        theory = 4.0 * L * L * d2 / ((1.0 + 2.0 * rho * L) * ks[1:] ** 2)
-        return _compare(bound, obs, theory, trace.k[1:])
-    if sigma is None:
-        raise InputError("past-extra bounds need sigma")
-    m_big = L * L * (1.0 + sigma)
-    snaps = _snapshots(trace, need=("y", "z"))
-    ks = np.arange(len(snaps), dtype=float)
-    if bound == "peag_residual":
-        if operator is None:
-            raise InputError("peag_residual needs the operator to evaluate G(y_k)")
-        obs = np.array([
-            float(np.linalg.norm(operator(s.y)) ** 2)
-            + 2.0 * L * L * float(np.linalg.norm(s.z - s.y) ** 2)
-            for s in snaps])
-        theory = 2.0 * (1.0 + 4.0 * m_big) * d2 / (ks + 1.0) ** 2
-        return _compare(bound, obs, theory)
-    # peag_probe
-    obs = []
-    for s in snaps:
-        if s.g_z is not None:
-            obs.append(float(np.linalg.norm(s.g_z) ** 2))
-        elif operator is not None:
-            obs.append(float(np.linalg.norm(operator(s.z)) ** 2))
-        else:
-            raise InputError("snapshot lacks g_z and no operator was given")
-    theory = 3.0 * (1.0 + 4.0 * m_big) * d2 / (ks + 1.0) ** 2
-    return _compare(bound, np.array(obs), theory)
+    if bound in ("peag_residual", "peag_probe"):
+        theory = bound_series(bound, np.arange(len(trace.snapshots)), L,
+                              dist0, sigma=sigma)
+        snaps = _snapshots(trace, need=("y", "z"))
+        if bound == "peag_residual":
+            if operator is None:
+                raise InputError("peag_residual needs the operator to evaluate G(y_k)")
+            obs = [float(np.linalg.norm(operator(s.y)) ** 2)
+                   + 2.0 * L * L * float(np.linalg.norm(s.z - s.y) ** 2)
+                   for s in snaps]
+            return _compare(bound, np.array(obs), theory)
+        obs = []
+        for s in snaps:
+            if s.g_z is not None:
+                obs.append(float(np.linalg.norm(s.g_z) ** 2))
+            elif operator is not None:
+                obs.append(float(np.linalg.norm(operator(s.z)) ** 2))
+            else:
+                raise InputError("snapshot lacks g_z and no operator was given")
+        return _compare(bound, np.array(obs), theory)
+    first = 1 if bound == "comono" else 0
+    theory = bound_series(bound, trace.k, L, dist0, rho=rho)[first:]
+    obs = trace.norm_g_y[first:]
+    if bound != "halpern_fast":
+        obs = obs ** 2
+    if np.any(np.isnan(obs)):
+        raise InputError("trace lacks |G y_k| values for this bound")
+    return _compare(bound, obs, theory, trace.k[first:])
 
 
 def eag_constant_rate_constant(eta, L):

@@ -237,6 +237,22 @@ def identity_operator(dim=1):
                         cocoercivity_modulus=1.0, monotone=True)
 
 
+def sampled_differences(op: OperatorSpec, n_pairs, seed=0, scale=1.0, dim=None):
+    """Yield ``(x - y, Gx - Gy)`` for pairs uniform on [-scale, scale]^dim.
+
+    The one pair sampler behind the sampled inequality checks: x and y
+    are drawn in turn from one SplitMix64 stream, and Gx is evaluated
+    before Gy. ``dim`` defaults to ``op.dim``.
+    """
+    rng = SplitMix64(seed)
+    if dim is None:
+        dim = op.dim
+    for _ in range(n_pairs):
+        x = rng.uniform_symmetric(dim, scale)
+        y = rng.uniform_symmetric(dim, scale)
+        yield x - y, op(x) - op(y)
+
+
 def check_regularity(op: OperatorSpec, n_pairs=1000, seed=0, scale=1.0):
     """Sample pairs and count violations of the declared inequalities.
 
@@ -245,14 +261,9 @@ def check_regularity(op: OperatorSpec, n_pairs=1000, seed=0, scale=1.0):
     match the declared tolerances (1e-12 relative for Lipschitz, 1e-10
     absolute-relative for the inner-product inequalities).
     """
-    rng = SplitMix64(seed)
     out = {}
     lip_bad = coco_bad = comono_bad = mono_bad = 0
-    for _ in range(n_pairs):
-        x = rng.uniform_symmetric(op.dim, scale)
-        y = rng.uniform_symmetric(op.dim, scale)
-        gx, gy = op(x), op(y)
-        dg, dx = gx - gy, x - y
+    for dx, dg in sampled_differences(op, n_pairs, seed, scale):
         ip = float(dg @ dx)
         ng2 = float(dg @ dg)
         if op.lipschitz is not None:

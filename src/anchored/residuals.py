@@ -14,8 +14,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InputError
-from .operators import OperatorSpec, ResolventSpec, resolvent_apply
-from .rng import SplitMix64
+from .operators import (
+    OperatorSpec,
+    ResolventSpec,
+    resolvent_apply,
+    sampled_differences,
+)
 
 
 @dataclass(frozen=True)
@@ -153,15 +157,11 @@ def cocoercivity_report(op, modulus, n_pairs, seed=0, dim=None, scale=1.0):
         dim = op.dim
     if dim is None or dim <= 0:
         raise InputError("operator dimension unknown; pass dim explicitly")
-    rng = SplitMix64(seed)
     violations = 0
     worst = np.inf
-    for _ in range(n_pairs):
-        x = rng.uniform_symmetric(dim, scale)
-        y = rng.uniform_symmetric(dim, scale)
-        dg = op(x) - op(y)
+    for dx, dg in sampled_differences(op, n_pairs, seed, scale, dim):
         ng2 = float(dg @ dg)
-        gap = float(dg @ (x - y)) - modulus * ng2
+        gap = float(dg @ dx) - modulus * ng2
         margin = gap + 1e-10 * (1.0 + ng2)
         worst = min(worst, margin)
         if margin < 0.0:

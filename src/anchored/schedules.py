@@ -1,10 +1,10 @@
 """Per-iteration parameter rules for every scheme in the package.
 
-All rules are pure functions of the iteration index and a handful of
-constants; the two stepsize recursions (varying-step EAG and the legacy
-past-extragradient rule) carry their state forward explicitly inside
-the yielded :class:`ScheduleParams`, so streams are value types that a
-caller can advance, fork, or share freely.
+Most rules are pure functions of the iteration index and a handful of
+constants. The two stepsize recursions (varying-step EAG and the legacy
+past-extragradient rule) and the anchored-to-corrected transform carry
+the previous step's values forward in a short generator. A stream picks
+its rule once, when it is built.
 
 Index-0 convention for transform-derived parameter sets: the previous
 anchor weight is formally zero, which would leave theta_0, nu_0 and
@@ -14,6 +14,7 @@ corrected step reproduces the first anchored step when all histories
 start equal.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -108,43 +109,6 @@ def nesterov_omega_params(k, omega, mu=1.0):
     return theta, nu, t
 
 
-def transform_halpern_to_nesterov(beta_seq, eta_seq, gamma_seq):
-    """Map anchored parameters (beta, eta) to corrected-scheme parameters.
-
-    Returns sequences (theta, nu, kappa) such that the two-correction
-    scheme with stepsizes gamma reproduces the anchored y-iterates. For
-    k >= 1:
-
-        theta_k = beta_k (1 - beta_{k-1}) / beta_{k-1}
-        nu_k    = beta_k / beta_{k-1} + 1 - beta_k - eta_k / gamma_k
-        kappa_k = (beta_k / beta_{k-1}) (eta_{k-1} / gamma_{k-1} - 1 + beta_{k-1})
-
-    and the index-0 convention from the module docstring applies.
-    """
-    n = len(beta_seq)
-    if not (len(eta_seq) == len(gamma_seq) == n):
-        raise InputError("sequences must share a length")
-    theta, nu, kappa = [0.0] * n, [0.0] * n, [0.0] * n
-    if n == 0:
-        return theta, nu, kappa
-    for k in range(n):
-        bk, ek, gk = beta_seq[k], eta_seq[k], gamma_seq[k]
-        if not 0.0 < bk < 1.0:
-            raise InputError(f"beta_{k} must lie in (0, 1)")
-        if gk <= 0.0:
-            raise InputError(f"gamma_{k} must be positive")
-        if k == 0:
-            nu[0] = 1.0 - ek / gk
-            continue
-        bp, ep, gp = beta_seq[k - 1], eta_seq[k - 1], gamma_seq[k - 1]
-        if bp == 0.0:
-            raise InputError("beta_{k-1} may not vanish for k >= 1")
-        theta[k] = bk * (1.0 - bp) / bp
-        nu[k] = bk / bp + 1.0 - bk - ek / gk
-        kappa[k] = (bk / bp) * (ep / gp - 1.0 + bp)
-    return theta, nu, kappa
-
-
 def eag_schedule(k, L, mode="constant", eta=None, eta0=None, eta_prev=None):
     """Extra-anchored stepsize rules.
 
@@ -199,7 +163,7 @@ def comono_schedule(k, L, rho):
     weight tau = eta / (eta + 2 rho) = 1/(1 + 2 rho L). Admissible range:
     -1/(2L) < rho <= 1/L.
     """
-    if not -1.0 / (2.0 * L) < rho <= 1.0 / L:
+    if rho is None or not -1.0 / (2.0 * L) < rho <= 1.0 / L:
         raise InputError("rho must lie in (-1/(2L), 1/L]")
     beta = 1.0 / (k + 1)
     eta = 1.0 / L
@@ -272,156 +236,136 @@ def nag_peag_schedule(k, L, sigma=1.0):
     return gamma_hat, theta, nu, kappa, zeta
 
 
-def nag_peag_schedule_general(k, L, sigma=1.0):
-    """Same coefficients derived from the stepsize ratios directly.
+def transformed_nesterov_stream(beta_eta_fn, gamma_fn, L):
+    """Two-correction parameters reproducing an anchored rule's y-iterates.
 
-    gamma_hat_k = eta_hat_{k-1} + eta_k / (1 - beta_k),
-    kappa_k = eta_{k-1} (1 - beta_k) / gamma_hat_{k-1},
-    zeta_k = theta_k eta_{k-2} / gamma_hat_{k-2}, with negative-index
-    stepsizes set to the index-0 values. Exists to cross-check the
-    closed forms above.
+    ``beta_eta_fn(k) -> (beta, eta)`` and ``gamma_fn(k) -> gamma`` define
+    the anchored rule and the corrected stepsizes. For k >= 1:
+
+        theta_k = beta_k (1 - beta_{k-1}) / beta_{k-1}
+        nu_k    = beta_k / beta_{k-1} + 1 - beta_k - eta_k / gamma_k
+        kappa_k = (beta_k / beta_{k-1}) (eta_{k-1} / gamma_{k-1} - 1 + beta_{k-1})
+
+    and the index-0 convention from the module docstring applies. The
+    step k-1 values are carried forward, not recomputed. A beta_k outside
+    (0, 1) or a nonpositive gamma_k raises :class:`InputError` when that
+    step is drawn.
     """
-    def stepsizes(j):
-        return peag_schedule(max(j, 0), L, sigma=sigma)
-
-    beta_k, eta_k, eta_hat_k = stepsizes(k)
-
-    def gamma_hat_at(j):
-        b, e, _ = stepsizes(j)
-        _, _, eh_prev = stepsizes(j - 1)
-        return eh_prev + e / (1.0 - b)
-
-    gamma_hat = gamma_hat_at(k)
-    if k == 0:
-        return gamma_hat, 0.0, 1.0 / 2.0, 0.0, 0.0
-    beta_prev = 1.0 / (k + 1)
-    theta = beta_k * (1.0 - beta_prev) / beta_prev
-    nu = beta_k / beta_prev
-    _, eta_prev, _ = stepsizes(k - 1)
-    kappa = eta_prev * (1.0 - beta_k) / gamma_hat_at(k - 1)
-    if k == 1:
-        zeta = 0.0
-    else:
-        _, eta_pp, _ = stepsizes(k - 2)
-        zeta = theta * eta_pp / gamma_hat_at(k - 2)
-    return gamma_hat, theta, nu, kappa, zeta
+    prev = None
+    for k in itertools.count():
+        beta, et = beta_eta_fn(k)
+        g = gamma_fn(k)
+        if not 0.0 < beta < 1.0:
+            raise InputError(f"beta_{k} must lie in (0, 1)")
+        if g <= 0.0:
+            raise InputError(f"gamma_{k} must be positive")
+        if prev is None:
+            th, nuv, kap = 0.0, 1.0 - et / g, 0.0
+        else:
+            bp, ep, gp = prev
+            th = beta * (1.0 - bp) / bp
+            nuv = beta / bp + 1.0 - beta - et / g
+            kap = (beta / bp) * (ep / gp - 1.0 + bp)
+        prev = beta, et, g
+        yield ScheduleParams(k=k, beta=beta, eta=et, gamma=g, theta=th,
+                             nu=nuv, kappa=kap, L=L)
 
 
-def _const(L=None, omega=None, mu=None, sigma=None, M=None):
-    return dict(L=L, omega=omega, mu=mu, sigma=sigma, M=M)
+def _recursion_stream(rule, L):
+    """Stream of a stepsize recursion ``rule(k, eta_{k-1}) -> (beta, eta, eta_hat)``."""
+    eta = None
+    for k in itertools.count():
+        beta, eta, eta_hat = rule(k, eta)
+        yield ScheduleParams(k=k, beta=beta, eta=eta, eta_hat=eta_hat, L=L)
+
+
+def _closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta):
+    """The map k -> :class:`ScheduleParams` of a rule that is closed form in k."""
+    if kind in ("halpern_fast", "halpern_slow"):
+        variant = kind.split("_")[1]
+
+        def rule(k):
+            beta, et = halpern_params(k, L, variant)
+            return ScheduleParams(k=k, beta=beta, eta=et, L=L)
+    elif kind == "halpern_omega":
+        g = 0.9 / L if gamma is None else gamma
+
+        def rule(k):
+            beta, et = halpern_omega_params(k, L, g, omega)
+            return ScheduleParams(k=k, beta=beta, eta=et, gamma=g, L=L,
+                                  omega=omega)
+    elif kind == "nesterov_omega":
+        g = 0.9 / L if gamma is None else gamma
+
+        def rule(k):
+            th, nuv, t = nesterov_omega_params(k, omega, mu)
+            return ScheduleParams(k=k, gamma=g, theta=th, nu=nuv, kappa=0.0,
+                                  t=t, L=L, omega=omega, mu=mu)
+    elif kind == "eag_constant":
+        e = 1.0 / (8.0 * L) if eta is None else eta
+
+        def rule(k):
+            beta, et, eh = eag_schedule(k, L, "constant", eta=e)
+            return ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh, L=L)
+    elif kind == "comono_eag":
+        def rule(k):
+            beta, et, tau = comono_schedule(k, L, rho)
+            return ScheduleParams(k=k, beta=beta, eta=et, tau=tau, rho=rho,
+                                  L=L)
+    elif kind == "nag_comono":
+        def rule(k):
+            beta, et, tau, th, nuv = nag_comono_transform(k, L, rho)
+            return ScheduleParams(k=k, beta=beta, eta=et, tau=tau, rho=rho,
+                                  theta=th, nu=nuv, L=L)
+    elif kind == "nag_eag":
+        def rule(k):
+            g, et, eh, th, nuv, t, a, b = nag_eag_schedule(k, L)
+            return ScheduleParams(k=k, beta=1.0 / (k + 2), gamma=g, eta=et,
+                                  eta_hat=eh, theta=th, nu=nuv, t=t,
+                                  a_coeff=a, b_coeff=b, L=L)
+    elif kind == "peag":
+        m_big = L * L * (1.0 + sigma)
+
+        def rule(k):
+            beta, et, eh = peag_schedule(k, L, sigma=sigma, mode="two_step")
+            return ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh, L=L,
+                                  sigma=sigma, M=m_big)
+    else:  # nag_peag
+        m_big = L * L * (1.0 + sigma)
+
+        def rule(k):
+            gh, th, nuv, kap, zet = nag_peag_schedule(k, L, sigma=sigma)
+            beta, et, eh = peag_schedule(k, L, sigma=sigma, mode="two_step")
+            return ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh,
+                                  gamma_hat=gh, theta=th, nu=nuv, kappa=kap,
+                                  zeta=zet, L=L, sigma=sigma, M=m_big)
+    return rule
 
 
 def schedule_stream(kind, L, gamma=None, omega=3.0, mu=1.0, sigma=1.0,
                     rho=None, eta=None, eta0=None):
-    """Yield :class:`ScheduleParams` for k = 0, 1, 2, ... for a named rule.
+    """Iterator of :class:`ScheduleParams` for k = 0, 1, 2, ... of a named rule.
 
     Defaults follow the package conventions: omega = 3, sigma = 1,
     gamma = 0.9/L for the interior rules and 1/L for the classic ones.
+    The rule is chosen here, once; each ``next`` evaluates only that rule.
     """
     if kind not in SCHEDULE_KINDS:
         raise InputError(f"unknown schedule kind {kind!r}")
     if L is None or L <= 0:
         raise InputError("schedules need L > 0")
-
-    def gen():
-        k = 0
-        eta_state = None
-        while True:
-            if kind in ("halpern_fast", "halpern_slow"):
-                beta, et = halpern_params(k, L, kind.split("_")[1])
-                yield ScheduleParams(k=k, beta=beta, eta=et, **_const(L=L))
-            elif kind == "halpern_omega":
-                g = 0.9 / L if gamma is None else gamma
-                beta, et = halpern_omega_params(k, L, g, omega)
-                yield ScheduleParams(k=k, beta=beta, eta=et, gamma=g,
-                                     **_const(L=L, omega=omega))
-            elif kind in ("nesterov_slow", "nesterov_fast"):
-                g = 1.0 / L if gamma is None else gamma
-                beta, et = halpern_params(k, L, kind.split("_")[1])
-                if k == 0:
-                    th, nuv, kap = 0.0, 1.0 - et / g, 0.0
-                else:
-                    bp = 1.0 / (k + 1)
-                    _, ep = halpern_params(k - 1, L, kind.split("_")[1])
-                    th = beta * (1.0 - bp) / bp
-                    nuv = beta / bp + 1.0 - beta - et / g
-                    kap = (beta / bp) * (ep / g - 1.0 + bp)
-                yield ScheduleParams(k=k, beta=beta, eta=et, gamma=g, theta=th,
-                                     nu=nuv, kappa=kap, **_const(L=L))
-            elif kind == "nesterov_omega":
-                g = 0.9 / L if gamma is None else gamma
-                th, nuv, t = nesterov_omega_params(k, omega, mu)
-                yield ScheduleParams(k=k, gamma=g, theta=th, nu=nuv, kappa=0.0,
-                                     t=t, **_const(L=L, omega=omega, mu=mu))
-            elif kind == "eag_constant":
-                e = 1.0 / (8.0 * L) if eta is None else eta
-                beta, et, eh = eag_schedule(k, L, "constant", eta=e)
-                yield ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh,
-                                     **_const(L=L))
-            elif kind == "eag_varying":
-                beta, et, eh = eag_schedule(k, L, "varying", eta0=eta0,
-                                            eta_prev=eta_state)
-                eta_state = et
-                yield ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh,
-                                     **_const(L=L))
-            elif kind == "comono_eag":
-                beta, et, tau = comono_schedule(k, L, rho)
-                yield ScheduleParams(k=k, beta=beta, eta=et, tau=tau, rho=rho,
-                                     **_const(L=L))
-            elif kind == "nag_comono":
-                beta, et, tau, th, nuv = nag_comono_transform(k, L, rho)
-                yield ScheduleParams(k=k, beta=beta, eta=et, tau=tau, rho=rho,
-                                     theta=th, nu=nuv, **_const(L=L))
-            elif kind == "peag":
-                beta, et, eh = peag_schedule(k, L, sigma=sigma, mode="two_step")
-                yield ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh,
-                                     **_const(L=L, sigma=sigma,
-                                              M=L * L * (1.0 + sigma)))
-            elif kind == "peag_legacy":
-                beta, et, eh = peag_schedule(k, L, mode="legacy", eta0=eta0,
-                                             eta_prev=eta_state)
-                eta_state = et
-                yield ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh,
-                                     **_const(L=L))
-            elif kind == "nag_eag":
-                g, et, eh, th, nuv, t, a, b = nag_eag_schedule(k, L)
-                yield ScheduleParams(k=k, beta=1.0 / (k + 2), gamma=g, eta=et,
-                                     eta_hat=eh, theta=th, nu=nuv, t=t,
-                                     a_coeff=a, b_coeff=b, **_const(L=L))
-            elif kind == "nag_peag":
-                gh, th, nuv, kap, zet = nag_peag_schedule(k, L, sigma=sigma)
-                beta, et, eh = peag_schedule(k, L, sigma=sigma, mode="two_step")
-                yield ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh,
-                                     gamma_hat=gh, theta=th, nu=nuv, kappa=kap,
-                                     zeta=zet,
-                                     **_const(L=L, sigma=sigma,
-                                              M=L * L * (1.0 + sigma)))
-            k += 1
-
-    return gen()
-
-
-def transformed_nesterov_stream(beta_eta_fn, gamma_fn, L):
-    """Stream of two-correction parameters from arbitrary (beta, eta, gamma).
-
-    ``beta_eta_fn(k) -> (beta, eta)`` and ``gamma_fn(k) -> gamma`` define
-    the anchored rule being transformed; the index-0 convention applies.
-    """
-    def gen():
-        k = 0
-        while True:
-            beta, et = beta_eta_fn(k)
-            g = gamma_fn(k)
-            if k == 0:
-                th, nuv, kap = 0.0, 1.0 - et / g, 0.0
-            else:
-                bp, ep = beta_eta_fn(k - 1)
-                gp = gamma_fn(k - 1)
-                th = beta * (1.0 - bp) / bp
-                nuv = beta / bp + 1.0 - beta - et / g
-                kap = (beta / bp) * (ep / gp - 1.0 + bp)
-            yield ScheduleParams(k=k, beta=beta, eta=et, gamma=g, theta=th,
-                                 nu=nuv, kappa=kap, **_const(L=L))
-            k += 1
-
-    return gen()
+    if kind in ("nesterov_slow", "nesterov_fast"):
+        variant = kind.split("_")[1]
+        g = 1.0 / L if gamma is None else gamma
+        return transformed_nesterov_stream(
+            lambda k: halpern_params(k, L, variant), lambda k: g, L)
+    if kind == "eag_varying":
+        return _recursion_stream(
+            lambda k, prev: eag_schedule(k, L, "varying", eta0=eta0,
+                                         eta_prev=prev), L)
+    if kind == "peag_legacy":
+        return _recursion_stream(
+            lambda k, prev: peag_schedule(k, L, mode="legacy", eta0=eta0,
+                                          eta_prev=prev), L)
+    return map(_closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta),
+               itertools.count())

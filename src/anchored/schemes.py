@@ -292,13 +292,6 @@ STEPS = {
     "nag_peag": nag_peag_step,
 }
 
-#: iterate the scheme reports its residual on, for tracing purposes
-RESIDUAL_ITERATE = {
-    "halpern": "y", "nesterov": "y", "eag": "y", "nag_eag": "y",
-    "comono_eag": "y", "nag_comono": "y", "peag": "z", "nag_peag": "z",
-}
-
-
 @dataclass
 class TracePoint:
     """Full iterate snapshot at index k (all vectors are copies)."""

@@ -9,7 +9,6 @@ from anchored.diagnostics import (
     decrease_report,
     eag_constant_rate_constant,
     eag_family_coeffs,
-    eag_potential,
     eag_potential_series,
     equivalence_report,
     halpern_potential,
@@ -187,13 +186,14 @@ class TestEagPotential:
         y0 = np.array([1.0, -1.0])
         c = eag_family_coeffs(0, 1.0)
         assert c.a == 0.0 and c.b == 0.0
-        val = eag_potential(np.ones(2), y0, y0, c, y_star)
+        val = nesterov_potential(np.ones(2), y0, y0, c, y_star)
         assert val == pytest.approx(float(np.linalg.norm(y0 - y_star) ** 2))
 
     def test_zero_at_exact_solution(self):
         y_star = np.array([0.5])
         c = eag_family_coeffs(3, 2.0)
-        assert eag_potential(np.zeros(1), y_star, y_star, c, y_star) == 0.0
+        assert nesterov_potential(np.zeros(1), y_star, y_star, c,
+                                  y_star) == 0.0
 
     def test_decrease_and_lower_bound_on_saddle_run(self):
         op, y_star = saddle_fixture()

@@ -4,18 +4,20 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from anchored.cli import main
+from anchored.cli import BOUND_OF_SCHEDULE, _attach_diagnostics, main
+from anchored.diagnostics import bound_check
 from anchored.errors import InputError
 from anchored.figures import make_figure
 from anchored.instances import (
     desk_bilinear,
     desk_least_squares,
+    gen_bilinear,
     gen_least_squares,
     gen_minimax_huber,
     gen_scalar_identity,
     start_point,
 )
-from anchored.schemes import run, solver_for
+from anchored.schemes import COMPATIBLE_SCHEDULES, run, solver_for
 from anchored.svgplot import svg_loglog
 from anchored.traceio import CSV_COLUMNS, read_trace_csv, write_trace_csv
 
@@ -184,3 +186,72 @@ class TestCli:
     def test_figure_command(self, tmp_path, capsys):
         assert main(["figure", "--which", "exam2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "exam2.svg").exists()
+
+    def test_figure_seed_zero_is_honoured(self, tmp_path):
+        out0, out7 = tmp_path / "s0", tmp_path / "s7"
+        for seed, out in (("0", out0), ("7", out7)):
+            assert main(["figure", "--which", "exam2", "--seed", seed,
+                         "--out", str(out)]) == 0
+        names = sorted(p.name for p in out0.glob("*.csv"))
+        assert names
+        for name in names:
+            assert (out0 / name).read_bytes() != (out7 / name).read_bytes()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "iters", "abc"),
+        ("instance", "n", "1.5"),
+        ("instance", "noise_var", "lots"),
+        ("instance", "seed", "x"),
+        ("schedule", "gamma", "fast"),
+        ("trace", "snapshot_stride", "every"),
+    ])
+    def test_run_malformed_number_exits_two(self, tmp_path, capsys, section,
+                                            key, value):
+        cfg = {"run": {"scheme": "halpern", "schedule": "halpern_fast",
+                       "iters": "2"},
+               "instance": {"generator": "least_squares", "n": "20",
+                            "p": "10"}}
+        cfg.setdefault(section, {})[key] = value
+        path = tmp_path / "cfg.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for name, items in cfg.items()))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and value in err
+
+    def test_run_comono_without_rho_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[run]\nscheme = comono_eag\nschedule = comono_eag\niters = 5\n\n"
+            "[instance]\ngenerator = bilinear\nm = 6\nn = 4\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "rho" in capsys.readouterr().err
+
+
+class TestBoundColumn:
+    def test_cli_bound_is_bound_check_theory(self):
+        # the CSV bound column and bound_check read one table; comono is
+        # compared from k = 1 on, its k = 0 entry is inf
+        ls = gen_least_squares(30, 12, seed=7, noise_var=0.1)
+        hub = gen_minimax_huber(20, 15, seed=7)
+        bil = gen_bilinear(15, 10, seed=7)
+        for kind, bound in BOUND_OF_SCHEDULE.items():
+            scheme = next(s for s, kinds in COMPATIBLE_SCHEDULES.items()
+                          if kind in kinds)
+            if kind.startswith(("halpern", "nesterov")):
+                inst, kw = ls, {}
+            elif "comono" in kind:
+                inst, kw = bil, {"rho": -1.0 / (4.0 * bil.operator.lipschitz)}
+            else:
+                inst, kw = hub, {}
+            op, y0 = inst.operator, start_point(inst)
+            trace = run(solver_for(op, scheme, kind, **kw), y0, 40)
+            _attach_diagnostics(trace, scheme, kind, kw, inst, y0)
+            d0 = float(np.linalg.norm(y0 - inst.solution))
+            report = bound_check(trace, bound, op.lipschitz, d0,
+                                 rho=kw.get("rho"), sigma=1.0, operator=op)
+            first = 1 if bound == "comono" else 0
+            assert np.array_equal(trace.bound[first:], report.theory), kind
+        assert BOUND_OF_SCHEDULE["nag_comono"] == "comono"

@@ -12,13 +12,46 @@ from anchored.schedules import (
     nag_comono_transform,
     nag_eag_schedule,
     nag_peag_schedule,
-    nag_peag_schedule_general,
     nesterov_omega_params,
     peag_schedule,
     schedule_stream,
-    transform_halpern_to_nesterov,
     transformed_nesterov_stream,
 )
+
+
+def nag_peag_schedule_general(k, L, sigma=1.0):
+    """Three-correction coefficients derived from the stepsize ratios directly.
+
+    gamma_hat_k = eta_hat_{k-1} + eta_k / (1 - beta_k),
+    kappa_k = eta_{k-1} (1 - beta_k) / gamma_hat_{k-1},
+    zeta_k = theta_k eta_{k-2} / gamma_hat_{k-2}, with negative-index
+    stepsizes set to the index-0 values. The reference the closed forms
+    of :func:`nag_peag_schedule` are checked against.
+    """
+    def stepsizes(j):
+        return peag_schedule(max(j, 0), L, sigma=sigma)
+
+    beta_k, eta_k, eta_hat_k = stepsizes(k)
+
+    def gamma_hat_at(j):
+        b, e, _ = stepsizes(j)
+        _, _, eh_prev = stepsizes(j - 1)
+        return eh_prev + e / (1.0 - b)
+
+    gamma_hat = gamma_hat_at(k)
+    if k == 0:
+        return gamma_hat, 0.0, 1.0 / 2.0, 0.0, 0.0
+    beta_prev = 1.0 / (k + 1)
+    theta = beta_k * (1.0 - beta_prev) / beta_prev
+    nu = beta_k / beta_prev
+    _, eta_prev, _ = stepsizes(k - 1)
+    kappa = eta_prev * (1.0 - beta_k) / gamma_hat_at(k - 1)
+    if k == 1:
+        zeta = 0.0
+    else:
+        _, eta_pp, _ = stepsizes(k - 2)
+        zeta = theta * eta_pp / gamma_hat_at(k - 2)
+    return gamma_hat, theta, nu, kappa, zeta
 
 
 class TestHalpernParams:
@@ -92,13 +125,22 @@ class TestNesterovOmega:
             assert abs(c2) < 1e-12 * max(1.0, b_k)
 
 
+def transform(beta, eta, gamma):
+    """(theta, nu, kappa) lists of the transform for finite sequences."""
+    stream = transformed_nesterov_stream(
+        lambda k: (beta[k], eta[k]), lambda k: gamma[k], 1.0)
+    params = [next(stream) for _ in beta]
+    return ([p.theta for p in params], [p.nu for p in params],
+            [p.kappa for p in params])
+
+
 class TestTransform:
     def test_matched_gamma_kills_kappa(self):
         ks = range(0, 40)
         beta = [1.0 / (k + 2) for k in ks]
         eta = [1.5 * (1 - b) for b in beta]
         gamma = [e / (1 - b) for e, b in zip(eta, beta)]
-        theta, nu, kappa = transform_halpern_to_nesterov(beta, eta, gamma)
+        theta, nu, kappa = transform(beta, eta, gamma)
         for k in range(1, 40):
             assert kappa[k] == pytest.approx(0.0, abs=1e-15)
             assert nu[k] == pytest.approx((k + 1) / (k + 2))
@@ -108,7 +150,7 @@ class TestTransform:
         beta = [1.0 / (k + 2) for k in ks]
         eta = [2.0 * (1 - b) for b in beta]
         gamma = [1.0] * len(beta)
-        theta, nu, kappa = transform_halpern_to_nesterov(beta, eta, gamma)
+        theta, nu, kappa = transform(beta, eta, gamma)
         for k in range(1, 40):
             assert theta[k] == pytest.approx(k / (k + 2))
             assert nu[k] == pytest.approx(0.0, abs=1e-15)
@@ -118,20 +160,39 @@ class TestTransform:
         beta = [0.5, 1.0 / 3.0]
         eta = [0.5, 2.0 / 3.0]
         gamma = [1.0, 1.0]
-        _, nu, _ = transform_halpern_to_nesterov(beta, eta, gamma)
+        _, nu, _ = transform(beta, eta, gamma)
         assert nu[0] == pytest.approx(0.5)
 
     def test_theta_identity_invariant(self):
         beta = [1.0 / (k + 2) for k in range(200)]
         eta = [0.7 * (1 - b) for b in beta]
         gamma = [0.9] * 200
-        theta, _, _ = transform_halpern_to_nesterov(beta, eta, gamma)
+        theta, _, _ = transform(beta, eta, gamma)
         for k in range(1, 200):
             assert abs(beta[k - 1] * theta[k] - beta[k] * (1 - beta[k - 1])) <= 1e-14
 
     def test_rejects_beta_out_of_range(self):
         with pytest.raises(InputError):
-            transform_halpern_to_nesterov([1.0], [0.5], [1.0])
+            transform([1.0], [0.5], [1.0])
+        with pytest.raises(InputError):
+            transform([0.5, 0.0], [0.5, 0.5], [1.0, 1.0])
+
+    def test_rejects_nonpositive_gamma(self):
+        with pytest.raises(InputError):
+            transform([0.5], [0.5], [0.0])
+
+    def test_carries_previous_step(self):
+        # each (beta, eta, gamma) is drawn once, in order
+        calls = []
+
+        def beta_eta(k):
+            calls.append(k)
+            return 1.0 / (k + 2), 0.5
+
+        stream = transformed_nesterov_stream(beta_eta, lambda k: 1.0, 1.0)
+        for _ in range(5):
+            next(stream)
+        assert calls == [0, 1, 2, 3, 4]
 
 
 class TestEagSchedule:

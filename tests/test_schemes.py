@@ -28,7 +28,11 @@ from anchored.schemes import (
     run,
     solver_for,
 )
-from anchored.schedules import ScheduleParams, schedule_stream
+from anchored.schedules import (
+    ScheduleParams,
+    schedule_stream,
+    transformed_nesterov_stream,
+)
 
 ZERO_OP = OperatorSpec(dim=2, eval=lambda y: np.zeros_like(y), lipschitz=1.0,
                        cocoercivity_modulus=1.0, monotone=True)
@@ -116,20 +120,8 @@ class TestNesterovEquivalence:
                         for k in range(200))
 
             def nesterov_factory():
-                def gen():
-                    for k in range(200):
-                        b, e, g = beta[k], eta[k], gamma[k]
-                        if k == 0:
-                            yield ScheduleParams(k=0, gamma=g, theta=0.0,
-                                                 nu=1.0 - e / g, kappa=0.0)
-                            continue
-                        bp, ep, gp = beta[k - 1], eta[k - 1], gamma[k - 1]
-                        yield ScheduleParams(
-                            k=k, gamma=g,
-                            theta=b * (1 - bp) / bp,
-                            nu=b / bp + 1 - b - e / g,
-                            kappa=(b / bp) * (ep / gp - 1 + bp))
-                return gen()
+                return transformed_nesterov_stream(
+                    lambda k: (beta[k], eta[k]), lambda k: gamma[k], L)
 
             from anchored.schemes import Solver
             h = run(Solver("halpern", op, halpern_factory), y0, 200)
