@@ -49,15 +49,29 @@ def _number(section, key, default, cast=float):
         raise InputError(f"config value {key} = {raw} is not {kind}") from None
 
 
+def _instance_seed(cfg, seed_override=None):
+    """``--seed``, else the ``seed`` of [instance] or [run], else the desk seed.
+
+    Both config keys may be given only if they agree.
+    """
+    seeds = {_number(cfg[name], "seed", None, int)
+             for name in ("instance", "run")
+             if cfg.has_section(name) and "seed" in cfg[name]}
+    if len(seeds) > 1:
+        raise InputError("[instance] seed and [run] seed disagree")
+    if seed_override is not None:
+        return seed_override
+    return seeds.pop() if seeds else DESK_SEED
+
+
 def _build_instance(cfg, seed_override=None):
     section = cfg["instance"] if cfg.has_section("instance") else {}
     generator = section.get("generator", "least_squares")
     if generator not in GENERATORS:
         raise InputError(f"unknown generator {generator!r}")
+    seed = _instance_seed(cfg, seed_override)
     if generator == "scalar_identity":
         return GENERATORS[generator]()
-    seed = seed_override if seed_override is not None \
-        else _number(section, "seed", DESK_SEED, int)
     if generator == "least_squares":
         return GENERATORS[generator](_number(section, "n", 200, int),
                                      _number(section, "p", 100, int), seed,
@@ -120,6 +134,11 @@ def cmd_run(args):
         return 2
     if kind not in SCHEDULE_KINDS:
         print(f"error: unknown schedule {kind!r}", file=sys.stderr)
+        return 2
+    if kind not in COMPATIBLE_SCHEDULES[scheme]:
+        print(f"error: schedule {kind!r} carries no guarantee for scheme "
+              f"{scheme!r} (compatible: "
+              f"{', '.join(COMPATIBLE_SCHEDULES[scheme])})", file=sys.stderr)
         return 2
     K = args.iters if args.iters is not None \
         else _number(section, "iters", 100, int)

@@ -1,7 +1,9 @@
 """Potential functions, theoretical bounds, and trace-level checks.
 
-Everything here is a read-only consumer of run traces: potential values
-are recomputed from snapshots, decrease and bound violations are
+Everything here is a read-only consumer of run traces: potentials and
+partial-sum budgets are folds over trace points (fed by ``run`` as it
+goes, or from stride-1 snapshots afterwards), decrease and bound
+violations are
 counted with explicit slack, and scheme-equivalence deviations are
 measured pointwise. Decrease checks use a relative slack
 ``1e-10 * (1 + value)`` because potential values span many orders of
@@ -173,7 +175,7 @@ def anchor_to_corrected_coeffs(k, beta_k, eta_k, L, q0=1.0):
 
 
 # ---------------------------------------------------------------------------
-# series along traces
+# folds: trace diagnostics as running functions of the trace points
 
 
 def _snapshots(trace, need=()):
@@ -188,49 +190,246 @@ def _snapshots(trace, need=()):
     return snaps
 
 
-def _g_prev(snaps, k):
-    # y_{-1} = y_0 convention: the k = 0 slot reuses G(y_0)
-    g = snaps[k - 1].g_y if k >= 1 else snaps[0].g_y
-    if g is None:
-        raise DataError(f"snapshot {max(k - 1, 0)} lacks g_y")
-    return g
+class Fold:
+    """A trace diagnostic computed one trace point at a time.
+
+    A fold is called with the :class:`~anchored.schemes.TracePoint` of
+    every index 0, 1, 2, ... in order, either by
+    ``run(..., observers=[fold])`` while the run goes or by :meth:`feed`
+    from the stride-1 snapshots of a finished trace. Both hand it the
+    same points, so both give bitwise the same result. Subclasses name
+    the point fields they read in ``need`` and implement
+    ``term(point, prev)`` (``prev`` is the point before, None at k = 0),
+    which returns the next entry of ``terms`` or None for no entry.
+    """
+
+    need = ()
+
+    def __init__(self):
+        self.terms = []
+        self._prev = None
+
+    def __call__(self, point):
+        if point.k != (0 if self._prev is None else self._prev.k + 1):
+            raise DataError("folds need every index from k = 0 (stride 1)")
+        if self._prev is None:
+            for name in self.need:
+                if getattr(point, name) is None:
+                    raise DataError(f"trace points lack field {name!r}")
+        term = self.term(point, self._prev)
+        if term is not None:
+            self.terms.append(term)
+        self._prev = point
+
+    def feed(self, trace):
+        """Fold the stride-1 snapshots of a finished trace."""
+        for s in _snapshots(trace):
+            self(s)
+        return self
+
+    def series(self):
+        return np.array(self.terms)
+
+
+class MapFold(Fold):
+    """``fn(point)`` at every index."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.term = lambda point, prev: fn(point)
+
+
+class AnchoredPotentialFold(Fold):
+    """Anchored potential at every index whose point carries G y_k."""
+
+    need = ("y", "g_y")
+
+    def __init__(self, L, q0=1.0):
+        super().__init__()
+        self.L, self.q0 = L, q0
+        self._y0 = None
+
+    def term(self, point, prev):
+        if prev is None:
+            self._y0 = point.y
+        if point.g_y is not None:
+            p_k, q_k = halpern_potential_coeffs(point.k, self.q0)
+            return halpern_potential(point.g_y, point.y, self._y0, p_k, q_k,
+                                     self.L)
+        return None
+
+
+class CorrectedPotentialFold(Fold):
+    """Corrected-scheme potential with per-index coefficients.
+
+    ``field`` names the point iterate in the place of y_k in
+    :func:`nesterov_potential`: "y" for the corrected schemes, "z" for
+    the corrected extra-gradient scheme. G y_{-1} is taken as G y_0.
+    """
+
+    def __init__(self, coeffs_fn, y_star, field="y"):
+        super().__init__()
+        self.need = ("x", field)
+        self.coeffs_fn, self.y_star, self.field = coeffs_fn, y_star, field
+
+    def term(self, point, prev):
+        g_prev = (point if prev is None else prev).g_y
+        return nesterov_potential(g_prev, point.x, getattr(point, self.field),
+                                  self.coeffs_fn(point.k), self.y_star)
+
+
+def omega_potential_fold(gamma, omega, y_star, mu=1.0):
+    """Corrected potential of the omega family (corrected schemes, at y)."""
+    return CorrectedPotentialFold(
+        lambda k: omega_family_coeffs(k, gamma, omega, mu), y_star)
+
+
+def eag_potential_fold(L, y_star, b1=None):
+    """Extra-gradient potential: the corrected one read at z."""
+    return CorrectedPotentialFold(lambda k: eag_family_coeffs(k, L, b1),
+                                  y_star, field="z")
+
+
+class ResidualDifferenceFold(Fold):
+    """Partial sums of (k+1)(k+2)|G y_{k+1} - G y_k|^2 against 2 L^2 dist0^2."""
+
+    need = ("g_y",)
+
+    def __init__(self, L, dist0):
+        super().__init__()
+        self.L, self.dist0 = L, dist0
+
+    def term(self, point, prev):
+        if prev is None or point.g_y is None:
+            return None
+        d = point.g_y - prev.g_y
+        return (prev.k + 1.0) * (prev.k + 2.0) * float(d @ d)
+
+    def report(self):
+        sums = np.cumsum(self.terms)
+        budget = 2.0 * self.L * self.L * self.dist0 * self.dist0
+        return _compare("residual_difference_budget", sums,
+                        np.full(len(sums), budget))
+
+
+class SummabilityFold(Fold):
+    """The four partial-sum budgets of the omega-family decrease estimate.
+
+    Budgets (all bounded by V_0): mu(2 t_k - 1 - mu)|x_{k+1}-x_k|^2;
+    (gamma (w-1)/(L w)) |G y_k|^2; (2 gamma (1 - L gamma)/L)
+    t_k(t_k-1)|G y_k - G y_{k-1}|^2; gamma^2 t_k(t_k-1)
+    |x_{k+1}-x_k-theta_{k-1}(x_k-x_{k-1})|^2. A budget whose coefficient
+    is nonpositive (e.g. gamma > 1/L for the third) is skipped with a
+    flag rather than asserted. Each term holds the four norms of the
+    step k -> k+1.
+    """
+
+    need = ("x", "g_y")
+
+    def __init__(self, gamma, omega, L, mu=1.0):
+        super().__init__()
+        self.gamma, self.omega, self.L, self.mu = gamma, omega, L, mu
+        self._step = None    # x_k - x_{k-1}
+        self._g_back = None  # G y_{k-1}, with G y_{-1} = G y_0
+
+    def term(self, point, prev):
+        if prev is None:
+            self._g_back = point.g_y
+            return None
+        k = prev.k
+        step, g_k = point.x - prev.x, prev.g_y
+        carry = 0.0
+        if k >= 1:
+            i = k - 1  # theta_{k-1} of the omega family
+            carry = ((i + 1.0) / (i + 2.0 * self.omega + 2.0)) * self._step
+        out = (np.linalg.norm(step), np.linalg.norm(g_k),
+               np.linalg.norm(g_k - self._g_back),
+               np.linalg.norm(step - carry))
+        self._step, self._g_back = step, g_k
+        return out
+
+    def reports(self, v0):
+        if v0 is None:
+            raise DataError("summability check needs V_0")
+        gamma, omega, L, mu = self.gamma, self.omega, self.L, self.mu
+        n = len(self.terms)
+        dx, g_norm, dg, corr = np.array(self.terms).reshape(n, 4).T
+        t = np.array([(k + 2.0 * omega + 1.0) / omega for k in range(n)])
+        budget = np.full(n, float(v0))
+        reports = []
+
+        def add(name, coeff_terms, positive):
+            if not positive:
+                reports.append(BoundReport(
+                    name=name, theory=budget, observed=np.zeros(n),
+                    violations=0, worst_excess=0.0, first_violation=None,
+                    skipped=True,
+                    note="nonpositive coefficient, budget not asserted"))
+                return
+            reports.append(_compare(name, np.cumsum(coeff_terms), budget))
+
+        add("anchor_distance_budget", mu * (2.0 * t - 1.0 - mu) * dx ** 2,
+            mu > 0)
+        add("residual_budget",
+            (gamma * (omega - 1.0) / (L * omega)) * g_norm ** 2, omega > 1.0)
+        add("residual_difference_budget",
+            (2.0 * gamma * (1.0 - L * gamma) / L) * t * (t - 1.0) * dg ** 2,
+            1.0 - L * gamma > 0.0)
+        add("correction_budget", gamma * gamma * t * (t - 1.0) * corr ** 2,
+            True)
+        return reports
+
+
+class PeagGapFold(Fold):
+    """Weighted probe-gap sums of the past-extra potential, bounded by E_0.
+
+    Partial sums of (L^2 (sigma-1) b0 / (2 sqrt(2M))) * (k+1)(k+2)
+    |z_{k+1} - y_{k+1}|^2 stay below E_0; meaningful only for sigma > 1
+    (smaller sigma gives a nonpositive weight and the check is skipped).
+    """
+
+    need = ("y", "z")
+
+    def __init__(self, L, sigma, b0=1.0):
+        super().__init__()
+        self.L, self.sigma, self.b0 = L, sigma, b0
+
+    def term(self, point, prev):
+        if prev is None:
+            return None
+        return float(np.linalg.norm(point.z - point.y) ** 2)
+
+    def report(self, e0):
+        n = len(self.terms)
+        if self.sigma <= 1.0:
+            return BoundReport(name="probe_gap_budget", theory=np.full(n, e0),
+                               observed=np.zeros(n), violations=0,
+                               worst_excess=0.0, first_violation=None,
+                               skipped=True,
+                               note="sigma <= 1, weight nonpositive")
+        L = self.L
+        root = math.sqrt(2.0 * L * L * (1.0 + self.sigma))
+        w = L * L * (self.sigma - 1.0) * self.b0 / (2.0 * root)
+        ks = np.arange(n, dtype=float)
+        terms = w * (ks + 1.0) * (ks + 2.0) * np.array(self.terms)
+        return _compare("probe_gap_budget", np.cumsum(terms), np.full(n, e0))
+
+
+# ---------------------------------------------------------------------------
+# series along finished traces
 
 
 def halpern_potential_series(trace, L, q0=1.0):
-    """Anchored potential along a trace; defined up to index K-1."""
-    snaps = _snapshots(trace, need=("y", "g_y"))
-    y0 = snaps[0].y
-    out = []
-    for s in snaps:
-        if s.g_y is None:
-            break
-        p_k, q_k = halpern_potential_coeffs(s.k, q0)
-        out.append(halpern_potential(s.g_y, s.y, y0, p_k, q_k, L))
-    return np.array(out)
-
-
-def corrected_potential_series(trace, coeffs_fn, y_star, field="y"):
-    """Corrected-scheme potential with per-index coefficients.
-
-    ``field`` names the snapshot iterate in the place of y_k in
-    :func:`nesterov_potential`: "y" for the corrected schemes, "z" for
-    the corrected extra-gradient scheme.
-    """
-    snaps = _snapshots(trace, need=("x", field))
-    return np.array([
-        nesterov_potential(_g_prev(snaps, k), s.x, getattr(s, field),
-                           coeffs_fn(k), y_star)
-        for k, s in enumerate(snaps)])
+    """Anchored potential at every snapshot that carries G y_k."""
+    return AnchoredPotentialFold(L, q0).feed(trace).series()
 
 
 def nesterov_potential_series(trace, gamma, omega, y_star, mu=1.0):
-    return corrected_potential_series(
-        trace, lambda k: omega_family_coeffs(k, gamma, omega, mu), y_star)
+    return omega_potential_fold(gamma, omega, y_star, mu).feed(trace).series()
 
 
 def eag_potential_series(trace, L, y_star, b1=None):
-    return corrected_potential_series(
-        trace, lambda k: eag_family_coeffs(k, L, b1), y_star, field="z")
+    return eag_potential_fold(L, y_star, b1).feed(trace).series()
 
 
 def peag_potential_series(trace, operator, L, sigma, y_star, b0=1.0):
@@ -294,38 +493,36 @@ def bound_series(bound, ks, L, dist0, rho=None, sigma=None):
 def bound_check(trace, bound, L, dist0, rho=None, sigma=None, operator=None):
     """Compare a trace against one of the closed-form residual bounds.
 
-    dist0 is |y0 - y*|. The co-monotone bound starts at k = 1; the
-    past-extra bounds need snapshots (and ``operator`` for the bound on
-    the y-iterate residual, which that scheme never evaluates itself).
+    dist0 is |y0 - y*|. The co-monotone bound starts at k = 1. The
+    past-extra probe bound reads the trace's |G z_k| column, the other
+    column bounds |G y_k|; ``operator`` is not used for them. A run that
+    stopped on a numeric error, or kept no final residual, has no
+    residual at its last index, and the comparison ends one index
+    earlier. The past-extra residual bound is on |G y_k|, which that
+    scheme never evaluates: it needs stride-1 snapshots and
+    ``operator``, and evaluates G once per snapshot.
     """
-    if bound in ("peag_residual", "peag_probe"):
-        theory = bound_series(bound, np.arange(len(trace.snapshots)), L,
-                              dist0, sigma=sigma)
+    if bound == "peag_residual":
         snaps = _snapshots(trace, need=("y", "z"))
-        if bound == "peag_residual":
-            if operator is None:
-                raise InputError("peag_residual needs the operator to evaluate G(y_k)")
-            obs = [float(np.linalg.norm(operator(s.y)) ** 2)
-                   + 2.0 * L * L * float(np.linalg.norm(s.z - s.y) ** 2)
-                   for s in snaps]
-            return _compare(bound, np.array(obs), theory)
-        obs = []
-        for s in snaps:
-            if s.g_z is not None:
-                obs.append(float(np.linalg.norm(s.g_z) ** 2))
-            elif operator is not None:
-                obs.append(float(np.linalg.norm(operator(s.z)) ** 2))
-            else:
-                raise InputError("snapshot lacks g_z and no operator was given")
+        if operator is None:
+            raise InputError("peag_residual needs the operator to evaluate G(y_k)")
+        theory = bound_series(bound, np.arange(len(snaps)), L, dist0,
+                              sigma=sigma)
+        obs = [float(np.linalg.norm(operator(s.y)) ** 2)
+               + 2.0 * L * L * float(np.linalg.norm(s.z - s.y) ** 2)
+               for s in snaps]
         return _compare(bound, np.array(obs), theory)
     first = 1 if bound == "comono" else 0
-    theory = bound_series(bound, trace.k, L, dist0, rho=rho)[first:]
-    obs = trace.norm_g_y[first:]
+    column = trace.norm_g_z if bound == "peag_probe" else trace.norm_g_y
+    obs, ks = column[first:], trace.k[first:]
+    if len(obs) and np.isnan(obs[-1]):
+        obs, ks = obs[:-1], ks[:-1]
     if bound != "halpern_fast":
         obs = obs ** 2
     if np.any(np.isnan(obs)):
-        raise InputError("trace lacks |G y_k| values for this bound")
-    return _compare(bound, obs, theory, trace.k[first:])
+        raise InputError("trace lacks the residual values this bound reads")
+    theory = bound_series(bound, ks, L, dist0, rho=rho, sigma=sigma)
+    return _compare(bound, obs, theory, ks)
 
 
 def eag_constant_rate_constant(eta, L):
@@ -337,94 +534,54 @@ def eag_constant_rate_constant(eta, L):
 def eag_varying_rate_constant(eta0, eta_star, L):
     """Varying-stepsize rate constant 4(1 + eta0 eta* L^2)/eta*^2.
 
-    The true constant uses the limit stepsize; callers passing the last
-    computed stepsize as a proxy should flag the check as approximate.
+    It decreases in eta*, so a lower bound on the limit stepsize eta*
+    (:func:`eag_varying_limit_lower_bound`) gives an upper bound on it.
     """
     return 4.0 * (1.0 + eta0 * eta_star * L * L) / (eta_star * eta_star)
 
 
+_LIMIT_FACTORS = 1000
+
+
+def eag_varying_limit_lower_bound(eta0, L):
+    """Certified lower bound on the limit eta* of the varying stepsize rule.
+
+    The rule eta_{j+1} = (1 - c_j/((j+1)(j+3))) eta_j has
+    c_j = L^2 eta_j^2/(1 - L^2 eta_j^2) <= c = L^2 eta0^2/(1 - L^2 eta0^2)
+    because the stepsizes decrease, so
+    eta* >= eta0 prod_{j>=0} (1 - c/((j+1)(j+3))). The first
+    J = ``_LIMIT_FACTORS`` factors are multiplied out; the tail product is at least
+    1 - sum_{j>=J} c/((j+1)(j+3)) = 1 - (c/2)(1/(J+1) + 1/(J+2)), since
+    the sum telescopes. Every factor is positive only for c < 3, that is
+    L eta0 < sqrt(3)/2.
+    """
+    le2 = (L * eta0) ** 2
+    if not 0.0 < le2 < 0.75:
+        raise InputError("certified limit stepsize needs 0 < L eta0 < sqrt(3)/2")
+    c = le2 / (1.0 - le2)
+    prod = 1.0
+    for j in range(_LIMIT_FACTORS):
+        prod *= 1.0 - c / ((j + 1.0) * (j + 3.0))
+    tail = 1.0 - 0.5 * c * (1.0 / (_LIMIT_FACTORS + 1.0)
+                            + 1.0 / (_LIMIT_FACTORS + 2.0))
+    return eta0 * prod * tail
+
+
 def residual_difference_budget(trace, L, dist0):
     """Partial sums of (k+1)(k+2)|G y_{k+1} - G y_k|^2 against 2 L^2 dist0^2."""
-    snaps = _snapshots(trace, need=("g_y",))
-    terms = []
-    for k in range(len(snaps) - 1):
-        if snaps[k + 1].g_y is None:
-            break
-        d = snaps[k + 1].g_y - snaps[k].g_y
-        terms.append((k + 1.0) * (k + 2.0) * float(d @ d))
-    sums = np.cumsum(terms)
-    budget = 2.0 * L * L * dist0 * dist0
-    return _compare("residual_difference_budget", sums,
-                    np.full(len(sums), budget))
+    return ResidualDifferenceFold(L, dist0).feed(trace).report()
 
 
 def summability_check(trace, gamma, omega, L, v0, mu=1.0):
-    """The four partial-sum budgets of the omega-family decrease estimate.
-
-    Budgets (all bounded by V_0): mu(2 t_k - 1 - mu)|x_{k+1}-x_k|^2;
-    (gamma (w-1)/(L w)) |G y_k|^2; (2 gamma (1 - L gamma)/L)
-    t_k(t_k-1)|G y_k - G y_{k-1}|^2; gamma^2 t_k(t_k-1)
-    |x_{k+1}-x_k-theta_{k-1}(x_k-x_{k-1})|^2. A budget whose coefficient
-    is nonpositive (e.g. gamma > 1/L for the third) is skipped with a
-    flag rather than asserted.
-    """
+    """The four omega-family budgets of :class:`SummabilityFold` along a trace."""
     if v0 is None:
         raise DataError("summability check needs V_0")
-    snaps = _snapshots(trace, need=("x", "g_y"))
-    n = len(snaps) - 1  # terms use the step k -> k+1
-    t = np.array([(k + 2.0 * omega + 1.0) / omega for k in range(n)])
-    theta = np.array([(k + 1.0) / (k + 2.0 * omega + 2.0) for k in range(n)])
-    dx = np.array([np.linalg.norm(snaps[k + 1].x - snaps[k].x) for k in range(n)])
-    g_norm = np.array([np.linalg.norm(snaps[k].g_y) for k in range(n)])
-    dg = np.array([np.linalg.norm(snaps[k].g_y - _g_prev(snaps, k))
-                   for k in range(n)])
-    corr = np.empty(n)
-    for k in range(n):
-        prev = theta[k - 1] * (snaps[k].x - snaps[k - 1].x) if k >= 1 else 0.0
-        corr[k] = np.linalg.norm(snaps[k + 1].x - snaps[k].x - prev)
-    budget = np.full(n, float(v0))
-    reports = []
-
-    def add(name, coeff_terms, positive):
-        if not positive:
-            reports.append(BoundReport(
-                name=name, theory=budget, observed=np.zeros(n), violations=0,
-                worst_excess=0.0, first_violation=None, skipped=True,
-                note="nonpositive coefficient, budget not asserted"))
-            return
-        sums = np.cumsum(coeff_terms)
-        reports.append(_compare(name, sums, budget))
-
-    add("anchor_distance_budget", mu * (2.0 * t - 1.0 - mu) * dx ** 2, mu > 0)
-    add("residual_budget", (gamma * (omega - 1.0) / (L * omega)) * g_norm ** 2,
-        omega > 1.0)
-    add("residual_difference_budget",
-        (2.0 * gamma * (1.0 - L * gamma) / L) * t * (t - 1.0) * dg ** 2,
-        1.0 - L * gamma > 0.0)
-    add("correction_budget", gamma * gamma * t * (t - 1.0) * corr ** 2, True)
-    return reports
+    return SummabilityFold(gamma, omega, L, mu).feed(trace).reports(v0)
 
 
 def peag_gap_budget(trace, L, sigma, e0, b0=1.0):
-    """Weighted probe-gap sums of the past-extra potential, bounded by E_0.
-
-    Partial sums of (L^2 (sigma-1) b0 / (2 sqrt(2M))) * (k+1)(k+2)
-    |z_{k+1} - y_{k+1}|^2 stay below E_0; meaningful only for sigma > 1
-    (smaller sigma gives a nonpositive weight and the check is skipped).
-    """
-    snaps = _snapshots(trace, need=("y", "z"))
-    n = len(snaps) - 1
-    if sigma <= 1.0:
-        return BoundReport(name="probe_gap_budget", theory=np.full(n, e0),
-                           observed=np.zeros(n), violations=0,
-                           worst_excess=0.0, first_violation=None,
-                           skipped=True, note="sigma <= 1, weight nonpositive")
-    root = math.sqrt(2.0 * L * L * (1.0 + sigma))
-    w = L * L * (sigma - 1.0) * b0 / (2.0 * root)
-    terms = [w * (k + 1.0) * (k + 2.0)
-             * float(np.linalg.norm(snaps[k + 1].z - snaps[k + 1].y) ** 2)
-             for k in range(n)]
-    return _compare("probe_gap_budget", np.cumsum(terms), np.full(n, e0))
+    """Weighted probe-gap budget of :class:`PeagGapFold` along a trace."""
+    return PeagGapFold(L, sigma, b0).feed(trace).report(e0)
 
 
 def trend_check(norm_g_y, name="quadratic_trend"):

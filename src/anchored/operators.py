@@ -40,6 +40,10 @@ class ResolventSpec:
 
     ``kind`` selects A: "zero", "l1" (weight * subdifferential of the l1
     norm), "box" (normal cone of [lo, hi]), or "affine" (A = My + c).
+    For the affine kind the first :func:`resolvent_apply` inverts I + lam*M
+    and caches it in ``inverse``, so that each later application is one
+    matrix-vector product. The cache is not a constructor argument, and
+    ``replace()`` drops it.
     """
 
     kind: str
@@ -49,11 +53,21 @@ class ResolventSpec:
     hi: float = 1.0
     matrix: Optional[np.ndarray] = None
     shift: Optional[np.ndarray] = None
+    inverse: Optional[np.ndarray] = field(init=False, default=None,
+                                          repr=False, compare=False)
 
     def with_lambda(self, lam):
         if lam <= 0:
             raise InputError("resolvent index lam must be positive")
         return replace(self, lam=float(lam))
+
+
+def _affine_inverse(matrix, lam):
+    """(I + lam*M)^-1; a singular system is a numeric error."""
+    try:
+        return np.linalg.inv(np.eye(matrix.shape[0]) + lam * matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular resolvent system: {exc}") from exc
 
 
 def zero_kind():
@@ -88,14 +102,12 @@ def resolvent_apply(res: ResolventSpec, y):
     if res.kind == "box":
         return np.clip(y, res.lo, res.hi)
     if res.kind == "affine":
-        m = res.matrix
-        if m.shape[0] != y.shape[0]:
+        if res.matrix.shape[0] != y.shape[0]:
             raise InputError("dimension mismatch in affine resolvent")
-        a = np.eye(m.shape[0]) + res.lam * m
-        try:
-            return np.linalg.solve(a, y - res.lam * res.shift)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular resolvent system: {exc}") from exc
+        if res.inverse is None:
+            object.__setattr__(res, "inverse",
+                               _affine_inverse(res.matrix, res.lam))
+        return res.inverse @ (y - res.lam * res.shift)
     raise InputError(f"unknown resolvent kind {res.kind!r}")
 
 

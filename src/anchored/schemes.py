@@ -373,13 +373,20 @@ def _x_slot(scheme, state):
     return None
 
 
-def run(solver, y0, K, trace_opts=None):
+def run(solver, y0, K, trace_opts=None, observers=()):
     """Execute ``K`` steps and collect a :class:`RunTrace`.
 
     Deterministic given (y0, schedule, operator). On a numeric error the
     trace is truncated at the failing step and carries the error text.
     Iterate arrays are never mutated after creation, so snapshots hold
     references rather than copies.
+
+    Each observer is called with every :class:`TracePoint` a stride-1
+    snapshot list would hold, in index order (the diagnostics folds);
+    ``snapshot_stride`` only decides which of those points the trace
+    keeps. Observers never evaluate the operator, so the evaluation
+    budget is the same with or without them. With no observers and
+    stride 0 no point is built.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
@@ -394,9 +401,18 @@ def run(solver, y0, K, trace_opts=None):
     norm_dx, norm_yx, norm_dy = _nan(n), _nan(n), _nan(n)
     snapshots = []
     error = None
+    stride = opts.snapshot_stride
+    observers = tuple(observers)
+    every_point = bool(observers)
 
-    def want_snap(idx):
-        return opts.snapshot_stride > 0 and idx % opts.snapshot_stride == 0
+    def wanted(idx):
+        return every_point or (stride > 0 and idx % stride == 0)
+
+    def emit(point):
+        if stride > 0 and point.k % stride == 0:
+            snapshots.append(point)
+        for observe in observers:
+            observe(point)
 
     done = 0
     for k in range(K):
@@ -426,8 +442,8 @@ def run(solver, y0, K, trace_opts=None):
         if opts.track_x_residual:
             target = x_old if x_old is not None else y_old
             norm_g_x[k] = np.linalg.norm(op(target))
-        if want_snap(k):
-            snapshots.append(TracePoint(
+        if wanted(k):
+            emit(TracePoint(
                 k=k, x=x_old if x_old is not None else y_old,
                 xhat=state.xhat_prev, y=y_old, z=z_old,
                 g_y=g_at_y, g_z=g_at_z))
@@ -448,8 +464,8 @@ def run(solver, y0, K, trace_opts=None):
         if opts.track_x_residual:
             target = x_fin if x_fin is not None else state.y
             norm_g_x[K] = np.linalg.norm(op(target))
-        if want_snap(K):
-            snapshots.append(TracePoint(
+        if wanted(K):
+            emit(TracePoint(
                 k=K, x=x_fin if x_fin is not None else state.y,
                 xhat=state.xhat, y=state.y, z=state.z,
                 g_y=g_final_y, g_z=g_final_z))

@@ -34,6 +34,8 @@ from .schemes import Solver, TraceOpts, run, solver_for
 SUITES = ("equivalence", "lemmas", "bounds", "all")
 EQUIV_TOL = 1e-8
 EQUIV_STEPS = 500
+#: runs whose checks are folds or read only the scalar columns
+NO_SNAPSHOTS = TraceOpts(snapshot_stride=0)
 
 
 @dataclass
@@ -113,7 +115,12 @@ def _report_result(suite, name, report):
 
 
 def lemmas_suite(scale="small"):
-    """Potential decrease, lower bounds, the coupling identity, budgets."""
+    """Potential decrease, lower bounds, the coupling identity, budgets.
+
+    Potentials, budgets and lower bounds are folds fed by the run, so
+    only the coupling identity and the past-extra potential (which
+    evaluates G at each y_k after the run) keep stride-1 snapshots.
+    """
     results = []
     K = _iters(scale)
     ls, hub = _instances(scale)
@@ -122,33 +129,35 @@ def lemmas_suite(scale="small"):
     op, y_star = ls.operator, ls.solution
     L = op.lipschitz
     y0 = start_point(ls)
-    tr = run(solver_for(op, "halpern", "halpern_fast"), y0, K)
-    series = dg.halpern_potential_series(tr, L)
+    anchored = dg.AnchoredPotentialFold(L)
+    run(solver_for(op, "halpern", "halpern_fast"), y0, K, NO_SNAPSHOTS,
+        observers=(anchored,))
     results.append(_report_result(
         "lemmas", "anchored potential nonincreasing [ls, fast]",
-        dg.decrease_report(series, "anchored_potential")))
+        dg.decrease_report(anchored.series(), "anchored_potential")))
 
     # corrected potential: decrease, lower bound, budgets (omega family)
     gamma, omega, mu = 0.9 / L, 3.0, 1.0
-    tro = run(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
-                         omega=omega), y0, K)
-    v_series = dg.nesterov_potential_series(tro, gamma, omega, y_star, mu)
+    corrected = dg.omega_potential_fold(gamma, omega, y_star, mu)
+    dist = dg.MapFold(lambda s: float(np.linalg.norm(s.x - y_star)) ** 2)
+    budgets = dg.SummabilityFold(gamma, omega, L, mu)
+    run(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
+                   omega=omega), y0, K, NO_SNAPSHOTS,
+        observers=(corrected, dist, budgets))
+    v_series = corrected.series()
     results.append(_report_result(
         "lemmas", "corrected potential nonincreasing [ls, omega]",
         dg.decrease_report(v_series, "corrected_potential")))
-    lb_ok = all(
-        v_series[k] >= mu * float(np.linalg.norm(s.x - y_star)) ** 2 - 1e-10
-        for k, s in enumerate(tro.snapshots))
+    lb_ok = bool(np.all(v_series >= mu * dist.series() - 1e-10))
     results.append(_bool_result("lemmas",
                                 "corrected potential above anchor distance",
                                 lb_ok))
-    for rep in dg.summability_check(tro, gamma, omega, L, v_series[0], mu):
+    for rep in budgets.reports(v_series[0]):
         results.append(_report_result("lemmas", f"budget {rep.name} [ls]", rep))
 
     # coupling identity between the two potentials, mu = 0
-    trs = run(solver_for(op, "nesterov", "nesterov_slow"), y0,
-              min(K, 500))
-    snaps = trs.snapshots
+    snaps = run(solver_for(op, "nesterov", "nesterov_slow"), y0,
+                min(K, 500)).snapshots
     d0sq = float(np.linalg.norm(y0 - y_star) ** 2)
     worst = 0.0
     for k in range(len(snaps) - 1):
@@ -163,33 +172,38 @@ def lemmas_suite(scale="small"):
         worst = max(worst, abs(v_next - rhs) / (1.0 + abs(rhs)))
     results.append(_bool_result("lemmas", "potential coupling identity [ls]",
                                 worst <= 1e-10, f"max_dev={worst:.2e}"))
+    del snaps
 
     # extra-gradient potential on the saddle instance (decrease holds from
     # k = 1 on; the k = 0 coefficients zero out the compensating terms)
     oph, yh_star = hub.operator, hub.solution
     Lh = oph.lipschitz
     yh0 = start_point(hub)
-    trq = run(solver_for(oph, "nag_eag", "nag_eag"), yh0, K)
-    q_series = dg.eag_potential_series(trq, Lh, yh_star)
+    eag = dg.eag_potential_fold(Lh, yh_star)
+    g_sq = dg.MapFold(lambda s: float(s.g_y @ s.g_y))
+    run(solver_for(oph, "nag_eag", "nag_eag"), yh0, K, NO_SNAPSHOTS,
+        observers=(eag, g_sq))
+    q_series = eag.series()
     results.append(_report_result(
         "lemmas", "extra-gradient potential nonincreasing (k>=1) [huber]",
         dg.decrease_report(q_series[1:], "eag_potential")))
-    lb_ok = all(
-        q_series[k + 1] >= (k + 1.0) ** 2 / (4.0 * Lh * Lh)
-        * float(s.g_y @ s.g_y) - 1e-10
-        for k, s in enumerate(trq.snapshots[:-1]))
+    ks = np.arange(len(q_series) - 1)
+    lb_ok = bool(np.all(
+        q_series[1:] >= (ks + 1.0) ** 2 / (4.0 * Lh * Lh)
+        * g_sq.series()[:-1] - 1e-10))
     results.append(_bool_result(
         "lemmas", "extra-gradient potential above weighted residual", lb_ok))
 
     # past-extra potential, sigma = 2: decrease plus the weighted gap budget
-    trp = run(solver_for(oph, "peag", "peag", sigma=2.0), yh0, K)
-    e_series = dg.peag_potential_series(trp, oph, Lh, 2.0, yh_star)
+    tr = run(solver_for(oph, "peag", "peag", sigma=2.0), yh0, K)
+    e_series = dg.peag_potential_series(tr, oph, Lh, 2.0, yh_star)
     results.append(_report_result(
         "lemmas", "past-extra potential nonincreasing [huber, sigma=2]",
         dg.decrease_report(e_series, "peag_potential")))
     results.append(_report_result(
         "lemmas", "past-extra weighted gap budget [huber, sigma=2]",
-        dg.peag_gap_budget(trp, Lh, 2.0, e0=e_series[0])))
+        dg.peag_gap_budget(tr, Lh, 2.0, e0=e_series[0])))
+    del tr
 
     # residual-operator properties (forward-backward and three-operator)
     lam = default_lambda(L)
@@ -232,8 +246,38 @@ def lemmas_suite(scale="small"):
     return results
 
 
+def _rate_result(name, trace, c_star, dist0, denom, note=""):
+    """|G y_k|^2 <= c_star dist0^2 / denom_k at every index k."""
+    theory = c_star * dist0 * dist0 / denom
+    viol = int(np.count_nonzero(trace.norm_g_y ** 2 > theory * (1.0 + 1e-9)))
+    return _bool_result("bounds", name, viol == 0,
+                        f"violations={viol}{note}")
+
+
+def eag_varying_rate_check(trace, eta0, L, dist0):
+    """Varying-step extra-gradient rate |G y_k|^2 <= c* dist0^2/((k+1)(k+2)).
+
+    c* = 4(1 + eta0 eta* L^2)/eta*^2 at the certified lower bound on the
+    limit stepsize eta*, which makes it an upper bound on the rate
+    constant.
+    """
+    eta_star = dg.eag_varying_limit_lower_bound(eta0, L)
+    c_star = dg.eag_varying_rate_constant(eta0, eta_star, L)
+    ks = np.asarray(trace.k, dtype=float)
+    denom = (ks + 1.0) * (ks + 2.0)
+    ratio = float(np.max(trace.norm_g_y ** 2 * denom
+                         / (c_star * dist0 * dist0)))
+    return _rate_result(
+        "varying-step extra-gradient rate constant [huber]", trace, c_star,
+        dist0, denom, f" eta*L>={eta_star * L:.4f} worst_ratio={ratio:.3f}")
+
+
 def bounds_suite(scale="small"):
-    """Closed-form residual bounds on matching scheme/schedule pairs."""
+    """Closed-form residual bounds on matching scheme/schedule pairs.
+
+    Every bound but the past-extra residual one reads the trace's scalar
+    columns or a fold, so those runs keep no snapshots.
+    """
     results = []
     K = _iters(scale)
     ls, hub = _instances(scale)
@@ -244,38 +288,39 @@ def bounds_suite(scale="small"):
     y0 = start_point(ls)
     d0 = float(np.linalg.norm(y0 - y_star))
 
-    tr = run(solver_for(op, "halpern", "halpern_fast"), y0, K)
+    tr = run(solver_for(op, "halpern", "halpern_fast"), y0, K, NO_SNAPSHOTS)
     results.append(_report_result(
         "bounds", "anchored fast residual bound [ls]",
         dg.bound_check(tr, "halpern_fast", L, d0)))
 
-    tr = run(solver_for(op, "halpern", "halpern_slow"), y0, K)
+    differences = dg.ResidualDifferenceFold(L, d0)
+    tr = run(solver_for(op, "halpern", "halpern_slow"), y0, K, NO_SNAPSHOTS,
+             observers=(differences,))
     results.append(_report_result(
         "bounds", "anchored slow residual bound [ls]",
         dg.bound_check(tr, "halpern_slow", L, d0)))
     results.append(_report_result(
         "bounds", "residual difference budget [ls, slow]",
-        dg.residual_difference_budget(tr, L, d0)))
+        differences.report()))
 
-    tr = run(solver_for(op, "nesterov", "nesterov_slow"), y0, K)
+    tr = run(solver_for(op, "nesterov", "nesterov_slow"), y0, K, NO_SNAPSHOTS)
     results.append(_report_result(
         "bounds", "corrected slow residual bound [ls]",
         dg.bound_check(tr, "halpern_slow", L, d0)))
-    tr = run(solver_for(op, "nesterov", "nesterov_fast"), y0, K)
+    tr = run(solver_for(op, "nesterov", "nesterov_fast"), y0, K, NO_SNAPSHOTS)
     results.append(_report_result(
         "bounds", "corrected fast residual bound [ls]",
         dg.bound_check(tr, "halpern_fast", L, d0)))
 
     tr = run(solver_for(op, "nesterov", "nesterov_omega", gamma=0.9 / L,
-                        omega=3.0), y0, K)
+                        omega=3.0), y0, K, NO_SNAPSHOTS)
     ok, early, late = dg.trend_check(tr.norm_g_y)
     results.append(_bool_result(
         "bounds", "omega family vanishing-rate trend [ls]", ok,
         f"early={early:.3e} late={late:.3e}"))
     # the interior-stepsize anchored rule settles on the 1/k envelope at
     # this horizon; assert the fitted slope rather than a vanishing trend
-    tr = run(solver_for(op, "halpern", "halpern_omega"), y0, K,
-             TraceOpts(snapshot_stride=0))
+    tr = run(solver_for(op, "halpern", "halpern_omega"), y0, K, NO_SNAPSHOTS)
     fit = dg.rate_fit(tr.norm_g_y, (K // 4, K))
     results.append(_bool_result(
         "bounds", "anchored omega residual slope [ls]", fit.slope <= -0.9,
@@ -286,34 +331,22 @@ def bounds_suite(scale="small"):
     yh0 = start_point(hub)
     dh0 = float(np.linalg.norm(yh0 - yh_star))
 
-    tr = run(solver_for(oph, "nag_eag", "nag_eag"), yh0, K)
+    tr = run(solver_for(oph, "nag_eag", "nag_eag"), yh0, K, NO_SNAPSHOTS)
     results.append(_report_result(
         "bounds", "extra-gradient residual bound [huber]",
         dg.bound_check(tr, "eag", Lh, dh0)))
 
     eta = 1.0 / (8.0 * Lh)
-    tr = run(solver_for(oph, "eag", "eag_constant", eta=eta), yh0, K)
-    c_star = dg.eag_constant_rate_constant(eta, Lh)
+    tr = run(solver_for(oph, "eag", "eag_constant", eta=eta), yh0, K,
+             NO_SNAPSHOTS)
     ks = np.asarray(tr.k, dtype=float)
-    theory = c_star * dh0 * dh0 / (ks + 1.0) ** 2
-    viol = int(np.count_nonzero(tr.norm_g_y ** 2 > theory * (1.0 + 1e-9)))
-    results.append(_bool_result(
-        "bounds", "constant-step extra-gradient rate constant [huber]",
-        viol == 0, f"violations={viol}"))
+    results.append(_rate_result(
+        "constant-step extra-gradient rate constant [huber]", tr,
+        dg.eag_constant_rate_constant(eta, Lh), dh0, (ks + 1.0) ** 2))
 
-    tr = run(solver_for(oph, "eag", "eag_varying", eta0=0.5 / Lh), yh0, K)
-    from .schedules import schedule_stream
-    stream = schedule_stream("eag_varying", Lh, eta0=0.5 / Lh)
-    eta_last = None
-    for _ in range(K):
-        eta_last = next(stream).eta
-    c_star = dg.eag_varying_rate_constant(0.5 / Lh, eta_last, Lh)
-    theory = c_star * dh0 * dh0 / ((ks + 1.0) * (ks + 2.0))
-    viol = int(np.count_nonzero(tr.norm_g_y ** 2 > theory * (1.0 + 1e-9)))
-    results.append(_bool_result(
-        "bounds", "varying-step extra-gradient rate (limit proxy) [huber]",
-        True, f"violations={viol} (approximate: empirical limit stepsize)",
-        skipped=viol > 0))
+    tr = run(solver_for(oph, "eag", "eag_varying", eta0=0.5 / Lh), yh0, K,
+             NO_SNAPSHOTS)
+    results.append(eag_varying_rate_check(tr, 0.5 / Lh, Lh, dh0))
 
     tr = run(solver_for(oph, "peag", "peag", sigma=1.0), yh0, K)
     results.append(_report_result(
@@ -321,14 +354,14 @@ def bounds_suite(scale="small"):
         dg.bound_check(tr, "peag_residual", Lh, dh0, sigma=1.0, operator=oph)))
     results.append(_report_result(
         "bounds", "past-extra probe bound [huber]",
-        dg.bound_check(tr, "peag_probe", Lh, dh0, sigma=1.0, operator=oph)))
-    tr = run(solver_for(oph, "nag_peag", "nag_peag"), yh0, K)
+        dg.bound_check(tr, "peag_probe", Lh, dh0, sigma=1.0)))
+    tr = run(solver_for(oph, "nag_peag", "nag_peag"), yh0, K, NO_SNAPSHOTS)
     results.append(_report_result(
         "bounds", "three-correction probe bound [huber]",
-        dg.bound_check(tr, "peag_probe", Lh, dh0, sigma=1.0, operator=oph)))
+        dg.bound_check(tr, "peag_probe", Lh, dh0, sigma=1.0)))
 
     tr = run(solver_for(oph, "peag", "peag_legacy", eta0=0.4 / Lh), yh0, K,
-             TraceOpts(snapshot_stride=0))
+             NO_SNAPSHOTS)
     fit = dg.rate_fit(tr.norm_g_z, (K // 4, K))
     results.append(_bool_result(
         "bounds", "legacy past-extra residual slope [huber]",
@@ -340,12 +373,12 @@ def bounds_suite(scale="small"):
     yb0 = start_point(bil)
     db0 = float(np.linalg.norm(yb0 - bil.solution))
     tr = run(solver_for(opb, "comono_eag", "comono_eag", rho=rho), yb0,
-             max(K, 3000))
+             max(K, 3000), NO_SNAPSHOTS)
     results.append(_report_result(
         "bounds", "co-monotone residual bound [bilinear]",
         dg.bound_check(tr, "comono", Lb, db0, rho=rho)))
     tr = run(solver_for(opb, "nag_comono", "nag_comono", rho=rho), yb0,
-             max(K, 3000))
+             max(K, 3000), NO_SNAPSHOTS)
     results.append(_report_result(
         "bounds", "corrected co-monotone residual bound [bilinear]",
         dg.bound_check(tr, "comono", Lb, db0, rho=rho)))

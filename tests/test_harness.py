@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from anchored.cli import BOUND_OF_SCHEDULE, _attach_diagnostics, main
-from anchored.diagnostics import bound_check
+from anchored.diagnostics import (
+    bound_check,
+    eag_varying_limit_lower_bound,
+    eag_varying_rate_constant,
+)
 from anchored.errors import InputError
 from anchored.figures import make_figure
 from anchored.instances import (
     desk_bilinear,
+    desk_huber,
     desk_least_squares,
     gen_bilinear,
     gen_least_squares,
@@ -17,9 +22,10 @@ from anchored.instances import (
     gen_scalar_identity,
     start_point,
 )
-from anchored.schemes import COMPATIBLE_SCHEDULES, run, solver_for
+from anchored.schemes import COMPATIBLE_SCHEDULES, TraceOpts, run, solver_for
 from anchored.svgplot import svg_loglog
 from anchored.traceio import CSV_COLUMNS, read_trace_csv, write_trace_csv
+from anchored.verify import _rate_result, eag_varying_rate_check
 
 
 class TestGenerators:
@@ -228,6 +234,83 @@ class TestCli:
             "[instance]\ngenerator = bilinear\nm = 6\nn = 4\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "rho" in capsys.readouterr().err
+
+    def _ls_config(self, tmp_path, run_seed=None, instance_seed=None):
+        cfg = tmp_path / "cfg.ini"
+        run_part = f"seed = {run_seed}\n" if run_seed is not None else ""
+        inst_part = f"seed = {instance_seed}\n" \
+            if instance_seed is not None else ""
+        cfg.write_text(
+            "[run]\nscheme = halpern\nschedule = halpern_fast\niters = 5\n"
+            + run_part + "\n[instance]\ngenerator = least_squares\n"
+            "n = 20\np = 10\n" + inst_part)
+        return cfg
+
+    def test_run_seed_key_sets_instance_seed(self, tmp_path):
+        cfg = self._ls_config(tmp_path, run_seed=3)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "seed=3" in (tmp_path / "report.txt").read_text()
+
+    def test_seed_flag_wins_over_run_seed(self, tmp_path):
+        cfg = self._ls_config(tmp_path, run_seed=3)
+        assert main(["run", "--config", str(cfg), "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        assert "seed=5" in (tmp_path / "report.txt").read_text()
+
+    def test_agreeing_seed_keys_accepted(self, tmp_path):
+        cfg = self._ls_config(tmp_path, run_seed=4, instance_seed=4)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "seed=4" in (tmp_path / "report.txt").read_text()
+
+    def test_conflicting_seed_keys_exit_two(self, tmp_path, capsys):
+        cfg = self._ls_config(tmp_path, run_seed=3, instance_seed=4)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+
+    def test_incompatible_schedule_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[run]\nscheme = halpern\nschedule = eag_constant\niters = 5\n\n"
+            "[instance]\ngenerator = least_squares\nn = 20\np = 10\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "eag_constant" in err and "halpern" in err
+        assert not (tmp_path / "report.txt").exists()
+
+
+class TestVaryingStepRate:
+    def test_certified_limit_is_below_the_computed_stepsizes(self):
+        from anchored.schedules import schedule_stream
+        eta_star = eag_varying_limit_lower_bound(0.5, 1.0)
+        assert eta_star == pytest.approx(0.38629, abs=1e-5)
+        stream = schedule_stream("eag_varying", 1.0, eta0=0.5)
+        etas = [next(stream).eta for _ in range(5000)]
+        assert eta_star < min(etas)
+
+    def test_limit_bound_rejects_large_eta0(self):
+        with pytest.raises(InputError):
+            eag_varying_limit_lower_bound(0.9, 1.0)
+
+    def test_check_passes_and_fails_under_a_smaller_constant(self):
+        hub = desk_huber()
+        L, y0 = hub.operator.lipschitz, start_point(hub)
+        d0 = float(np.linalg.norm(y0 - hub.solution))
+        eta0 = 0.5 / L
+        trace = run(solver_for(hub.operator, "eag", "eag_varying", eta0=eta0),
+                    y0, 2000, TraceOpts(snapshot_stride=0))
+        ok = eag_varying_rate_check(trace, eta0, L, d0)
+        assert ok.ok and not ok.skipped
+        assert "worst_ratio=0.304" in ok.detail
+        # negative control: a constant four times too small must fail
+        c_star = eag_varying_rate_constant(
+            eta0, eag_varying_limit_lower_bound(eta0, L), L)
+        ks = trace.k.astype(float)
+        bad = _rate_result("negative control", trace, c_star / 4.0, d0,
+                           (ks + 1.0) * (ks + 2.0))
+        assert not bad.ok and not bad.skipped
 
 
 class TestBoundColumn:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from anchored.errors import InputError, NumericError
 from anchored.operators import (
     OperatorSpec,
+    ResolventSpec,
     affine_kind,
     bilinear_saddle_operator,
     box_kind,
@@ -166,6 +169,32 @@ class TestResolvents:
         m = np.array([[-1.0, 0.0], [0.0, 1.0]])  # I + lam*M singular at lam=1
         with pytest.raises(NumericError):
             resolvent_apply(affine_kind(m).with_lambda(1.0), np.ones(2))
+
+    def test_affine_inverse_cached_once_and_dropped_by_replace(self):
+        m = np.array([[1.0, 0.3], [0.3, 2.0]])
+        res = affine_kind(m).with_lambda(0.5)
+        assert res.inverse is None
+        resolvent_apply(res, np.ones(2))
+        cached = res.inverse
+        assert cached is not None
+        resolvent_apply(res, np.zeros(2))
+        assert res.inverse is cached
+        assert replace(res, lam=2.0).inverse is None
+        with pytest.raises(TypeError):
+            ResolventSpec("affine", matrix=m, inverse=np.eye(2))
+
+    def test_factored_affine_matches_dense_solve(self):
+        rng = SplitMix64(10)
+        a = rng.normal_matrix(60, 40)
+        m = a.T @ a / 60.0 + 0.1 * rng.normal_matrix(40, 40)
+        c = rng.normal(40)
+        for lam in (0.05, 0.7, 3.0):
+            res = affine_kind(m, c).with_lambda(lam)
+            for _ in range(3):
+                y = rng.normal(40)
+                want = np.linalg.solve(np.eye(40) + lam * m, y - lam * c)
+                got = resolvent_apply(res, y)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_firm_nonexpansiveness_sampled(self):
         rng = SplitMix64(8)

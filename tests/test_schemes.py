@@ -16,7 +16,9 @@ from anchored.operators import (
 from anchored.residuals import SplittingSpec, fb_residual
 from anchored.rng import SplitMix64
 from anchored.schemes import (
+    COMPATIBLE_SCHEDULES,
     STEPS,
+    TraceOpts,
     comono_eag_step,
     eag_step,
     halpern_step,
@@ -343,6 +345,29 @@ class TestEvaluationCounts:
             solver = solver_for(op, scheme, kind, L=1.0, **kw)
             run(solver, np.array([1.0, 2.0]), 10)
             assert counter.count == total, scheme
+
+    def test_observers_keep_the_budget_and_no_snapshots(self):
+        # observers see every index 0..K but never evaluate the operator
+        for scheme, kinds in COMPATIBLE_SCHEDULES.items():
+            kind = kinds[0]
+            op, counter = counted(identity_operator(2))
+            kw = {"rho": -0.1} if "comono" in kind else {}
+            solver = solver_for(op, scheme, kind, L=1.0, **kw)
+            seen = []
+            trace = run(solver, np.array([1.0, 2.0]), 10,
+                        TraceOpts(snapshot_stride=0), observers=(seen.append,))
+            per = 2 if scheme in ("eag", "nag_eag", "comono_eag",
+                                  "nag_comono") else 1
+            assert counter.count == per * 10 + 1, scheme
+            assert trace.snapshots == []
+            assert [p.k for p in seen] == list(range(11)), scheme
+
+    def test_observers_see_the_snapshot_points(self):
+        solver = solver_for(identity_operator(2), "nag_eag", "nag_eag")
+        seen = []
+        trace = run(solver, np.array([1.0, 2.0]), 12,
+                    TraceOpts(snapshot_stride=3), observers=(seen.append,))
+        assert trace.snapshots == seen[::3]
 
     def test_per_step_increments(self):
         one_eval = {"halpern": "halpern_fast", "nesterov": "nesterov_slow",
