@@ -11,7 +11,7 @@ magnitude along a run.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -415,6 +415,98 @@ class PeagGapFold(Fold):
         return _compare("probe_gap_budget", np.cumsum(terms), np.full(n, e0))
 
 
+class PeagPotentialFold(Fold):
+    """Past-extra potential (:func:`peag_potential`) at every index.
+
+    Reads G y_k from ``g_x``: a ``peag`` run with ``track_x_residual``
+    evaluates G at its x slot, which is y_k.
+    """
+
+    need = ("y", "z", "g_x")
+
+    def __init__(self, L, sigma, y_star, b0=1.0):
+        super().__init__()
+        self.L, self.sigma, self.y_star, self.b0 = L, sigma, y_star, b0
+        self._y0 = None
+
+    def term(self, point, prev):
+        if prev is None:
+            self._y0 = point.y
+        return peag_potential(point.g_x, point.y, point.z, point.k, self.L,
+                              self.sigma, self._y0, self.y_star, self.b0)
+
+
+class PeagResidualFold(Fold):
+    """|G y_k|^2 + 2 L^2 |z_k - y_k|^2 against the past-extra residual bound.
+
+    Reads G y_k from ``g_x``, as :class:`PeagPotentialFold` does.
+    """
+
+    need = ("y", "z", "g_x")
+
+    def __init__(self, L, dist0, sigma):
+        super().__init__()
+        self.L, self.dist0, self.sigma = L, dist0, sigma
+
+    def term(self, point, prev):
+        return (float(np.linalg.norm(point.g_x) ** 2) + 2.0 * self.L * self.L
+                * float(np.linalg.norm(point.z - point.y) ** 2))
+
+    def report(self):
+        theory = bound_series("peag_residual", np.arange(len(self.terms)),
+                              self.L, self.dist0, sigma=self.sigma)
+        return _compare("peag_residual", self.series(), theory)
+
+
+class CouplingIdentityFold(Fold):
+    """Relative deviation of the potential coupling identity, step by step.
+
+    Along the slow corrected run (beta_k = 1/(k+2), eta_k = (1-beta_k)/L)
+    the corrected potential with :func:`anchor_to_corrected_coeffs` at
+    k+1 equals (4 p_k/(L q_k^2)) times the anchored potential at k plus
+    |y0 - y*|^2. Each term is |lhs - rhs|/(1 + |rhs|) for one step
+    k -> k+1.
+    """
+
+    need = ("x", "y", "g_y")
+
+    def __init__(self, L, y_star):
+        super().__init__()
+        self.L, self.y_star = L, y_star
+        self._y0 = self._d0sq = None
+
+    def term(self, point, prev):
+        if prev is None:
+            self._y0 = point.y
+            self._d0sq = float(np.linalg.norm(point.y - self.y_star) ** 2)
+            return None
+        k, L = prev.k, self.L
+        beta = 1.0 / (k + 2)
+        eta = (1.0 - beta) / L
+        p_k, q_k = halpern_potential_coeffs(k)
+        l_val = halpern_potential(prev.g_y, prev.y, self._y0, p_k, q_k, L)
+        coeffs = anchor_to_corrected_coeffs(k, beta, eta, L)
+        v_next = nesterov_potential(prev.g_y, point.x, point.y, coeffs,
+                                    self.y_star)
+        rhs = (4.0 * p_k / (L * q_k * q_k)) * l_val + self._d0sq
+        return abs(v_next - rhs) / (1.0 + abs(rhs))
+
+    def max_deviation(self):
+        """Largest term, 0 for no terms; NaN when any term is NaN."""
+        return float(np.max(self.terms, initial=0.0))
+
+
+def _fed_with_g_at_y(fold, trace, operator):
+    """Feed ``fold`` the stride-1 snapshots with G y_k evaluated into ``g_x``."""
+    snaps = _snapshots(trace, need=("y", "z"))
+    if operator is None:
+        raise InputError("past-extra diagnostics need the operator to "
+                         "evaluate G(y_k)")
+    for s in snaps:
+        fold(replace(s, g_x=operator(s.y)))
+    return fold
+
+
 # ---------------------------------------------------------------------------
 # series along finished traces
 
@@ -433,11 +525,9 @@ def eag_potential_series(trace, L, y_star, b1=None):
 
 
 def peag_potential_series(trace, operator, L, sigma, y_star, b0=1.0):
-    snaps = _snapshots(trace, need=("y", "z"))
-    y0 = snaps[0].y
-    return np.array([
-        peag_potential(operator(s.y), s.y, s.z, s.k, L, sigma, y0, y_star, b0)
-        for s in snaps])
+    """Past-extra potential along stride-1 snapshots; evaluates G at each y_k."""
+    return _fed_with_g_at_y(PeagPotentialFold(L, sigma, y_star, b0), trace,
+                            operator).series()
 
 
 def decrease_report(values, name="decrease", slack=DECREASE_SLACK):
@@ -499,19 +589,14 @@ def bound_check(trace, bound, L, dist0, rho=None, sigma=None, operator=None):
     stopped on a numeric error, or kept no final residual, has no
     residual at its last index, and the comparison ends one index
     earlier. The past-extra residual bound is on |G y_k|, which that
-    scheme never evaluates: it needs stride-1 snapshots and
-    ``operator``, and evaluates G once per snapshot.
+    scheme never evaluates: here it needs stride-1 snapshots and
+    ``operator``, and evaluates G once per snapshot. A ``peag`` run with
+    ``track_x_residual`` can feed :class:`PeagResidualFold` instead: no
+    snapshots, and G y_k is evaluated once, inside the run.
     """
     if bound == "peag_residual":
-        snaps = _snapshots(trace, need=("y", "z"))
-        if operator is None:
-            raise InputError("peag_residual needs the operator to evaluate G(y_k)")
-        theory = bound_series(bound, np.arange(len(snaps)), L, dist0,
-                              sigma=sigma)
-        obs = [float(np.linalg.norm(operator(s.y)) ** 2)
-               + 2.0 * L * L * float(np.linalg.norm(s.z - s.y) ** 2)
-               for s in snaps]
-        return _compare(bound, np.array(obs), theory)
+        return _fed_with_g_at_y(PeagResidualFold(L, dist0, sigma), trace,
+                                operator).report()
     first = 1 if bound == "comono" else 0
     column = trace.norm_g_z if bound == "peag_probe" else trace.norm_g_y
     obs, ks = column[first:], trace.k[first:]

@@ -294,7 +294,12 @@ STEPS = {
 
 @dataclass
 class TracePoint:
-    """Full iterate snapshot at index k (all vectors are copies)."""
+    """Full iterate snapshot at index k (all vectors are copies).
+
+    ``g_x`` is G at ``x`` when the run tracks the x residual; for the
+    schemes without an x iterate (``halpern``, ``eag``, ``comono_eag``,
+    ``peag``) ``x`` is y_k, so a tracked ``peag`` run exposes G y_k.
+    """
 
     k: int
     x: np.ndarray
@@ -304,6 +309,7 @@ class TracePoint:
     g_y: Optional[np.ndarray] = None
     g_z: Optional[np.ndarray] = None
     w: Optional[np.ndarray] = None
+    g_x: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -386,7 +392,9 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     ``snapshot_stride`` only decides which of those points the trace
     keeps. Observers never evaluate the operator, so the evaluation
     budget is the same with or without them. With no observers and
-    stride 0 no point is built.
+    stride 0 no point is built. ``track_x_residual`` evaluates G at the
+    x slot of every index and hands the value to observers as
+    ``TracePoint.g_x``.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
@@ -439,14 +447,14 @@ def run(solver, y0, K, trace_opts=None, observers=()):
                 norm_yx[k] = np.linalg.norm(y_old - x_old)
         if scheme in _HAS_Y:
             norm_dy[k] = np.linalg.norm(state.y - y_old)
+        x_at = x_old if x_old is not None else y_old
+        g_at_x = None
         if opts.track_x_residual:
-            target = x_old if x_old is not None else y_old
-            norm_g_x[k] = np.linalg.norm(op(target))
+            g_at_x = op(x_at)
+            norm_g_x[k] = np.linalg.norm(g_at_x)
         if wanted(k):
-            emit(TracePoint(
-                k=k, x=x_old if x_old is not None else y_old,
-                xhat=state.xhat_prev, y=y_old, z=z_old,
-                g_y=g_at_y, g_z=g_at_z))
+            emit(TracePoint(k=k, x=x_at, xhat=state.xhat_prev, y=y_old,
+                            z=z_old, g_y=g_at_y, g_z=g_at_z, g_x=g_at_x))
         done = k + 1
 
     kmax = done if error is not None else K
@@ -461,14 +469,15 @@ def run(solver, y0, K, trace_opts=None, observers=()):
         if g_final_z is not None and scheme not in ("halpern", "nesterov"):
             norm_g_z[K] = np.linalg.norm(g_final_z)
         x_fin = _x_slot(scheme, state)
+        x_at = x_fin if x_fin is not None else state.y
+        g_at_x = None
         if opts.track_x_residual:
-            target = x_fin if x_fin is not None else state.y
-            norm_g_x[K] = np.linalg.norm(op(target))
+            g_at_x = op(x_at)
+            norm_g_x[K] = np.linalg.norm(g_at_x)
         if wanted(K):
-            emit(TracePoint(
-                k=K, x=x_fin if x_fin is not None else state.y,
-                xhat=state.xhat, y=state.y, z=state.z,
-                g_y=g_final_y, g_z=g_final_z))
+            emit(TracePoint(k=K, x=x_at, xhat=state.xhat, y=state.y,
+                            z=state.z, g_y=g_final_y, g_z=g_final_z,
+                            g_x=g_at_x))
 
     end = kmax + 1
     meta = dict(solver.meta)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 CSV_COLUMNS = ("k", "norm_g_y", "norm_g_x", "norm_dx", "norm_yx", "norm_dy",
-               "lyapunov_main", "bound_value")
+               "lyapunov_main", "bound_value", "norm_g_z")
 
 
 def _fmt(x):
@@ -37,6 +37,7 @@ def write_trace_csv(trace, path):
                 _fmt(trace.norm_dy[i]),
                 _fmt(lyap[i]) if lyap is not None and i < len(lyap) else "",
                 _fmt(bound[i]) if bound is not None and i < len(bound) else "",
+                _fmt(trace.norm_g_z[i]),
             ])
 
 

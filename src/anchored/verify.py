@@ -36,6 +36,8 @@ EQUIV_TOL = 1e-8
 EQUIV_STEPS = 500
 #: runs whose checks are folds or read only the scalar columns
 NO_SNAPSHOTS = TraceOpts(snapshot_stride=0)
+#: past-extra runs: G at the x slot (y_k for peag) goes to the folds
+X_RESIDUAL = TraceOpts(snapshot_stride=0, track_x_residual=True)
 
 
 @dataclass
@@ -117,9 +119,9 @@ def _report_result(suite, name, report):
 def lemmas_suite(scale="small"):
     """Potential decrease, lower bounds, the coupling identity, budgets.
 
-    Potentials, budgets and lower bounds are folds fed by the run, so
-    only the coupling identity and the past-extra potential (which
-    evaluates G at each y_k after the run) keep stride-1 snapshots.
+    Every check is a fold fed by the run, so no run keeps snapshots.
+    The past-extra run tracks its x residual, which is G y_k, for the
+    potential fold.
     """
     results = []
     K = _iters(scale)
@@ -156,23 +158,12 @@ def lemmas_suite(scale="small"):
         results.append(_report_result("lemmas", f"budget {rep.name} [ls]", rep))
 
     # coupling identity between the two potentials, mu = 0
-    snaps = run(solver_for(op, "nesterov", "nesterov_slow"), y0,
-                min(K, 500)).snapshots
-    d0sq = float(np.linalg.norm(y0 - y_star) ** 2)
-    worst = 0.0
-    for k in range(len(snaps) - 1):
-        beta = 1.0 / (k + 2)
-        eta = (1.0 - beta) / L
-        p_k, q_k = dg.halpern_potential_coeffs(k)
-        l_val = dg.halpern_potential(snaps[k].g_y, snaps[k].y, y0, p_k, q_k, L)
-        coeffs = dg.anchor_to_corrected_coeffs(k, beta, eta, L)
-        v_next = dg.nesterov_potential(snaps[k].g_y, snaps[k + 1].x,
-                                       snaps[k + 1].y, coeffs, y_star)
-        rhs = (4.0 * p_k / (L * q_k * q_k)) * l_val + d0sq
-        worst = max(worst, abs(v_next - rhs) / (1.0 + abs(rhs)))
+    coupling = dg.CouplingIdentityFold(L, y_star)
+    run(solver_for(op, "nesterov", "nesterov_slow"), y0, min(K, 500),
+        NO_SNAPSHOTS, observers=(coupling,))
+    worst = coupling.max_deviation()
     results.append(_bool_result("lemmas", "potential coupling identity [ls]",
                                 worst <= 1e-10, f"max_dev={worst:.2e}"))
-    del snaps
 
     # extra-gradient potential on the saddle instance (decrease holds from
     # k = 1 on; the k = 0 coefficients zero out the compensating terms)
@@ -195,15 +186,17 @@ def lemmas_suite(scale="small"):
         "lemmas", "extra-gradient potential above weighted residual", lb_ok))
 
     # past-extra potential, sigma = 2: decrease plus the weighted gap budget
-    tr = run(solver_for(oph, "peag", "peag", sigma=2.0), yh0, K)
-    e_series = dg.peag_potential_series(tr, oph, Lh, 2.0, yh_star)
+    potential = dg.PeagPotentialFold(Lh, 2.0, yh_star)
+    gaps = dg.PeagGapFold(Lh, 2.0)
+    run(solver_for(oph, "peag", "peag", sigma=2.0), yh0, K, X_RESIDUAL,
+        observers=(potential, gaps))
+    e_series = potential.series()
     results.append(_report_result(
         "lemmas", "past-extra potential nonincreasing [huber, sigma=2]",
         dg.decrease_report(e_series, "peag_potential")))
     results.append(_report_result(
         "lemmas", "past-extra weighted gap budget [huber, sigma=2]",
-        dg.peag_gap_budget(tr, Lh, 2.0, e0=e_series[0])))
-    del tr
+        gaps.report(e_series[0])))
 
     # residual-operator properties (forward-backward and three-operator)
     lam = default_lambda(L)
@@ -275,8 +268,9 @@ def eag_varying_rate_check(trace, eta0, L, dist0):
 def bounds_suite(scale="small"):
     """Closed-form residual bounds on matching scheme/schedule pairs.
 
-    Every bound but the past-extra residual one reads the trace's scalar
-    columns or a fold, so those runs keep no snapshots.
+    Every bound reads the trace's scalar columns or a fold, so no run
+    keeps snapshots. The past-extra run tracks its x residual, which is
+    G y_k, for the residual-bound fold.
     """
     results = []
     K = _iters(scale)
@@ -348,10 +342,11 @@ def bounds_suite(scale="small"):
              NO_SNAPSHOTS)
     results.append(eag_varying_rate_check(tr, 0.5 / Lh, Lh, dh0))
 
-    tr = run(solver_for(oph, "peag", "peag", sigma=1.0), yh0, K)
+    residual = dg.PeagResidualFold(Lh, dh0, sigma=1.0)
+    tr = run(solver_for(oph, "peag", "peag", sigma=1.0), yh0, K, X_RESIDUAL,
+             observers=(residual,))
     results.append(_report_result(
-        "bounds", "past-extra residual bound [huber]",
-        dg.bound_check(tr, "peag_residual", Lh, dh0, sigma=1.0, operator=oph)))
+        "bounds", "past-extra residual bound [huber]", residual.report()))
     results.append(_report_result(
         "bounds", "past-extra probe bound [huber]",
         dg.bound_check(tr, "peag_probe", Lh, dh0, sigma=1.0)))

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from anchored import diagnostics as dg
-from anchored.errors import DataError
+from anchored import verify
+from anchored.errors import DataError, InputError
 from anchored.instances import desk_huber, desk_least_squares, start_point
+from anchored.operators import counted
 from anchored.schemes import TraceOpts, run, solver_for
 
 K = 300
+K_PEAG = 2000  # the past-extra runs of the small verify suites
 NO_SNAPSHOTS = TraceOpts(snapshot_stride=0)
+X_RESIDUAL = TraceOpts(snapshot_stride=0, track_x_residual=True)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +98,169 @@ class TestStreamedEqualsFed:
             solver_for(hub.operator, "peag", "peag", sigma=sigma),
             start_point(hub), lambda: dg.PeagGapFold(L, sigma))
         assert_same_report(live.report(3.0), fed.report(3.0))
+
+    def test_coupling_identity(self, ls):
+        L, y_star = ls.operator.lipschitz, ls.solution
+        solver = solver_for(ls.operator, "nesterov", "nesterov_slow")
+        y0 = start_point(ls)
+        live, fed = streamed_and_fed(
+            solver, y0, lambda: dg.CouplingIdentityFold(L, y_star))
+        assert len(live.terms) == K
+        assert np.array_equal(live.series(), fed.series())
+        # the step-by-step formula the fold replaces, on the snapshots
+        snaps = run(solver, y0, K).snapshots
+        d0sq = float(np.linalg.norm(y0 - y_star) ** 2)
+        worst = 0.0
+        for k in range(K):
+            beta = 1.0 / (k + 2)
+            eta = (1.0 - beta) / L
+            p_k, q_k = dg.halpern_potential_coeffs(k)
+            l_val = dg.halpern_potential(snaps[k].g_y, snaps[k].y, y0, p_k,
+                                         q_k, L)
+            coeffs = dg.anchor_to_corrected_coeffs(k, beta, eta, L)
+            v_next = dg.nesterov_potential(snaps[k].g_y, snaps[k + 1].x,
+                                           snaps[k + 1].y, coeffs, y_star)
+            rhs = (4.0 * p_k / (L * q_k * q_k)) * l_val + d0sq
+            worst = max(worst, abs(v_next - rhs) / (1.0 + abs(rhs)))
+        assert live.max_deviation() == worst
+        assert worst <= 1e-10
+
+
+class TestPastExtraFolds:
+    """The past-extra folds read G y_k from the run's tracked x residual."""
+
+    @pytest.fixture(scope="class")
+    def peag_runs(self, hub):
+        """sigma -> (solver, its stride-1 trace)."""
+        runs = {}
+        for sigma in (1.0, 2.0):
+            solver = solver_for(hub.operator, "peag", "peag", sigma=sigma)
+            runs[sigma] = (solver, run(solver, start_point(hub), K_PEAG))
+        return runs
+
+    def test_potential_equals_snapshot_series(self, hub, peag_runs):
+        L, y_star, y0 = hub.operator.lipschitz, hub.solution, start_point(hub)
+        solver, snapshot_trace = peag_runs[2.0]
+        live = dg.PeagPotentialFold(L, 2.0, y_star)
+        trace = run(solver, y0, K_PEAG, X_RESIDUAL, observers=(live,))
+        assert trace.snapshots == []
+        expected = dg.peag_potential_series(snapshot_trace, hub.operator, L,
+                                            2.0, y_star)
+        assert len(expected) == K_PEAG + 1
+        assert np.array_equal(live.series(), expected)
+        assert dg.decrease_report(live.series()).ok
+
+    def test_residual_report_equals_bound_check(self, hub, peag_runs):
+        L, y0 = hub.operator.lipschitz, start_point(hub)
+        d0 = float(np.linalg.norm(y0 - hub.solution))
+        solver, snapshot_trace = peag_runs[1.0]
+        live = dg.PeagResidualFold(L, d0, sigma=1.0)
+        run(solver, y0, K_PEAG, X_RESIDUAL, observers=(live,))
+        expected = dg.bound_check(snapshot_trace, "peag_residual", L, d0,
+                                  sigma=1.0, operator=hub.operator)
+        assert_same_report(live.report(), expected)
+        assert expected.ok and len(expected.observed) == K_PEAG + 1
+
+    def test_evaluation_budget(self, hub):
+        # K steps plus the warm-up, plus G at y_k for k = 0..K; the folds
+        # themselves evaluate nothing
+        L, y_star, y0 = hub.operator.lipschitz, hub.solution, start_point(hub)
+        op, counter = counted(hub.operator)
+        folds = (dg.PeagPotentialFold(L, 2.0, y_star), dg.PeagGapFold(L, 2.0),
+                 dg.PeagResidualFold(L, 1.0, sigma=2.0))
+        run(solver_for(op, "peag", "peag", sigma=2.0), y0, K_PEAG, X_RESIDUAL,
+            observers=folds)
+        assert counter.count == 2 * K_PEAG + 2
+        folds[1].report(folds[0].series()[0])
+        folds[2].report()
+        assert counter.count == 2 * K_PEAG + 2
+
+    def test_g_x_is_g_at_y(self, hub):
+        op, y0 = hub.operator, start_point(hub)
+        solver = solver_for(op, "peag", "peag")
+        tracked = run(solver, y0, 5, TraceOpts(track_x_residual=True))
+        for s in tracked.snapshots:
+            assert s.x is s.y
+            assert np.array_equal(s.g_x, op(s.y))
+        assert all(s.g_x is None for s in run(solver, y0, 5).snapshots)
+
+    def test_potential_needs_g_x(self, hub):
+        fold = dg.PeagPotentialFold(1.0, 2.0, hub.solution)
+        with pytest.raises(DataError):
+            run(solver_for(hub.operator, "peag", "peag"), start_point(hub), 5,
+                NO_SNAPSHOTS, observers=(fold,))
+
+    def test_snapshot_functions_need_the_operator(self, peag_runs):
+        trace = peag_runs[1.0][1]
+        with pytest.raises(InputError):
+            dg.peag_potential_series(trace, None, 1.0, 1.0, 0.0)
+        with pytest.raises(InputError):
+            dg.bound_check(trace, "peag_residual", 1.0, 1.0, sigma=1.0)
+
+
+class TestNegativeControls:
+    """Each streamed check fails on a deliberately wrong variant."""
+
+    def test_potential_with_wrong_sigma_fails_decrease(self, hub):
+        # the run uses sigma = 2; a potential built for sigma = 0.5 is not
+        # a Lyapunov function of it
+        L, y_star, y0 = hub.operator.lipschitz, hub.solution, start_point(hub)
+        right = dg.PeagPotentialFold(L, 2.0, y_star)
+        wrong = dg.PeagPotentialFold(L, 0.5, y_star)
+        run(solver_for(hub.operator, "peag", "peag", sigma=2.0), y0, K_PEAG,
+            X_RESIDUAL, observers=(right, wrong))
+        assert dg.decrease_report(right.series()).ok
+        assert not dg.decrease_report(wrong.series()).ok
+
+    def test_residual_against_a_quarter_bound_fails(self, hub):
+        # the bound scales with dist0^2, so dist0/2 divides it by 4
+        L, y0 = hub.operator.lipschitz, start_point(hub)
+        d0 = float(np.linalg.norm(y0 - hub.solution))
+        right = dg.PeagResidualFold(L, d0, sigma=1.0)
+        quarter = dg.PeagResidualFold(L, 0.5 * d0, sigma=1.0)
+        run(solver_for(hub.operator, "peag", "peag", sigma=1.0), y0, K_PEAG,
+            X_RESIDUAL, observers=(right, quarter))
+        assert right.report().ok
+        assert np.allclose(quarter.report().theory, right.report().theory / 4)
+        assert not quarter.report().ok
+
+    def test_coupling_with_a_perturbed_coefficient_fails(self, ls,
+                                                         monkeypatch):
+        L, y_star = ls.operator.lipschitz, ls.solution
+        coeffs = dg.anchor_to_corrected_coeffs
+
+        def perturbed(*args, **kw):
+            c = coeffs(*args, **kw)
+            return replace(c, a=c.a * (1.0 + 1e-6))
+
+        monkeypatch.setattr(dg, "anchor_to_corrected_coeffs", perturbed)
+        fold = dg.CouplingIdentityFold(L, y_star)
+        run(solver_for(ls.operator, "nesterov", "nesterov_slow"),
+            start_point(ls), K, NO_SNAPSHOTS, observers=(fold,))
+        assert fold.max_deviation() > 1e-10
+
+    def test_coupling_keeps_a_nan_deviation(self):
+        # a NaN term must fail the <= 1e-10 check, not vanish in the max
+        fold = dg.CouplingIdentityFold(1.0, 0.0)
+        fold.terms = [1e-14, float("nan"), 1e-14]
+        assert not fold.max_deviation() <= 1e-10
+
+
+def test_lemma_and_bound_suites_keep_no_snapshots(monkeypatch):
+    # every run of the two suites is at stride 0; only the equivalence
+    # suite compares whole iterates
+    seen = []
+
+    def recording_run(solver, y0, K, trace_opts=None, observers=()):
+        seen.append(trace_opts)
+        return run(solver, y0, K, trace_opts, observers)
+
+    monkeypatch.setattr(verify, "run", recording_run)
+    results = verify.lemmas_suite("small") + verify.bounds_suite("small")
+    assert all(r.ok for r in results)
+    assert len(seen) == 19  # 5 lemma runs, 14 bound runs
+    assert all(opts is not None and opts.snapshot_stride == 0
+               for opts in seen)
 
 
 class TestFoldInput:

@@ -84,6 +84,19 @@ class TestTraceCsv:
         assert np.array_equal(loaded["norm_dy"], trace.norm_dy,
                               equal_nan=True)
 
+    def test_past_extra_residual_column(self, tmp_path):
+        # peag tracks no |G y_k|; its residual is |G z_k|, the last column
+        inst = desk_huber()
+        trace = run(solver_for(inst.operator, "peag", "peag"),
+                    start_point(inst), 25)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        loaded = read_trace_csv(path)
+        assert CSV_COLUMNS[-1] == "norm_g_z"
+        assert np.all(np.isnan(loaded["norm_g_y"]))
+        assert np.all(np.isfinite(loaded["norm_g_z"]))
+        assert np.array_equal(loaded["norm_g_z"], trace.norm_g_z)
+
     def test_lf_line_endings_and_header(self, tmp_path):
         inst = gen_scalar_identity()
         trace = run(solver_for(inst.operator, "halpern", "halpern_fast"),
