@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import diagnostics as dg
-from .errors import DataError, InputError
+from .errors import InputError
 from .figures import FIGURES, make_figure
 from .instances import DESK_SEED, GENERATORS, start_point
 from .schedules import SCHEDULE_KINDS
@@ -92,26 +92,29 @@ def _schedule_kwargs(cfg):
     return out
 
 
-def _attach_diagnostics(trace, scheme, kind, kw, instance, y0):
-    """Fill the lyapunov and bound columns when a matching form exists."""
-    op = instance.operator
-    L = op.lipschitz
+def _potential_fold(scheme, kind, kw, instance):
+    """Fold of the ``lyapunov_main`` column; None when the pair has no form."""
+    L = instance.operator.lipschitz
     y_star = instance.solution
-    try:
-        if scheme == "halpern":
-            trace.lyapunov["main"] = dg.halpern_potential_series(trace, L)
-        elif scheme == "nesterov" and kind == "nesterov_omega" \
-                and y_star is not None:
-            trace.lyapunov["main"] = dg.nesterov_potential_series(
-                trace, kw.get("gamma", 0.9 / L), kw.get("omega", 3.0),
-                y_star, kw.get("mu", 1.0))
-        elif scheme == "nag_eag" and y_star is not None:
-            trace.lyapunov["main"] = dg.eag_potential_series(trace, L, y_star)
-        elif scheme == "peag" and kind == "peag" and y_star is not None:
-            trace.lyapunov["main"] = dg.peag_potential_series(
-                trace, op, L, kw.get("sigma", 1.0), y_star)
-    except DataError:
-        pass  # diagnostics stay empty when snapshots are off
+    if scheme == "halpern":
+        return dg.AnchoredPotentialFold(L)
+    if y_star is None:
+        return None
+    if scheme == "nesterov" and kind == "nesterov_omega":
+        return dg.omega_potential_fold(kw.get("gamma", 0.9 / L),
+                                       kw.get("omega", 3.0), y_star,
+                                       kw.get("mu", 1.0))
+    if scheme == "nag_eag":
+        return dg.eag_potential_fold(L, y_star)
+    if scheme == "peag" and kind == "peag":
+        return dg.PeagPotentialFold(L, kw.get("sigma", 1.0), y_star)
+    return None
+
+
+def _attach_bound(trace, kind, kw, instance, y0):
+    """Fill the bound column when the schedule has a closed-form bound."""
+    L = instance.operator.lipschitz
+    y_star = instance.solution
     if y_star is None or kind not in BOUND_OF_SCHEDULE:
         return
     d0 = float(np.linalg.norm(y0 - y_star))
@@ -148,10 +151,14 @@ def cmd_run(args):
     tsec = cfg["trace"] if cfg.has_section("trace") else {}
     stride = _number(tsec, "snapshot_stride", 1, int)
     lyap_on = tsec.get("lyapunov", "on").lower() in ("on", "true", "1", "yes")
+    potential = _potential_fold(scheme, kind, kw, instance) if lyap_on \
+        else None
+    # the past-extra potential reads G y_k, which only x tracking evaluates
     opts = TraceOpts(
         snapshot_stride=stride,
         track_x_residual=tsec.get("track_x_residual", "off").lower()
-        in ("on", "true", "1", "yes"))
+        in ("on", "true", "1", "yes")
+        or (potential is not None and "g_x" in potential.need))
 
     out_dir = args.out or (cfg["output"].get("dir", ".")
                            if cfg.has_section("output") else ".")
@@ -160,10 +167,13 @@ def cmd_run(args):
     y0 = start_point(instance)
     solver = solver_for(instance.operator, scheme, kind, **kw)
     t0 = time.time()
-    trace = run(solver, y0, K, opts)
+    trace = run(solver, y0, K, opts,
+                observers=() if potential is None else (potential,))
     elapsed = time.time() - t0
-    if lyap_on and stride == 1:
-        _attach_diagnostics(trace, scheme, kind, kw, instance, y0)
+    if potential is not None:
+        trace.lyapunov["main"] = potential.series()
+    if lyap_on:
+        _attach_bound(trace, kind, kw, instance, y0)
 
     csv_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, csv_path)
@@ -182,6 +192,9 @@ def cmd_run(args):
         f"runtime_s: {elapsed:.3f}",
         f"trace: {csv_path}",
     ]
+    if lyap_on and potential is None:
+        lines.append(f"lyapunov: none, {scheme}/{kind} has no potential form "
+                     "here")
     if trace.error:
         lines.append(f"error: {trace.error}")
     with open(report_path, "w", encoding="utf-8") as fh:

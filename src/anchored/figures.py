@@ -7,7 +7,6 @@ minimax instance. Each pipeline writes one CSV per curve (relative
 gradient-iterate residual) and a log-log SVG with a slope -1 guide.
 """
 
-import csv
 import os
 
 from .diagnostics import rate_fit
@@ -21,16 +20,14 @@ from .instances import (
 )
 from .schemes import TraceOpts, run, solver_for
 from .svgplot import svg_loglog
+from .traceio import format_column, write_csv
 
 FIGURES = ("exam1", "exam2")
 
 
 def _write_curve_csv(path, ks, values):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("k", "rel_residual"))
-        for k, v in zip(ks, values):
-            writer.writerow((int(k), format(float(v), ".17g")))
+    write_csv(path, ("k", "rel_residual"),
+              (map(str, ks.tolist()), format_column(values)))
 
 
 def _curves(instance, specs, K):

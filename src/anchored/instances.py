@@ -94,7 +94,7 @@ def gen_bilinear(m, n, seed):
     return ProblemInstance(operator=op, solution=np.zeros(n + m),
                            l_estimate=op.lipschitz,
                            meta={"generator": "bilinear", "seed": seed,
-                                 "dims": (m, n)})
+                                 "dims": (m, n), "K": k_mat})
 
 
 def gen_scalar_identity():

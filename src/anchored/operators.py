@@ -178,8 +178,12 @@ def least_squares_operator(p_mat, b, seed=0):
 
 
 def huber_gradient(t, eps):
-    """Derivative of the Huber loss: t inside (-eps, eps), else eps*sign(t)."""
-    return np.clip(t, -eps, eps)
+    """Derivative of the Huber loss: t inside (-eps, eps), else eps*sign(t).
+
+    The same bits as ``np.clip(t, -eps, eps)`` (NaN, +-inf and -0.0
+    included) at about half its call overhead.
+    """
+    return np.minimum(np.maximum(t, -eps), eps)
 
 
 def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):

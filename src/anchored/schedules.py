@@ -16,8 +16,7 @@ start equal.
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError
 
@@ -40,8 +39,7 @@ SCHEDULE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
+class ScheduleParams(NamedTuple):
     """One iteration's parameters; fields a scheme does not use stay None."""
 
     k: int

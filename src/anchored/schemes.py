@@ -2,10 +2,10 @@
 
 Every step consumes an :class:`IterateState`, one operator, and one
 :class:`~anchored.schedules.ScheduleParams`, mutates the state in place,
-and returns a :class:`StepInfo` carrying the operator values it
-computed. Operator values are evaluated once per step and cached on the
-state where a later step can reuse them, so the per-step evaluation
-budget (one for the anchored/corrected/past-extra families, two for the
+and returns the operator values ``(G y_k, G z_k)`` at the pre-step
+iterates (None where a scheme has none). Operator values are evaluated
+once per step and cached on the state where a later step can reuse
+them, so the per-step evaluation budget (one for the anchored/corrected/past-extra families, two for the
 extra-gradient families) is exact and testable.
 
 A solver instance is single threaded; distinct solvers sharing one
@@ -13,7 +13,9 @@ immutable operator may run concurrently, and each trace is owned by its
 run.
 """
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .operators import OperatorSpec
 from .residuals import SplittingSpec, fb_residual, tos_residual, yosida
-from .schedules import ScheduleParams, schedule_stream
+from .schedules import schedule_stream
 
 DIVERGENCE_LIMIT = 1e30
 
@@ -69,30 +71,24 @@ class IterateState:
     z: np.ndarray
     z_prev: np.ndarray
     z_prev2: np.ndarray
-    w: np.ndarray
     g_y: Optional[np.ndarray] = None
     g_z: Optional[np.ndarray] = None
     g_z_prev: Optional[np.ndarray] = None
 
 
 def init_state(y0):
-    y0 = np.asarray(y0, dtype=np.float64).copy()
+    y0 = np.array(y0, dtype=np.float64, ndmin=1)
     return IterateState(k=0, y0=y0, x=y0.copy(), x_prev=y0.copy(),
                         xhat=y0.copy(), xhat_prev=y0.copy(), y=y0.copy(),
                         y_prev=y0.copy(), z=y0.copy(), z_prev=y0.copy(),
-                        z_prev2=y0.copy(), w=y0.copy())
-
-
-@dataclass
-class StepInfo:
-    """Operator values a step computed, keyed to the pre-step index k."""
-
-    g_y: Optional[np.ndarray] = None      # G at y_k
-    g_z: Optional[np.ndarray] = None      # G at z_k
-    g_z_next: Optional[np.ndarray] = None  # G at z_{k+1}
+                        z_prev2=y0.copy())
 
 
 def _check(v, k):
+    # one reduction on the common path: NaN fails the comparison, so
+    # NaN, inf and oversized iterates all fall through to pick the message
+    if np.abs(v).max() <= DIVERGENCE_LIMIT:
+        return
     if not np.all(np.isfinite(v)):
         raise NumericError(f"non-finite iterate at step {k}", step=k)
     if np.max(np.abs(v)) > DIVERGENCE_LIMIT:
@@ -100,7 +96,22 @@ def _check(v, k):
                            f"at step {k}", step=k)
 
 
-def _need(p: ScheduleParams, *names):
+#: schedule fields each scheme reads at every step, two or more each so
+#: that ``attrgetter`` returns a tuple (nag_peag also reads beta and
+#: eta_hat at k = 0 and eta_hat at k = 1, and checks those itself)
+REQUIRED_PARAMS = {
+    "halpern": ("beta", "eta"),
+    "nesterov": ("gamma", "theta", "nu"),
+    "eag": ("beta", "eta", "eta_hat"),
+    "nag_eag": ("gamma", "theta", "nu", "eta", "eta_hat"),
+    "comono_eag": ("beta", "eta", "rho"),
+    "nag_comono": ("beta", "eta", "rho", "theta", "nu"),
+    "peag": ("beta", "eta", "eta_hat"),
+    "nag_peag": ("gamma_hat", "theta", "nu"),
+}
+
+
+def _require(p, names):
     for name in names:
         if getattr(p, name) is None:
             raise InputError(f"schedule params lack {name!r} at k={p.k}")
@@ -108,14 +119,13 @@ def _need(p: ScheduleParams, *names):
 
 def halpern_step(state, op, p):
     """y_{k+1} = beta*y0 + (1-beta)*y_k - eta*G(y_k)."""
-    _need(p, "beta", "eta")
     g_y = op(state.y)
     y_next = p.beta * state.y0 + (1.0 - p.beta) * state.y - p.eta * g_y
     _check(y_next, state.k)
     state.y_prev, state.y = state.y, y_next
     state.g_y = g_y
     state.k += 1
-    return StepInfo(g_y=g_y)
+    return g_y, None
 
 
 def nesterov_step_two_corr(state, op, p):
@@ -125,7 +135,6 @@ def nesterov_step_two_corr(state, op, p):
     y_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(y_k-x_{k+1})
                       + kappa*(y_{k-1}-x_k)
     """
-    _need(p, "gamma", "theta", "nu")
     kappa = 0.0 if p.kappa is None else p.kappa
     g_y = op(state.y)
     x_next = state.y - p.gamma * g_y
@@ -136,12 +145,11 @@ def nesterov_step_two_corr(state, op, p):
     state.y_prev, state.y = state.y, y_next
     state.g_y = g_y
     state.k += 1
-    return StepInfo(g_y=g_y)
+    return g_y, None
 
 
 def eag_step(state, op, p):
     """Anchored extra-gradient: probe z_{k+1}, then correct with G(z_{k+1})."""
-    _need(p, "beta", "eta", "eta_hat")
     g_y = op(state.y)
     anchor = p.beta * state.y0 + (1.0 - p.beta) * state.y
     z_next = anchor - p.eta * g_y
@@ -150,9 +158,10 @@ def eag_step(state, op, p):
     _check(y_next, state.k)
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
     state.y_prev, state.y = state.y, y_next
+    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
     state.g_y, state.g_z = g_y, g_z_next
     state.k += 1
-    return StepInfo(g_y=g_y, g_z_next=g_z_next)
+    return g_y, g_z
 
 
 def nag_eag_step(state, op, p):
@@ -162,7 +171,6 @@ def nag_eag_step(state, op, p):
     z_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(z_k-x_{k+1})
     y_{k+1} = z_{k+1} - eta_hat*G(z_{k+1}) + eta*G(y_k)
     """
-    _need(p, "gamma", "theta", "nu", "eta", "eta_hat")
     g_y = op(state.y)
     x_next = state.y - p.gamma * g_y
     z_next = x_next + p.theta * (x_next - state.x) + p.nu * (state.z - x_next)
@@ -172,14 +180,14 @@ def nag_eag_step(state, op, p):
     state.x_prev, state.x = state.x, x_next
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
     state.y_prev, state.y = state.y, y_next
+    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
     state.g_y, state.g_z = g_y, g_z_next
     state.k += 1
-    return StepInfo(g_y=g_y, g_z_next=g_z_next)
+    return g_y, g_z
 
 
 def comono_eag_step(state, op, p):
     """Anchored extra-gradient with the co-monotone stepsize split."""
-    _need(p, "beta", "eta", "rho")
     if p.L is not None and not -1.0 / (2.0 * p.L) < p.rho <= 1.0 / p.L:
         raise InputError("rho outside the admissible range")
     g_y = op(state.y)
@@ -190,9 +198,10 @@ def comono_eag_step(state, op, p):
     _check(y_next, state.k)
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
     state.y_prev, state.y = state.y, y_next
+    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
     state.g_y, state.g_z = g_y, g_z_next
     state.k += 1
-    return StepInfo(g_y=g_y, g_z_next=g_z_next)
+    return g_y, g_z
 
 
 def nag_comono_step(state, op, p):
@@ -202,7 +211,6 @@ def nag_comono_step(state, op, p):
     z_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(z_k-x_{k+1})
     y_{k+1} = z_{k+1} - eta*(G(z_{k+1}) - (1-beta)*G(y_k))
     """
-    _need(p, "beta", "eta", "rho", "theta", "nu")
     if p.L is not None and not -1.0 / (2.0 * p.L) < p.rho <= 1.0 / p.L:
         raise InputError("rho outside the admissible range")
     g_y = op(state.y)
@@ -214,9 +222,10 @@ def nag_comono_step(state, op, p):
     state.x_prev, state.x = state.x, x_next
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
     state.y_prev, state.y = state.y, y_next
+    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
     state.g_y, state.g_z = g_y, g_z_next
     state.k += 1
-    return StepInfo(g_y=g_y, g_z_next=g_z_next)
+    return g_y, g_z
 
 
 def peag_step(state, op, p):
@@ -228,7 +237,6 @@ def peag_step(state, op, p):
     G(z_k) is reused from the previous step; only the first step pays
     for the warm-up evaluation at z_0 = y_0.
     """
-    _need(p, "beta", "eta", "eta_hat")
     if state.g_z is None:
         state.g_z = op(state.z)  # warm-up, z_0 = y_0
     g_z = state.g_z
@@ -241,7 +249,7 @@ def peag_step(state, op, p):
     state.y_prev, state.y = state.y, y_next
     state.g_z_prev, state.g_z = g_z, g_z_next
     state.k += 1
-    return StepInfo(g_z=g_z, g_z_next=g_z_next)
+    return None, g_z
 
 
 def nag_peag_step(state, op, p):
@@ -258,7 +266,6 @@ def nag_peag_step(state, op, p):
     -theta*eta_hat*G(z_0) directly, using the cached value, so the
     z-sequence matches the past-extra anchored one from the start.
     """
-    _need(p, "gamma_hat", "theta", "nu")
     kappa = 0.0 if p.kappa is None else p.kappa
     zeta = 0.0 if p.zeta is None else p.zeta
     g_z = op(state.z)
@@ -268,17 +275,17 @@ def nag_peag_step(state, op, p):
               + kappa * (state.z_prev - state.xhat)
               - zeta * (state.z_prev2 - state.xhat_prev))
     if state.k == 0:
-        _need(p, "beta", "eta_hat")
+        _require(p, ("beta", "eta_hat"))
         z_next = z_next + p.eta_hat * (1.0 - p.beta) * g_z
     elif state.k == 1:
-        _need(p, "eta_hat")
+        _require(p, ("eta_hat",))
         z_next = z_next - p.theta * p.eta_hat * state.g_z_prev
     _check(z_next, state.k)
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
     state.xhat_prev, state.xhat = state.xhat, xhat_next
     state.g_z_prev, state.g_z = g_z, None
     state.k += 1
-    return StepInfo(g_z=g_z)
+    return None, g_z
 
 
 STEPS = {
@@ -308,7 +315,6 @@ class TracePoint:
     z: np.ndarray
     g_y: Optional[np.ndarray] = None
     g_z: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
     g_x: Optional[np.ndarray] = None
 
 
@@ -361,22 +367,14 @@ class Solver:
     meta: dict = field(default_factory=dict)
 
 
-def _nan(n):
-    return np.full(n, np.nan)
+def _norm(v):
+    """Euclidean norm of a 1-D real vector, computed as ``np.linalg.norm`` does."""
+    return math.sqrt(v @ v)
 
 
-_EXTRA_GRADIENT = ("eag", "nag_eag", "comono_eag", "nag_comono")
 _HAS_X = ("nesterov", "nag_eag", "nag_comono")
 _HAS_Y = ("halpern", "nesterov", "eag", "nag_eag", "comono_eag",
           "nag_comono", "peag")
-
-
-def _x_slot(scheme, state):
-    if scheme == "nag_peag":
-        return state.xhat
-    if scheme in _HAS_X:
-        return state.x
-    return None
 
 
 def run(solver, y0, K, trace_opts=None, observers=()):
@@ -384,8 +382,9 @@ def run(solver, y0, K, trace_opts=None, observers=()):
 
     Deterministic given (y0, schedule, operator). On a numeric error the
     trace is truncated at the failing step and carries the error text.
-    Iterate arrays are never mutated after creation, so snapshots hold
-    references rather than copies.
+    A schedule step that lacks a field the scheme reads is an
+    :class:`InputError`. Iterate arrays are never mutated after
+    creation, so snapshots hold references rather than copies.
 
     Each observer is called with every :class:`TracePoint` a stride-1
     snapshot list would hold, in index order (the diagnostics folds);
@@ -402,19 +401,22 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     op = solver.operator
     scheme = solver.scheme
     step = STEPS[scheme]
+    lacks = attrgetter(*REQUIRED_PARAMS[scheme])
+    # the x slot is xhat for nag_peag; schemes without one report at y
+    has_x = scheme in _HAS_X or scheme == "nag_peag"
+    x_slot = attrgetter("xhat" if scheme == "nag_peag" else "x")
+    has_yx = scheme in _HAS_X
+    has_y = scheme in _HAS_Y
     schedule = solver.schedule_factory()
     state = init_state(y0)
     n = K + 1
-    norm_g_y, norm_g_x, norm_g_z = _nan(n), _nan(n), _nan(n)
-    norm_dx, norm_yx, norm_dy = _nan(n), _nan(n), _nan(n)
+    norm_g_y, norm_g_x, norm_g_z, norm_dx, norm_yx, norm_dy = np.full(
+        (6, n), np.nan)
     snapshots = []
     error = None
     stride = opts.snapshot_stride
     observers = tuple(observers)
     every_point = bool(observers)
-
-    def wanted(idx):
-        return every_point or (stride > 0 and idx % stride == 0)
 
     def emit(point):
         if stride > 0 and point.k % stride == 0:
@@ -424,57 +426,53 @@ def run(solver, y0, K, trace_opts=None, observers=()):
 
     done = 0
     for k in range(K):
-        x_old = _x_slot(scheme, state)
         y_old, z_old = state.y, state.z
-        prev_g_z = state.g_z  # extra-gradient schemes: G at z_k
+        x_old = x_slot(state) if has_x else y_old
         try:
-            info = step(state, op, next(schedule))
+            params = next(schedule)
+            if None in lacks(params):
+                _require(params, REQUIRED_PARAMS[scheme])
+            g_at_y, g_at_z = step(state, op, params)
         except NumericError as exc:
             error = str(exc)
             break
-        g_at_y = info.g_y
-        if scheme in _EXTRA_GRADIENT:
-            g_at_z = g_at_y if k == 0 else prev_g_z  # z_0 = y_0
-        else:
-            g_at_z = info.g_z
         if g_at_y is not None:
-            norm_g_y[k] = np.linalg.norm(g_at_y)
+            norm_g_y[k] = _norm(g_at_y)
         if g_at_z is not None:
-            norm_g_z[k] = np.linalg.norm(g_at_z)
-        if x_old is not None:
-            norm_dx[k] = np.linalg.norm(_x_slot(scheme, state) - x_old)
-            if scheme != "nag_peag":
-                norm_yx[k] = np.linalg.norm(y_old - x_old)
-        if scheme in _HAS_Y:
-            norm_dy[k] = np.linalg.norm(state.y - y_old)
-        x_at = x_old if x_old is not None else y_old
+            norm_g_z[k] = _norm(g_at_z)
+        if has_x:
+            norm_dx[k] = _norm(x_slot(state) - x_old)
+            if has_yx:
+                norm_yx[k] = _norm(y_old - x_old)
+        if has_y:
+            norm_dy[k] = _norm(state.y - y_old)
         g_at_x = None
         if opts.track_x_residual:
-            g_at_x = op(x_at)
-            norm_g_x[k] = np.linalg.norm(g_at_x)
-        if wanted(k):
-            emit(TracePoint(k=k, x=x_at, xhat=state.xhat_prev, y=y_old,
+            g_at_x = op(x_old)
+            norm_g_x[k] = _norm(g_at_x)
+        if every_point or (stride > 0 and k % stride == 0):
+            emit(TracePoint(k=k, x=x_old, xhat=state.xhat_prev, y=y_old,
                             z=z_old, g_y=g_at_y, g_z=g_at_z, g_x=g_at_x))
         done = k + 1
 
     kmax = done if error is not None else K
     if error is None:
         g_final_y = None
-        if scheme in _HAS_Y and scheme != "peag" and opts.final_residual:
+        if has_y and scheme != "peag" and opts.final_residual:
             g_final_y = op(state.y)
-            norm_g_y[K] = np.linalg.norm(g_final_y)
+            norm_g_y[K] = _norm(g_final_y)
+        # only the extra-gradient and past-extra steps cache G(z)
         g_final_z = state.g_z
         if g_final_z is None and scheme == "nag_peag" and opts.final_residual:
             g_final_z = op(state.z)
-        if g_final_z is not None and scheme not in ("halpern", "nesterov"):
-            norm_g_z[K] = np.linalg.norm(g_final_z)
-        x_fin = _x_slot(scheme, state)
-        x_at = x_fin if x_fin is not None else state.y
+        if g_final_z is not None:
+            norm_g_z[K] = _norm(g_final_z)
+        x_at = x_slot(state) if has_x else state.y
         g_at_x = None
         if opts.track_x_residual:
             g_at_x = op(x_at)
-            norm_g_x[K] = np.linalg.norm(g_at_x)
-        if wanted(K):
+            norm_g_x[K] = _norm(g_at_x)
+        if every_point or (stride > 0 and K % stride == 0):
             emit(TracePoint(k=K, x=x_at, xhat=state.xhat, y=state.y,
                             z=state.z, g_y=g_final_y, g_z=g_final_z,
                             g_x=g_at_x))

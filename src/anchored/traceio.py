@@ -6,7 +6,7 @@ fields.
 """
 
 import csv
-import math
+import itertools
 
 import numpy as np
 
@@ -14,31 +14,40 @@ CSV_COLUMNS = ("k", "norm_g_y", "norm_g_x", "norm_dx", "norm_yx", "norm_dy",
                "lyapunov_main", "bound_value", "norm_g_z")
 
 
-def _fmt(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return format(float(x), ".17g")
+def format_column(values):
+    """Lazy cells of a float column: 17 significant digits, NaN as empty."""
+    return (format(v, ".17g") if v == v else ""
+            for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def write_csv(path, header, columns):
+    """Write equal-length columns of cells under a header, row by row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+
+
+def _padded(values):
+    """Cells of an optional column that may be short, then empty fields.
+
+    Unbounded: the rows end with the trace's own columns.
+    """
+    cells = () if values is None else format_column(values)
+    return itertools.chain(cells, itertools.repeat(""))
 
 
 def write_trace_csv(trace, path):
-    n = len(trace)
-    lyap = trace.lyapunov.get("main")
-    bound = trace.bound
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for i in range(n):
-            writer.writerow([
-                int(trace.k[i]),
-                _fmt(trace.norm_g_y[i]),
-                _fmt(trace.norm_g_x[i]),
-                _fmt(trace.norm_dx[i]),
-                _fmt(trace.norm_yx[i]),
-                _fmt(trace.norm_dy[i]),
-                _fmt(lyap[i]) if lyap is not None and i < len(lyap) else "",
-                _fmt(bound[i]) if bound is not None and i < len(bound) else "",
-                _fmt(trace.norm_g_z[i]),
-            ])
+    write_csv(path, CSV_COLUMNS, (
+        map(str, trace.k.tolist()),
+        format_column(trace.norm_g_y),
+        format_column(trace.norm_g_x),
+        format_column(trace.norm_dx),
+        format_column(trace.norm_yx),
+        format_column(trace.norm_dy),
+        _padded(trace.lyapunov.get("main")),
+        _padded(trace.bound),
+        format_column(trace.norm_g_z),
+    ))
 
 
 def read_trace_csv(path):

@@ -1,14 +1,19 @@
+import csv
+import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from anchored.cli import BOUND_OF_SCHEDULE, _attach_diagnostics, main
+from anchored import cli
+from anchored.cli import BOUND_OF_SCHEDULE, _attach_bound, main
 from anchored.diagnostics import (
     bound_check,
     eag_varying_limit_lower_bound,
     eag_varying_rate_constant,
+    peag_potential_series,
 )
 from anchored.errors import InputError
 from anchored.figures import make_figure
@@ -22,10 +27,27 @@ from anchored.instances import (
     gen_scalar_identity,
     start_point,
 )
-from anchored.schemes import COMPATIBLE_SCHEDULES, TraceOpts, run, solver_for
+from anchored.operators import counted
+from anchored.schemes import (
+    COMPATIBLE_SCHEDULES,
+    RunTrace,
+    TraceOpts,
+    run,
+    solver_for,
+)
 from anchored.svgplot import svg_loglog
-from anchored.traceio import CSV_COLUMNS, read_trace_csv, write_trace_csv
-from anchored.verify import _rate_result, eag_varying_rate_check
+from anchored.traceio import (
+    CSV_COLUMNS,
+    format_column,
+    read_trace_csv,
+    write_trace_csv,
+)
+from anchored.verify import (
+    _rate_result,
+    anchored_pair,
+    eag_varying_rate_check,
+    equivalence_check,
+)
 
 
 class TestGenerators:
@@ -96,6 +118,50 @@ class TestTraceCsv:
         assert np.all(np.isnan(loaded["norm_g_y"]))
         assert np.all(np.isfinite(loaded["norm_g_z"]))
         assert np.array_equal(loaded["norm_g_z"], trace.norm_g_z)
+
+    @staticmethod
+    def _per_cell_reference(trace, path):
+        """The cell-by-cell writer the column-wise one replaced."""
+        def fmt(x):
+            if x is None or (isinstance(x, float) and math.isnan(x)):
+                return ""
+            return format(float(x), ".17g")
+
+        lyap, bound = trace.lyapunov.get("main"), trace.bound
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for i in range(len(trace)):
+                writer.writerow([
+                    int(trace.k[i]), fmt(trace.norm_g_y[i]),
+                    fmt(trace.norm_g_x[i]), fmt(trace.norm_dx[i]),
+                    fmt(trace.norm_yx[i]), fmt(trace.norm_dy[i]),
+                    fmt(lyap[i]) if lyap is not None and i < len(lyap) else "",
+                    fmt(bound[i]) if bound is not None and i < len(bound)
+                    else "",
+                    fmt(trace.norm_g_z[i])])
+
+    def test_column_writer_matches_per_cell_writer(self, tmp_path):
+        # short, absent and long lyapunov/bound columns; NaN, +-inf, -0.0
+        # and subnormal cells
+        n = 6
+        cells = np.array([1.0, np.nan, np.inf, -np.inf, -0.0, 5e-324])
+        trace = RunTrace(
+            meta={}, k=np.arange(n), norm_g_y=cells, norm_g_x=np.full(n, np.nan),
+            norm_g_z=cells[::-1].copy(), norm_dx=np.linspace(0.1, 1.0, n),
+            norm_yx=1.0 / 3.0 ** np.arange(n), norm_dy=np.full(n, 1e300),
+            lyapunov={"main": np.array([2.0, np.nan, 0.1])},
+            bound=np.array([np.inf, 1.0 / 7.0]))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_trace_csv(trace, new)
+        self._per_cell_reference(trace, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        for lyap, bound in ((None, None), (np.arange(n + 3.0), np.ones(n))):
+            trace.lyapunov = {} if lyap is None else {"main": lyap}
+            trace.bound = bound
+            write_trace_csv(trace, new)
+            self._per_cell_reference(trace, ref)
+            assert new.read_bytes() == ref.read_bytes()
 
     def test_lf_line_endings_and_header(self, tmp_path):
         inst = gen_scalar_identity()
@@ -196,6 +262,58 @@ class TestCli:
         assert main(["verify", "--suite", "equivalence", "--scale", "small"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_peag_potential_streams_at_stride_zero(self, tmp_path,
+                                                   monkeypatch):
+        # 2K+2 evaluations: K steps, the warm-up at z_0 and G y_k at every
+        # index for the potential; the column equals the snapshot-fed series
+        K = 50
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            f"[run]\nscheme = peag\nschedule = peag\niters = {K}\n\n"
+            "[instance]\ngenerator = minimax_huber\nm = 40\nn = 40\n"
+            "seed = 7\n\n[trace]\nsnapshot_stride = 0\nlyapunov = on\n")
+        build, counters = cli._build_instance, []
+
+        def counted_instance(config, seed=None):
+            inst = build(config, seed)
+            op, counter = counted(inst.operator)
+            counters.append(counter)
+            return replace(inst, operator=op)
+
+        monkeypatch.setattr(cli, "_build_instance", counted_instance)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert counters[0].count == 2 * K + 2
+
+        inst = gen_minimax_huber(40, 40, seed=7)
+        op = inst.operator
+        trace = run(solver_for(op, "peag", "peag"), start_point(inst), K)
+        expected = list(format_column(peag_potential_series(
+            trace, op, op.lipschitz, 1.0, inst.solution)))
+        with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["lyapunov_main"] for r in rows] == expected
+
+    def test_pair_without_potential_is_noted(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[run]\nscheme = nesterov\nschedule = nesterov_slow\niters = 5\n"
+            "\n[instance]\ngenerator = least_squares\nn = 20\np = 10\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert "lyapunov: none, nesterov/nesterov_slow" in report
+        loaded = read_trace_csv(tmp_path / "trace.csv")
+        assert np.all(np.isnan(loaded["lyapunov_main"]))
+
+    def test_equivalence_fails_on_a_diverged_pair(self):
+        # the fast anchored rule on the merely monotone Huber operator
+        # diverges in both forms; agreeing up to the blow-up is no pass
+        hub = desk_huber()
+        h, n = anchored_pair(hub.operator, start_point(hub))
+        assert h.error is not None and n.error is not None
+        result = equivalence_check("halpern<->two-corr nesterov [huber]", h, n)
+        assert not result.ok and not result.skipped
+        assert result.detail.startswith("run error: ")
 
     def test_list_schemes(self, capsys):
         assert main(["list-schemes"]) == 0
@@ -344,7 +462,7 @@ class TestBoundColumn:
                 inst, kw = hub, {}
             op, y0 = inst.operator, start_point(inst)
             trace = run(solver_for(op, scheme, kind, **kw), y0, 40)
-            _attach_diagnostics(trace, scheme, kind, kw, inst, y0)
+            _attach_bound(trace, kind, kw, inst, y0)
             d0 = float(np.linalg.norm(y0 - inst.solution))
             report = bound_check(trace, bound, op.lipschitz, d0,
                                  rho=kw.get("rho"), sigma=1.0, operator=op)

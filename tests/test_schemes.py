@@ -18,6 +18,7 @@ from anchored.rng import SplitMix64
 from anchored.schemes import (
     COMPATIBLE_SCHEDULES,
     STEPS,
+    Solver,
     TraceOpts,
     comono_eag_step,
     eag_step,
@@ -64,7 +65,7 @@ class TestStateInit:
         y0 = np.array([1.0, -2.0])
         s = init_state(y0)
         for name in ("x", "x_prev", "xhat", "xhat_prev", "y", "y_prev",
-                     "z", "z_prev", "z_prev2", "w"):
+                     "z", "z_prev", "z_prev2"):
             assert np.array_equal(getattr(s, name), y0)
         assert s.k == 0
 
@@ -408,6 +409,47 @@ class TestRunDriver:
         trace = run(solver, np.array([1.0]), 200)
         assert trace.error is not None
         assert len(trace) < 201
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite iterate at step 0"),
+        (np.inf, "non-finite iterate at step 0"),
+        (-np.inf, "non-finite iterate at step 0"),
+        (1e31, "iterate magnitude exceeded 1e+30 at step 0"),
+        (-1e31, "iterate magnitude exceeded 1e+30 at step 0"),
+    ])
+    def test_divergence_messages(self, value, message):
+        # with L = 1 the first fast anchored step is y_1 = y_0 - G(y_0)
+        bad = OperatorSpec(dim=2, eval=lambda y: np.array([0.0, -value]),
+                           lipschitz=1.0)
+        solver = solver_for(bad, "halpern", "halpern_fast", L=1.0)
+        trace = run(solver, np.array([1.0, 2.0]), 5)
+        assert trace.error == message
+        assert len(trace) == 1
+
+    def test_iterate_at_the_limit_is_kept(self):
+        y0 = np.full(4, 1e30)
+        solver = solver_for(ZERO_OP, "halpern", "halpern_fast", L=1.0)
+        trace = run(solver, y0, 3)
+        assert trace.error is None
+        assert len(trace) == 4
+
+    @pytest.mark.parametrize("scheme, kind, name", [
+        ("halpern", "halpern_fast", "eta"),
+        ("halpern", "halpern_slow", "beta"),
+        ("nesterov", "nesterov_slow", "nu"),
+        ("eag", "eag_constant", "eta_hat"),
+        ("nag_peag", "nag_peag", "gamma_hat"),
+    ])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_stream_lacking_a_field_is_an_input_error(self, scheme, kind,
+                                                      name, at):
+        def factory():
+            for p in schedule_stream(kind, 1.0):
+                yield p._replace(**{name: None}) if p.k == at else p
+
+        solver = Solver(scheme, identity_operator(2), factory)
+        with pytest.raises(InputError, match=f"'{name}' at k={at}"):
+            run(solver, np.array([1.0, 2.0]), 5)
 
     def test_rejects_negative_budget(self):
         solver = solver_for(identity_operator(), "halpern", "halpern_fast")
