@@ -7,6 +7,7 @@ work. See the README for the full key reference.
 
 import argparse
 import configparser
+import json
 import os
 import sys
 import time
@@ -207,8 +208,14 @@ def cmd_verify(args):
     t0 = time.time()
     results = run_suites(args.suite, args.scale)
     table = format_table(results)
-    print(table)
-    print(f"elapsed: {time.time() - t0:.1f}s")
+    if args.json:
+        for r in results:
+            print(json.dumps({"suite": r.suite, "name": r.name,
+                              "status": r.status, "detail": r.detail,
+                              "seconds": r.seconds}))
+    else:
+        print(table)
+        print(f"elapsed: {time.time() - t0:.1f}s")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.txt"), "w",
@@ -258,6 +265,9 @@ def main(argv=None):
     p_ver.add_argument("--suite", choices=SUITES, default="all")
     p_ver.add_argument("--scale", choices=("small", "paper"), default="small")
     p_ver.add_argument("--out", default=None)
+    p_ver.add_argument("--json", action="store_true",
+                       help="print one JSON object per check instead of "
+                            "the table")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_fig = sub.add_parser("figure", help="regenerate a benchmark figure")

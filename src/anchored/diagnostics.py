@@ -239,6 +239,21 @@ class MapFold(Fold):
         self.term = lambda point, prev: fn(point)
 
 
+class RecordFold(Fold):
+    """The y and z iterates of every index, for lockstep comparisons.
+
+    Iterates are never mutated after a run creates them, so the fold
+    keeps references, not copies.
+    """
+
+    def term(self, point, prev):
+        return point.y, point.z
+
+    def snapshot_series(self, name):
+        """The recorded ``name`` ("y" or "z") iterates, as a trace gives them."""
+        return [pair[("y", "z").index(name)] for pair in self.terms]
+
+
 class AnchoredPotentialFold(Fold):
     """Anchored potential at every index whose point carries G y_k."""
 
@@ -686,7 +701,11 @@ def trend_check(norm_g_y, name="quadratic_trend"):
 
 
 def equivalence_report(trace_a, trace_b, field="y"):
-    """max_k |a_k - b_k| / (1 + |a_k|) over snapshots of the given field."""
+    """max_k |a_k - b_k| / (1 + |a_k|) over one field of two runs.
+
+    Each argument is a :class:`RecordFold` fed by its run or a trace
+    with stride-1 snapshots.
+    """
     sa = trace_a.snapshot_series(field)
     sb = trace_b.snapshot_series(field)
     if len(sa) != len(sb):

@@ -247,8 +247,9 @@ class TestNegativeControls:
 
 
 def test_lemma_and_bound_suites_keep_no_snapshots(monkeypatch):
-    # every run of the two suites is at stride 0; only the equivalence
-    # suite compares whole iterates
+    # every run of the two suites is at stride 0, as in the equivalence
+    # suite, whose rows record iterates through a fold; called apart, the
+    # two suites share no run, and neither suite repeats a run key
     seen = []
 
     def recording_run(solver, y0, K, trace_opts=None, observers=()):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anchored import cli
+from anchored import cli, verify
 from anchored.cli import BOUND_OF_SCHEDULE, _attach_bound, main
 from anchored.diagnostics import (
     bound_check,
@@ -42,12 +42,7 @@ from anchored.traceio import (
     read_trace_csv,
     write_trace_csv,
 )
-from anchored.verify import (
-    _rate_result,
-    anchored_pair,
-    eag_varying_rate_check,
-    equivalence_check,
-)
+from anchored.verify import _rate_result, eag_varying_rate_check
 
 
 class TestGenerators:
@@ -308,10 +303,9 @@ class TestCli:
     def test_equivalence_fails_on_a_diverged_pair(self):
         # the fast anchored rule on the merely monotone Huber operator
         # diverges in both forms; agreeing up to the blow-up is no pass
-        hub = desk_huber()
-        h, n = anchored_pair(hub.operator, start_point(hub))
-        assert h.error is not None and n.error is not None
-        result = equivalence_check("halpern<->two-corr nesterov [huber]", h, n)
+        row = next(r for r in verify.CHECKS if r.name
+                   == "halpern<->two-corr nesterov [prox bilinear]")
+        [result] = verify.run_checks([replace(row, instance="huber")])
         assert not result.ok and not result.skipped
         assert result.detail.startswith("run error: ")
 
@@ -432,16 +426,16 @@ class TestVaryingStepRate:
         eta0 = 0.5 / L
         trace = run(solver_for(hub.operator, "eag", "eag_varying", eta0=eta0),
                     y0, 2000, TraceOpts(snapshot_stride=0))
-        ok = eag_varying_rate_check(trace, eta0, L, d0)
-        assert ok.ok and not ok.skipped
-        assert "worst_ratio=0.304" in ok.detail
+        ok, detail = eag_varying_rate_check(trace, eta0, L, d0)
+        assert ok
+        assert "worst_ratio=0.304" in detail
         # negative control: a constant four times too small must fail
         c_star = eag_varying_rate_constant(
             eta0, eag_varying_limit_lower_bound(eta0, L), L)
         ks = trace.k.astype(float)
-        bad = _rate_result("negative control", trace, c_star / 4.0, d0,
-                           (ks + 1.0) * (ks + 2.0))
-        assert not bad.ok and not bad.skipped
+        bad, _ = _rate_result(trace, c_star / 4.0, d0,
+                              (ks + 1.0) * (ks + 2.0))
+        assert not bad
 
 
 class TestBoundColumn:
