@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, InputError
+from .schemes import _norm
 
 DECREASE_SLACK = 1e-10
 BOUND_SLACK = 1e-9
@@ -357,9 +358,8 @@ class SummabilityFold(Fold):
         if k >= 1:
             i = k - 1  # theta_{k-1} of the omega family
             carry = ((i + 1.0) / (i + 2.0 * self.omega + 2.0)) * self._step
-        out = (np.linalg.norm(step), np.linalg.norm(g_k),
-               np.linalg.norm(g_k - self._g_back),
-               np.linalg.norm(step - carry))
+        out = (_norm(step), _norm(g_k), _norm(g_k - self._g_back),
+               _norm(step - carry))
         self._step, self._g_back = step, g_k
         return out
 
@@ -412,7 +412,7 @@ class PeagGapFold(Fold):
     def term(self, point, prev):
         if prev is None:
             return None
-        return float(np.linalg.norm(point.z - point.y) ** 2)
+        return _norm(point.z - point.y) ** 2
 
     def report(self, e0):
         n = len(self.terms)
@@ -464,8 +464,8 @@ class PeagResidualFold(Fold):
         self.L, self.dist0, self.sigma = L, dist0, sigma
 
     def term(self, point, prev):
-        return (float(np.linalg.norm(point.g_x) ** 2) + 2.0 * self.L * self.L
-                * float(np.linalg.norm(point.z - point.y) ** 2))
+        return (_norm(point.g_x) ** 2
+                + 2.0 * self.L * self.L * _norm(point.z - point.y) ** 2)
 
     def report(self):
         theory = bound_series("peag_residual", np.arange(len(self.terms)),

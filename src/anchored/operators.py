@@ -168,10 +168,13 @@ def least_squares_operator(p_mat, b, seed=0):
         raise InputError("P must be a matrix")
     if b.shape != (p_mat.shape[0],):
         raise InputError("P and b have mismatched dimensions")
-    lip = spectral_norm(p_mat.T @ p_mat, seed=seed)
+    p_t = p_mat.T
+    lip = spectral_norm(p_t @ p_mat, seed=seed)
 
     def apply(y):
-        return p_mat.T @ (p_mat @ y - b)
+        r = p_mat.dot(y)
+        r -= b
+        return p_t.dot(r)
 
     return OperatorSpec(dim=p_mat.shape[1], eval=apply, lipschitz=lip,
                         cocoercivity_modulus=1.0 / lip, monotone=True)
@@ -197,6 +200,13 @@ def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
     where h clips componentwise to [-eps, eps]. G is monotone and
     Lipschitz with constant sqrt(2) * sqrt(max(lam^2, rho_w^2) + |K|^2);
     it is not co-coercive.
+
+    An evaluation scales y by the weights w = (lam, ..., rho_w, ...) and
+    clips w*y to [w*-eps, w*eps] in place. That has the bits of
+    ``w * huber_gradient(y, eps)``: rounding is monotone and the weights
+    are positive, so fl(w*clip(t)) = clip(fl(w*t)) against the rounded
+    bounds, for +-0, +-inf, NaN and an overflowing w*t alike. (Only if
+    w*eps rounds to zero, below 5e-324, can the sign of a zero differ.)
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
     if eps <= 0 or lam <= 0 or rho_w <= 0:
@@ -206,11 +216,17 @@ def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
         k_norm = spectral_norm(k_mat, seed=seed)
     lip = np.sqrt(2.0) * np.sqrt(max(lam * lam, rho_w * rho_w) + k_norm * k_norm)
 
+    k_t = k_mat.T
+    w = np.concatenate([np.full(n, float(lam)), np.full(m, float(rho_w))])
+    lo, hi = w * -eps, w * eps
+
     def apply(y):
-        u, v = y[:n], y[n:]
-        gu = lam * huber_gradient(u, eps) + k_mat.T @ v
-        gv = rho_w * huber_gradient(v, eps) - k_mat @ u
-        return np.concatenate([gu, gv])
+        out = w * y
+        np.maximum(out, lo, out=out)
+        np.minimum(out, hi, out=out)
+        out[:n] += k_t.dot(y[n:])
+        out[n:] -= k_mat.dot(y[:n])
+        return out
 
     return OperatorSpec(dim=n + m, eval=apply, lipschitz=lip, monotone=True)
 
@@ -226,9 +242,15 @@ def bilinear_saddle_operator(k_mat, k_norm=None, seed=0):
     if k_norm is None:
         k_norm = spectral_norm(k_mat, seed=seed)
 
+    k_t = k_mat.T
+
     def apply(y):
-        u, v = y[:n], y[n:]
-        return np.concatenate([k_mat.T @ v, -(k_mat @ u)])
+        out = np.empty(n + m)
+        np.dot(k_t, y[n:], out=out[:n])
+        lower = out[n:]
+        np.dot(k_mat, y[:n], out=lower)
+        np.negative(lower, out=lower)
+        return out
 
     return OperatorSpec(dim=n + m, eval=apply, lipschitz=k_norm,
                         monotone=True, comonotonicity_rho=0.0)

@@ -246,8 +246,8 @@ def transformed_nesterov_stream(beta_eta_fn, gamma_fn, L):
 
     and the index-0 convention from the module docstring applies. The
     step k-1 values are carried forward, not recomputed. A beta_k outside
-    (0, 1) or a nonpositive gamma_k raises :class:`InputError` when that
-    step is drawn.
+    (0, 1) or a nonpositive or NaN gamma_k raises :class:`InputError` when
+    that step is drawn.
     """
     prev = None
     for k in itertools.count():
@@ -255,7 +255,7 @@ def transformed_nesterov_stream(beta_eta_fn, gamma_fn, L):
         g = gamma_fn(k)
         if not 0.0 < beta < 1.0:
             raise InputError(f"beta_{k} must lie in (0, 1)")
-        if g <= 0.0:
+        if not g > 0.0:
             raise InputError(f"gamma_{k} must be positive")
         if prev is None:
             th, nuv, kap = 0.0, 1.0 - et / g, 0.0
@@ -294,6 +294,8 @@ def _closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta):
                                   omega=omega)
     elif kind == "nesterov_omega":
         g = 0.9 / L if gamma is None else gamma
+        if not g > 0.0:
+            raise InputError("gamma must be positive")
 
         def rule(k):
             th, nuv, t = nesterov_omega_params(k, omega, mu)

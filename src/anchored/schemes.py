@@ -369,7 +369,7 @@ class Solver:
 
 def _norm(v):
     """Euclidean norm of a 1-D real vector, computed as ``np.linalg.norm`` does."""
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 _HAS_X = ("nesterov", "nag_eag", "nag_comono")
@@ -398,7 +398,11 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     if K < 0:
         raise InputError("K must be nonnegative")
     opts = trace_opts or TraceOpts()
-    op = solver.operator
+    if opts.snapshot_stride < 0:
+        raise InputError("snapshot_stride must be nonnegative")
+    # iterates are float64 arrays by construction: skip the conversion
+    # of OperatorSpec.__call__
+    op = solver.operator.eval
     scheme = solver.scheme
     step = STEPS[scheme]
     lacks = attrgetter(*REQUIRED_PARAMS[scheme])

@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -351,6 +353,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err and value in err
+
+    @pytest.mark.parametrize("section,key,value,schedule", [
+        ("schedule", "gamma", "-1", "nesterov_omega"),
+        ("schedule", "gamma", "0", "nesterov_omega"),
+        ("schedule", "gamma", "nan", "nesterov_omega"),
+        ("schedule", "gamma", "nan", "nesterov_fast"),
+        ("trace", "snapshot_stride", "-1", "nesterov_omega"),
+        ("instance", "noise_var", "-1", "nesterov_omega"),
+        ("instance", "noise_var", "nan", "nesterov_omega"),
+    ])
+    def test_run_out_of_range_number_exits_two(self, tmp_path, capsys,
+                                               section, key, value, schedule):
+        cfg = {"run": {"scheme": "nesterov", "schedule": schedule,
+                       "iters": "3"},
+               "instance": {"generator": "least_squares", "n": "20",
+                            "p": "10"}}
+        cfg.setdefault(section, {})[key] = value
+        path = tmp_path / "cfg.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for name, items in cfg.items()))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "anchored",
+                               "list-schemes"], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("schemes:")
 
     def test_run_comono_without_rho_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
