@@ -24,6 +24,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0 ** -53
+#: uniform pairs drawn at most per Gaussian batch, which bounds the
+#: temporaries of a large draw; the output does not depend on it
+_MAX_PAIRS = 2 ** 15
 
 
 class SplitMix64:
@@ -62,7 +65,7 @@ class SplitMix64:
             filled = 1
         while filled < n:
             need_pairs = (n - filled + 1) // 2
-            batch = max(64, need_pairs + need_pairs // 4)
+            batch = min(_MAX_PAIRS, max(64, need_pairs + need_pairs // 4))
             state_before = self._state
             u = self.uniform_symmetric(2 * batch)
             x, y = u[0::2], u[1::2]

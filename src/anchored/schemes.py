@@ -6,7 +6,9 @@ and returns the operator values ``(G y_k, G z_k)`` at the pre-step
 iterates (None where a scheme has none). Operator values are evaluated
 once per step and cached on the state where a later step can reuse
 them, so the per-step evaluation budget (one for the anchored/corrected/past-extra families, two for the
-extra-gradient families) is exact and testable.
+extra-gradient families) is exact and testable. Tracking the x residual
+adds K+1 evaluations for the schemes with an x iterate and for ``peag``,
+and none for ``halpern``, ``eag`` and ``comono_eag``, whose x slot is y_k.
 
 A solver instance is single threaded; distinct solvers sharing one
 immutable operator may run concurrently, and each trace is owned by its
@@ -393,7 +395,9 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     budget is the same with or without them. With no observers and
     stride 0 no point is built. ``track_x_residual`` evaluates G at the
     x slot of every index and hands the value to observers as
-    ``TracePoint.g_x``.
+    ``TracePoint.g_x``; where the x slot is y_k and the run already has
+    G(y_k) (every scheme without an x iterate but ``peag``), it reuses
+    that value instead.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
@@ -452,7 +456,8 @@ def run(solver, y0, K, trace_opts=None, observers=()):
             norm_dy[k] = _norm(state.y - y_old)
         g_at_x = None
         if opts.track_x_residual:
-            g_at_x = op(x_old)
+            # without an x iterate the x slot is y_k, whose G the step made
+            g_at_x = op(x_old) if has_x or g_at_y is None else g_at_y
             norm_g_x[k] = _norm(g_at_x)
         if every_point or (stride > 0 and k % stride == 0):
             emit(TracePoint(k=k, x=x_old, xhat=state.xhat_prev, y=y_old,
@@ -474,7 +479,7 @@ def run(solver, y0, K, trace_opts=None, observers=()):
         x_at = x_slot(state) if has_x else state.y
         g_at_x = None
         if opts.track_x_residual:
-            g_at_x = op(x_at)
+            g_at_x = op(x_at) if has_x or g_final_y is None else g_final_y
             norm_g_x[K] = _norm(g_at_x)
         if every_point or (stride > 0 and K % stride == 0):
             emit(TracePoint(k=K, x=x_at, xhat=state.xhat, y=state.y,

@@ -7,7 +7,10 @@ digests. Speed-ups to the hot loop are meant to leave every byte as it
 is; a change that moves one has to say why and record new digests here.
 The digests hold for IEEE double arithmetic with the BLAS the package
 was measured on (OpenBLAS through numpy 2.4 on x86-64); another BLAS may
-sum a matrix-vector product in another order.
+sum a matrix-vector product in another order. The thread count matters
+too: with 2, 3 or 4 OpenBLAS threads the bytes agree, but under
+``OPENBLAS_NUM_THREADS=1`` the least-squares ``halpern`` and
+``nesterov`` CSVs get other bytes.
 """
 
 import hashlib

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from anchored import rng as rng_module
 from anchored.rng import SplitMix64
 
 MASK = (1 << 64) - 1
@@ -86,6 +87,20 @@ def test_normal_split_calls_equal_one_call():
     whole = a.normal(101)
     parts = np.concatenate([b.normal(1), b.normal(50), b.normal(50)])
     assert np.array_equal(whole, parts)
+
+
+def test_normal_in_capped_batches_matches_sequential_oracle(monkeypatch):
+    # a cap of 3 pairs makes every call below cross several batches, and
+    # the odd sizes hand the cached spare value from call to call
+    whole = SplitMix64(99).normal(400)
+    monkeypatch.setattr(rng_module, "_MAX_PAIRS", 3)
+    rng = SplitMix64(99)
+    oracle = OracleSplitMix(99)
+    got = np.concatenate([rng.normal(n) for n in (1, 2, 7, 64, 125, 201)])
+    expect = np.array([oracle.normal() for _ in range(got.size)])
+    assert np.all(np.abs(got - expect) <= np.spacing(np.abs(expect)))
+    assert got.tobytes() == whole.tobytes()
+    assert int(rng._state) == oracle.state
 
 
 def test_normal_moments_are_sane():

@@ -363,6 +363,25 @@ class TestEvaluationCounts:
             assert trace.snapshots == []
             assert [p.k for p in seen] == list(range(11)), scheme
 
+    @pytest.mark.parametrize("scheme,kind,per", [
+        ("halpern", "halpern_fast", 1), ("eag", "eag_constant", 2),
+        ("comono_eag", "comono_eag", 2),
+    ])
+    def test_tracked_x_residual_reuses_g_of_y(self, scheme, kind, per):
+        # the x slot is y_k, whose G the step and the final residual made
+        p_mat = unit_columns(SplitMix64(41).normal_matrix(8, 4))
+        op, counter = counted(least_squares_operator(p_mat, np.ones(8)))
+        kw = {"rho": -0.1 / op.lipschitz} if scheme == "comono_eag" else {}
+        solver = solver_for(op, scheme, kind, **kw)
+        seen = []
+        trace = run(solver, SplitMix64(43).normal(4), 100,
+                    TraceOpts(snapshot_stride=0, track_x_residual=True),
+                    observers=(seen.append,))
+        assert trace.error is None
+        assert counter.count == per * 100 + 1
+        assert trace.norm_g_x.tobytes() == trace.norm_g_y.tobytes()
+        assert all(p.g_x is p.g_y for p in seen)
+
     def test_observers_see_the_snapshot_points(self):
         solver = solver_for(identity_operator(2), "nag_eag", "nag_eag")
         seen = []

@@ -1,6 +1,7 @@
 """The verify table's driver: shared runs, run errors, horizons, JSON rows."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,10 @@ from anchored.cli import main
 from anchored.instances import desk_huber, desk_least_squares
 from anchored.operators import counted
 from anchored.schemes import run
+
+
+EQUIVALENCE = [r for r in verify.CHECKS if r.suite == "equivalence"]
+CORRECTED = ("nesterov", "nag_eag", "nag_peag", "nag_comono")
 
 
 def row(name):
@@ -123,3 +128,48 @@ def test_verify_json_rows(capsys):
         assert set(r) == {"suite", "name", "status", "detail", "seconds"}
         assert r["suite"] == "equivalence" and r["status"] == "PASS"
         assert r["seconds"] > 0.0
+
+
+def test_plan_frees_each_run_and_fold_after_its_last_row():
+    plan = verify.Plan(verify.CHECKS, "small")
+    for i, check in enumerate(plan.rows):
+        assert plan.result(check).ok
+        if i == len(EQUIVALENCE) - 1:
+            # no later row reads a recording
+            assert all(name != "record" for _, _, name in plan._folds)
+    assert plan._traces == {} and plan._folds == {}
+
+
+def test_small_equivalence_suite_holds_recordings_one_row_at_a_time():
+    # all 16 recordings held at once peak at about 27 MB
+    tracemalloc.start()
+    try:
+        results = verify.equivalence_suite("small")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in results)
+    assert peak <= 13e6
+
+
+@pytest.mark.parametrize("check", EQUIVALENCE, ids=lambda r: r.name)
+def test_equivalence_row_fails_on_a_perturbed_corrected_run(monkeypatch,
+                                                            check):
+    # theta_k * (1 + 1e-3) for k >= 1 in the corrected run only
+    real = verify.solver_for
+
+    def perturbed(op, scheme, schedule, **kw):
+        solver = real(op, scheme, schedule, **kw)
+        if scheme not in CORRECTED:
+            return solver
+
+        def factory(make=solver.schedule_factory):
+            for p in make():
+                yield p._replace(theta=p.theta * (1.0 + 1e-3)) if p.k else p
+
+        return replace(solver, schedule_factory=factory)
+
+    monkeypatch.setattr(verify, "solver_for", perturbed)
+    [result] = verify.run_checks([check])
+    assert result.status == "FAIL"
+    assert float(result.detail.removeprefix("max_dev=")) > verify.EQUIV_TOL

@@ -6,7 +6,9 @@ which is not part of it). Changes to how the checks run, such as
 sharing runs between rows, are meant to leave every byte as it is; a
 change that moves one has to say why and record the new digest here.
 The digest holds for IEEE double arithmetic with the BLAS the package
-was measured on (OpenBLAS through numpy 2.4 on x86-64).
+was measured on (OpenBLAS through numpy 2.4 on x86-64), run with 2, 3
+or 4 OpenBLAS threads; under ``OPENBLAS_NUM_THREADS=1`` the table gets
+other bytes.
 """
 
 import hashlib
