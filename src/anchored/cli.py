@@ -39,6 +39,28 @@ BOUND_OF_SCHEDULE = {
     "peag": "peag_probe",
 }
 
+#: the keys each config section may set; anything else is an input error
+CONFIG_KEYS = {
+    "run": ("scheme", "schedule", "iters", "seed"),
+    "schedule": ("gamma", "omega", "mu", "sigma", "rho", "eta", "eta0"),
+    "instance": ("generator", "n", "p", "m", "noise_var", "seed"),
+    "trace": ("lyapunov", "track_x_residual"),
+    "output": ("dir",),
+}
+
+
+def _check_keys(cfg):
+    """Every section and key of ``cfg`` is one the run reads."""
+    if cfg.defaults():
+        raise InputError("unknown config section [DEFAULT]")
+    for name in cfg.sections():
+        if name not in CONFIG_KEYS:
+            raise InputError(f"unknown config section [{name}]")
+        for key, value in cfg.items(name):
+            if key not in CONFIG_KEYS[name]:
+                raise InputError(f"unknown config key [{name}] "
+                                 f"{key} = {value}")
+
 
 def _number(section, key, default, cast=float):
     """Config value ``key`` as a number; a malformed value is an input error."""
@@ -48,6 +70,16 @@ def _number(section, key, default, cast=float):
     except (TypeError, ValueError):
         kind = "an integer" if cast is int else "a number"
         raise InputError(f"config value {key} = {raw} is not {kind}") from None
+
+
+def _switch(section, key, default):
+    """Config value ``key`` as a switch; an unknown spelling is an input error."""
+    raw = section.get(key, default)
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+    if state is None:
+        raise InputError(f"config value {key} = {raw} is not on/off, "
+                         "true/false, yes/no or 1/0")
+    return state
 
 
 def _instance_seed(cfg, seed_override=None):
@@ -87,7 +119,7 @@ def _schedule_kwargs(cfg):
     if not cfg.has_section("schedule"):
         return out
     section = cfg["schedule"]
-    for key in ("gamma", "omega", "mu", "sigma", "rho", "eta", "eta0"):
+    for key in CONFIG_KEYS["schedule"]:
         if section.get(key, "") != "":
             out[key] = _number(section, key, None)
     return out
@@ -125,41 +157,47 @@ def _attach_bound(trace, kind, kw, instance, y0):
 
 
 def cmd_run(args):
-    cfg = configparser.ConfigParser()
+    # values are literal: a % in a path is not an interpolation
+    cfg = configparser.ConfigParser(interpolation=None)
     if args.config:
-        if not cfg.read(args.config):
-            print(f"error: cannot read config {args.config}", file=sys.stderr)
-            return 2
+        try:
+            found = cfg.read(args.config)
+        except configparser.Error as exc:
+            raise InputError(f"malformed config {args.config}: "
+                             f"{str(exc).splitlines()[0]}") from None
+        if not found:
+            raise InputError(f"cannot read config {args.config}")
+    _check_keys(cfg)
     section = cfg["run"] if cfg.has_section("run") else {}
     scheme = section.get("scheme", "halpern")
     kind = section.get("schedule", "halpern_fast")
     if scheme not in SCHEME_KINDS:
-        print(f"error: unknown scheme {scheme!r}", file=sys.stderr)
-        return 2
+        raise InputError(f"unknown scheme {scheme!r}")
     if kind not in SCHEDULE_KINDS:
-        print(f"error: unknown schedule {kind!r}", file=sys.stderr)
-        return 2
+        raise InputError(f"unknown schedule {kind!r}")
     if kind not in COMPATIBLE_SCHEDULES[scheme]:
-        print(f"error: schedule {kind!r} carries no guarantee for scheme "
-              f"{scheme!r} (compatible: "
-              f"{', '.join(COMPATIBLE_SCHEDULES[scheme])})", file=sys.stderr)
-        return 2
+        raise InputError(f"schedule {kind!r} carries no guarantee for scheme "
+                         f"{scheme!r} (compatible: "
+                         f"{', '.join(COMPATIBLE_SCHEDULES[scheme])})")
     K = args.iters if args.iters is not None \
         else _number(section, "iters", 100, int)
+    tsec = cfg["trace"] if cfg.has_section("trace") else {}
+    lyap_on = _switch(tsec, "lyapunov", "on")
+    track_x = _switch(tsec, "track_x_residual", "off")
     instance = _build_instance(cfg, args.seed)
+    # the anchored and corrected schemes' guarantees assume co-coercivity
+    if scheme in ("halpern", "nesterov") \
+            and instance.operator.cocoercivity_modulus is None:
+        raise InputError(f"scheme {scheme!r} needs a co-coercive operator; "
+                         f"the {instance.meta.get('generator')} operator is "
+                         "not declared co-coercive")
     kw = _schedule_kwargs(cfg)
 
-    tsec = cfg["trace"] if cfg.has_section("trace") else {}
-    stride = _number(tsec, "snapshot_stride", 1, int)
-    lyap_on = tsec.get("lyapunov", "on").lower() in ("on", "true", "1", "yes")
     potential = _potential_fold(scheme, kind, kw, instance) if lyap_on \
         else None
     # the past-extra potential reads G y_k, which only x tracking evaluates
-    opts = TraceOpts(
-        snapshot_stride=stride,
-        track_x_residual=tsec.get("track_x_residual", "off").lower()
-        in ("on", "true", "1", "yes")
-        or (potential is not None and "g_x" in potential.need))
+    opts = TraceOpts(track_x_residual=track_x or (
+        potential is not None and "g_x" in potential.need))
 
     out_dir = args.out or (cfg["output"].get("dir", ".")
                            if cfg.has_section("output") else ".")

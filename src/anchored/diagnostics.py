@@ -1,17 +1,17 @@
 """Potential functions, theoretical bounds, and trace-level checks.
 
-Everything here is a read-only consumer of run traces: potentials and
-partial-sum budgets are folds over trace points (fed by ``run`` as it
-goes, or from stride-1 snapshots afterwards), decrease and bound
-violations are
-counted with explicit slack, and scheme-equivalence deviations are
-measured pointwise. Decrease checks use a relative slack
+Everything here is a read-only consumer of runs: potentials,
+partial-sum budgets and iterate recordings are folds over the trace
+points that ``run`` hands its observers as it goes, closed-form bounds
+are compared with a trace's residual columns, violations are counted
+with explicit slack, and scheme-equivalence deviations are measured
+pointwise. Decrease checks use a relative slack
 ``1e-10 * (1 + value)`` because potential values span many orders of
 magnitude along a run.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -107,14 +107,14 @@ def halpern_potential_coeffs(k, q0=1.0):
 def halpern_potential(g_y, y, y0, p_k, q_k, L):
     """(p_k/L)|G y_k|^2 + q_k <G y_k, y_k - y0>."""
     if g_y is None:
-        raise DataError("snapshot lacks the operator value at y_k")
+        raise DataError("trace point lacks the operator value at y_k")
     return (p_k / L) * float(g_y @ g_y) + q_k * float(g_y @ (y - y0))
 
 
 def nesterov_potential(g_y_prev, x, y, coeffs, y_star):
     """a|G y_{k-1}|^2 + b <G y_{k-1}, x_k - y_k> + |x_k + t(y_k - x_k) - y*|^2 + mu|x_k - y*|^2."""
     if g_y_prev is None:
-        raise DataError("snapshot lacks the operator value at y_{k-1}")
+        raise DataError("trace point lacks the operator value at y_{k-1}")
     shifted = x + coeffs.t * (y - x) - y_star
     val = (coeffs.a * float(g_y_prev @ g_y_prev)
            + coeffs.b * float(g_y_prev @ (x - y))
@@ -179,29 +179,16 @@ def anchor_to_corrected_coeffs(k, beta_k, eta_k, L, q0=1.0):
 # folds: trace diagnostics as running functions of the trace points
 
 
-def _snapshots(trace, need=()):
-    snaps = trace.snapshots
-    if not snaps:
-        raise DataError("trace carries no snapshots")
-    if any(s.k != i for i, s in enumerate(snaps)):
-        raise DataError("potential evaluation needs snapshot stride 1")
-    for name in need:
-        if getattr(snaps[0], name) is None:
-            raise DataError(f"snapshots lack field {name!r}")
-    return snaps
-
-
 class Fold:
     """A trace diagnostic computed one trace point at a time.
 
-    A fold is called with the :class:`~anchored.schemes.TracePoint` of
-    every index 0, 1, 2, ... in order, either by
-    ``run(..., observers=[fold])`` while the run goes or by :meth:`feed`
-    from the stride-1 snapshots of a finished trace. Both hand it the
-    same points, so both give bitwise the same result. Subclasses name
-    the point fields they read in ``need`` and implement
-    ``term(point, prev)`` (``prev`` is the point before, None at k = 0),
-    which returns the next entry of ``terms`` or None for no entry.
+    ``run(..., observers=[fold])`` calls a fold with the
+    :class:`~anchored.schemes.TracePoint` of every index 0, 1, 2, ... in
+    order while the run goes, so a check keeps only its running terms
+    and the point before. Subclasses name the point fields they read in
+    ``need`` and implement ``term(point, prev)`` (``prev`` is the point
+    before, None at k = 0), which returns the next entry of ``terms`` or
+    None for no entry.
     """
 
     need = ()
@@ -212,7 +199,7 @@ class Fold:
 
     def __call__(self, point):
         if point.k != (0 if self._prev is None else self._prev.k + 1):
-            raise DataError("folds need every index from k = 0 (stride 1)")
+            raise DataError("folds need every index from k = 0")
         if self._prev is None:
             for name in self.need:
                 if getattr(point, name) is None:
@@ -221,12 +208,6 @@ class Fold:
         if term is not None:
             self.terms.append(term)
         self._prev = point
-
-    def feed(self, trace):
-        """Fold the stride-1 snapshots of a finished trace."""
-        for s in _snapshots(trace):
-            self(s)
-        return self
 
     def series(self):
         return np.array(self.terms)
@@ -250,8 +231,8 @@ class RecordFold(Fold):
     def term(self, point, prev):
         return point.y, point.z
 
-    def snapshot_series(self, name):
-        """The recorded ``name`` ("y" or "z") iterates, as a trace gives them."""
+    def iterates(self, name):
+        """The recorded ``name`` ("y" or "z") iterates, in index order."""
         return [pair[("y", "z").index(name)] for pair in self.terms]
 
 
@@ -511,40 +492,6 @@ class CouplingIdentityFold(Fold):
         return float(np.max(self.terms, initial=0.0))
 
 
-def _fed_with_g_at_y(fold, trace, operator):
-    """Feed ``fold`` the stride-1 snapshots with G y_k evaluated into ``g_x``."""
-    snaps = _snapshots(trace, need=("y", "z"))
-    if operator is None:
-        raise InputError("past-extra diagnostics need the operator to "
-                         "evaluate G(y_k)")
-    for s in snaps:
-        fold(replace(s, g_x=operator(s.y)))
-    return fold
-
-
-# ---------------------------------------------------------------------------
-# series along finished traces
-
-
-def halpern_potential_series(trace, L, q0=1.0):
-    """Anchored potential at every snapshot that carries G y_k."""
-    return AnchoredPotentialFold(L, q0).feed(trace).series()
-
-
-def nesterov_potential_series(trace, gamma, omega, y_star, mu=1.0):
-    return omega_potential_fold(gamma, omega, y_star, mu).feed(trace).series()
-
-
-def eag_potential_series(trace, L, y_star, b1=None):
-    return eag_potential_fold(L, y_star, b1).feed(trace).series()
-
-
-def peag_potential_series(trace, operator, L, sigma, y_star, b0=1.0):
-    """Past-extra potential along stride-1 snapshots; evaluates G at each y_k."""
-    return _fed_with_g_at_y(PeagPotentialFold(L, sigma, y_star, b0), trace,
-                            operator).series()
-
-
 def decrease_report(values, name="decrease", slack=DECREASE_SLACK):
     """Count indices where the series increases beyond the relative slack."""
     values = np.asarray(values, dtype=float)
@@ -595,23 +542,21 @@ def bound_series(bound, ks, L, dist0, rho=None, sigma=None):
     return weight * (1.0 + 4.0 * m_big) * dist0 * dist0 / (ks + 1.0) ** 2
 
 
-def bound_check(trace, bound, L, dist0, rho=None, sigma=None, operator=None):
+def bound_check(trace, bound, L, dist0, rho=None, sigma=None):
     """Compare a trace against one of the closed-form residual bounds.
 
     dist0 is |y0 - y*|. The co-monotone bound starts at k = 1. The
     past-extra probe bound reads the trace's |G z_k| column, the other
-    column bounds |G y_k|; ``operator`` is not used for them. A run that
-    stopped on a numeric error, or kept no final residual, has no
-    residual at its last index, and the comparison ends one index
-    earlier. The past-extra residual bound is on |G y_k|, which that
-    scheme never evaluates: here it needs stride-1 snapshots and
-    ``operator``, and evaluates G once per snapshot. A ``peag`` run with
-    ``track_x_residual`` can feed :class:`PeagResidualFold` instead: no
-    snapshots, and G y_k is evaluated once, inside the run.
+    column bounds |G y_k|. A run that stopped on a numeric error, or
+    kept no final residual, has no residual at its last index, and the
+    comparison ends one index earlier. The past-extra residual bound is
+    on |G y_k| and |z_k - y_k|, which no trace column holds: a ``peag``
+    run with ``track_x_residual`` feeds :class:`PeagResidualFold`
+    instead.
     """
     if bound == "peag_residual":
-        return _fed_with_g_at_y(PeagResidualFold(L, dist0, sigma), trace,
-                                operator).report()
+        raise InputError("the peag_residual bound reads iterates: feed "
+                         "PeagResidualFold to a run with track_x_residual")
     first = 1 if bound == "comono" else 0
     column = trace.norm_g_z if bound == "peag_probe" else trace.norm_g_y
     obs, ks = column[first:], trace.k[first:]
@@ -667,23 +612,6 @@ def eag_varying_limit_lower_bound(eta0, L):
     return eta0 * prod * tail
 
 
-def residual_difference_budget(trace, L, dist0):
-    """Partial sums of (k+1)(k+2)|G y_{k+1} - G y_k|^2 against 2 L^2 dist0^2."""
-    return ResidualDifferenceFold(L, dist0).feed(trace).report()
-
-
-def summability_check(trace, gamma, omega, L, v0, mu=1.0):
-    """The four omega-family budgets of :class:`SummabilityFold` along a trace."""
-    if v0 is None:
-        raise DataError("summability check needs V_0")
-    return SummabilityFold(gamma, omega, L, mu).feed(trace).reports(v0)
-
-
-def peag_gap_budget(trace, L, sigma, e0, b0=1.0):
-    """Weighted probe-gap budget of :class:`PeagGapFold` along a trace."""
-    return PeagGapFold(L, sigma, b0).feed(trace).report(e0)
-
-
 def trend_check(norm_g_y, name="quadratic_trend"):
     """Late-window max of (k+1)^2 |G y_k|^2 must not exceed the early one.
 
@@ -700,18 +628,17 @@ def trend_check(norm_g_y, name="quadratic_trend"):
     return ok, float(np.max(early)), float(np.max(late))
 
 
-def equivalence_report(trace_a, trace_b, field="y"):
+def equivalence_report(record_a, record_b, field="y"):
     """max_k |a_k - b_k| / (1 + |a_k|) over one field of two runs.
 
-    Each argument is a :class:`RecordFold` fed by its run or a trace
-    with stride-1 snapshots.
+    Each argument is a :class:`RecordFold` fed by its run.
     """
-    sa = trace_a.snapshot_series(field)
-    sb = trace_b.snapshot_series(field)
+    sa = record_a.iterates(field)
+    sb = record_b.iterates(field)
     if len(sa) != len(sb):
-        raise InputError("traces have different lengths")
+        raise InputError("recordings have different lengths")
     if not sa:
-        raise DataError("traces carry no snapshots")
+        raise DataError("recordings are empty")
     worst = 0.0
     for a, b in zip(sa, sb):
         worst = max(worst, float(np.linalg.norm(a - b))

@@ -31,8 +31,7 @@ def _write_curve_csv(path, ks, values):
 
 
 def _curves(instance, specs, K):
-    opts = TraceOpts(snapshot_stride=0, track_x_residual=True,
-                     final_residual=True)
+    opts = TraceOpts(track_x_residual=True, final_residual=True)
     y0 = start_point(instance)
     out = []
     for label, scheme, kind, kw in specs:

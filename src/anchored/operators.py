@@ -65,7 +65,9 @@ class ResolventSpec:
 def _affine_inverse(matrix, lam):
     """(I + lam*M)^-1; a singular system is a numeric error."""
     try:
-        return np.linalg.inv(np.eye(matrix.shape[0]) + lam * matrix)
+        a = lam * matrix
+        a.flat[::matrix.shape[0] + 1] += 1.0
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular resolvent system: {exc}") from exc
 

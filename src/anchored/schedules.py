@@ -52,17 +52,9 @@ class ScheduleParams(NamedTuple):
     nu: Optional[float] = None
     kappa: Optional[float] = None
     zeta: Optional[float] = None
-    tau: Optional[float] = None
-    t: Optional[float] = None
     rho: Optional[float] = None
-    a_coeff: Optional[float] = None
-    b_coeff: Optional[float] = None
-    # scheme constants, carried for diagnostics
+    # the co-monotone steps check rho against it
     L: Optional[float] = None
-    omega: Optional[float] = None
-    mu: Optional[float] = None
-    sigma: Optional[float] = None
-    M: Optional[float] = None
 
 
 def halpern_params(k, L, variant="fast"):
@@ -290,17 +282,16 @@ def _closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta):
 
         def rule(k):
             beta, et = halpern_omega_params(k, L, g, omega)
-            return ScheduleParams(k=k, beta=beta, eta=et, gamma=g, L=L,
-                                  omega=omega)
+            return ScheduleParams(k=k, beta=beta, eta=et, gamma=g, L=L)
     elif kind == "nesterov_omega":
         g = 0.9 / L if gamma is None else gamma
         if not g > 0.0:
             raise InputError("gamma must be positive")
 
         def rule(k):
-            th, nuv, t = nesterov_omega_params(k, omega, mu)
+            th, nuv, _ = nesterov_omega_params(k, omega, mu)
             return ScheduleParams(k=k, gamma=g, theta=th, nu=nuv, kappa=0.0,
-                                  t=t, L=L, omega=omega, mu=mu)
+                                  L=L)
     elif kind == "eag_constant":
         e = 1.0 / (8.0 * L) if eta is None else eta
 
@@ -309,36 +300,29 @@ def _closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta):
             return ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh, L=L)
     elif kind == "comono_eag":
         def rule(k):
-            beta, et, tau = comono_schedule(k, L, rho)
-            return ScheduleParams(k=k, beta=beta, eta=et, tau=tau, rho=rho,
-                                  L=L)
+            beta, et, _ = comono_schedule(k, L, rho)
+            return ScheduleParams(k=k, beta=beta, eta=et, rho=rho, L=L)
     elif kind == "nag_comono":
         def rule(k):
-            beta, et, tau, th, nuv = nag_comono_transform(k, L, rho)
-            return ScheduleParams(k=k, beta=beta, eta=et, tau=tau, rho=rho,
-                                  theta=th, nu=nuv, L=L)
+            beta, et, _, th, nuv = nag_comono_transform(k, L, rho)
+            return ScheduleParams(k=k, beta=beta, eta=et, rho=rho, theta=th,
+                                  nu=nuv, L=L)
     elif kind == "nag_eag":
         def rule(k):
-            g, et, eh, th, nuv, t, a, b = nag_eag_schedule(k, L)
+            g, et, eh, th, nuv = nag_eag_schedule(k, L)[:5]
             return ScheduleParams(k=k, beta=1.0 / (k + 2), gamma=g, eta=et,
-                                  eta_hat=eh, theta=th, nu=nuv, t=t,
-                                  a_coeff=a, b_coeff=b, L=L)
+                                  eta_hat=eh, theta=th, nu=nuv, L=L)
     elif kind == "peag":
-        m_big = L * L * (1.0 + sigma)
-
         def rule(k):
             beta, et, eh = peag_schedule(k, L, sigma=sigma, mode="two_step")
-            return ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh, L=L,
-                                  sigma=sigma, M=m_big)
+            return ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh, L=L)
     else:  # nag_peag
-        m_big = L * L * (1.0 + sigma)
-
         def rule(k):
             gh, th, nuv, kap, zet = nag_peag_schedule(k, L, sigma=sigma)
             beta, et, eh = peag_schedule(k, L, sigma=sigma, mode="two_step")
             return ScheduleParams(k=k, beta=beta, eta=et, eta_hat=eh,
                                   gamma_hat=gh, theta=th, nu=nuv, kappa=kap,
-                                  zeta=zet, L=L, sigma=sigma, M=m_big)
+                                  zeta=zet, L=L)
     return rule
 
 

@@ -303,16 +303,18 @@ STEPS = {
 
 @dataclass
 class TracePoint:
-    """Full iterate snapshot at index k (all vectors are copies).
+    """The iterates of index k and the operator values the run made there.
 
-    ``g_x`` is G at ``x`` when the run tracks the x residual; for the
-    schemes without an x iterate (``halpern``, ``eag``, ``comono_eag``,
-    ``peag``) ``x`` is y_k, so a tracked ``peag`` run exposes G y_k.
+    ``run`` hands one point per index to its observers. The vectors are
+    the run's own arrays, which it never mutates, not copies. ``x`` is
+    the x slot: xhat_k for ``nag_peag``, and y_k for the schemes without
+    an x iterate (``halpern``, ``eag``, ``comono_eag``, ``peag``).
+    ``g_x`` is G at ``x`` when the run tracks the x residual, so a
+    tracked ``peag`` run exposes G y_k.
     """
 
     k: int
     x: np.ndarray
-    xhat: np.ndarray
     y: np.ndarray
     z: np.ndarray
     g_y: Optional[np.ndarray] = None
@@ -325,9 +327,9 @@ class RunTrace:
     """Per-iteration diagnostics of one run.
 
     Scalar arrays have one entry per index k = 0..K; quantities a scheme
-    does not produce are NaN. ``snapshots`` holds full iterates at the
-    configured stride (empty when snapshots are disabled). ``lyapunov``
-    and ``bound`` are filled in by the diagnostics layer when requested.
+    does not produce are NaN. ``lyapunov`` and ``bound`` are filled in
+    by the diagnostics layer when requested. Iterates are seen through
+    ``run``'s observers, not kept here.
     """
 
     meta: dict
@@ -338,6 +340,7 @@ class RunTrace:
     norm_dx: np.ndarray
     norm_yx: np.ndarray
     norm_dy: np.ndarray
+    # always empty; kept only because bench/probe.py reads it
     snapshots: list = field(default_factory=list)
     lyapunov: dict = field(default_factory=dict)
     bound: Optional[np.ndarray] = None
@@ -346,17 +349,19 @@ class RunTrace:
     def __len__(self):
         return len(self.k)
 
-    def snapshot_series(self, name):
-        if not self.snapshots:
-            return []
-        return [getattr(s, name) for s in self.snapshots]
-
 
 @dataclass
 class TraceOpts:
-    snapshot_stride: int = 1
+    # must be 0; kept only because bench/workloads.py passes it and
+    # bench/probe.py reads it
+    snapshot_stride: int = 0
     track_x_residual: bool = False
     final_residual: bool = True
+
+    def __post_init__(self):
+        if self.snapshot_stride != 0:
+            raise InputError("runs keep no iterates; pass "
+                             "observers=[points.append] to see trace points")
 
 
 @dataclass(frozen=True)
@@ -385,25 +390,23 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     Deterministic given (y0, schedule, operator). On a numeric error the
     trace is truncated at the failing step and carries the error text.
     A schedule step that lacks a field the scheme reads is an
-    :class:`InputError`. Iterate arrays are never mutated after
-    creation, so snapshots hold references rather than copies.
+    :class:`InputError`.
 
-    Each observer is called with every :class:`TracePoint` a stride-1
-    snapshot list would hold, in index order (the diagnostics folds);
-    ``snapshot_stride`` only decides which of those points the trace
-    keeps. Observers never evaluate the operator, so the evaluation
-    budget is the same with or without them. With no observers and
-    stride 0 no point is built. ``track_x_residual`` evaluates G at the
-    x slot of every index and hands the value to observers as
-    ``TracePoint.g_x``; where the x slot is y_k and the run already has
-    G(y_k) (every scheme without an x iterate but ``peag``), it reuses
-    that value instead.
+    Observers are the one way to see the iterates: each is called with
+    the :class:`TracePoint` of every index 0..K in order (the
+    diagnostics folds; ``observers=[points.append]`` keeps them all).
+    Iterate arrays are never mutated after creation, so a point holds
+    references rather than copies. Observers never evaluate the
+    operator, so the evaluation budget is the same with or without
+    them, and with no observers no point is built. ``track_x_residual``
+    evaluates G at the x slot of every index and hands the value to
+    observers as ``TracePoint.g_x``; where the x slot is y_k and the run
+    already has G(y_k) (every scheme without an x iterate but ``peag``),
+    it reuses that value instead.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
     opts = trace_opts or TraceOpts()
-    if opts.snapshot_stride < 0:
-        raise InputError("snapshot_stride must be nonnegative")
     # iterates are float64 arrays by construction: skip the conversion
     # of OperatorSpec.__call__
     op = solver.operator.eval
@@ -420,15 +423,10 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     n = K + 1
     norm_g_y, norm_g_x, norm_g_z, norm_dx, norm_yx, norm_dy = np.full(
         (6, n), np.nan)
-    snapshots = []
     error = None
-    stride = opts.snapshot_stride
     observers = tuple(observers)
-    every_point = bool(observers)
 
     def emit(point):
-        if stride > 0 and point.k % stride == 0:
-            snapshots.append(point)
         for observe in observers:
             observe(point)
 
@@ -459,9 +457,9 @@ def run(solver, y0, K, trace_opts=None, observers=()):
             # without an x iterate the x slot is y_k, whose G the step made
             g_at_x = op(x_old) if has_x or g_at_y is None else g_at_y
             norm_g_x[k] = _norm(g_at_x)
-        if every_point or (stride > 0 and k % stride == 0):
-            emit(TracePoint(k=k, x=x_old, xhat=state.xhat_prev, y=y_old,
-                            z=z_old, g_y=g_at_y, g_z=g_at_z, g_x=g_at_x))
+        if observers:
+            emit(TracePoint(k=k, x=x_old, y=y_old, z=z_old, g_y=g_at_y,
+                            g_z=g_at_z, g_x=g_at_x))
         done = k + 1
 
     kmax = done if error is not None else K
@@ -481,10 +479,9 @@ def run(solver, y0, K, trace_opts=None, observers=()):
         if opts.track_x_residual:
             g_at_x = op(x_at) if has_x or g_final_y is None else g_final_y
             norm_g_x[K] = _norm(g_at_x)
-        if every_point or (stride > 0 and K % stride == 0):
-            emit(TracePoint(k=K, x=x_at, xhat=state.xhat, y=state.y,
-                            z=state.z, g_y=g_final_y, g_z=g_final_z,
-                            g_x=g_at_x))
+        if observers:
+            emit(TracePoint(k=K, x=x_at, y=state.y, z=state.z,
+                            g_y=g_final_y, g_z=g_final_z, g_x=g_at_x))
 
     end = kmax + 1
     meta = dict(solver.meta)
@@ -493,7 +490,7 @@ def run(solver, y0, K, trace_opts=None, observers=()):
                     norm_g_y=norm_g_y[:end], norm_g_x=norm_g_x[:end],
                     norm_g_z=norm_g_z[:end], norm_dx=norm_dx[:end],
                     norm_yx=norm_yx[:end], norm_dy=norm_dy[:end],
-                    snapshots=snapshots, error=error)
+                    error=error)
 
 
 def make_solver(problem_case, data, scheme_kind, schedule_factory, meta=None):

@@ -3,7 +3,7 @@
 :data:`CHECKS` is one table of check rows, and :class:`Plan` drives it:
 it groups rows by run key, makes each distinct run once at the longest
 horizon any row needs, with every row's folds attached, and hands each
-row its view of the runs. Every run is at ``snapshot_stride = 0``. The
+row its view of the runs; rows see iterates only through folds. The
 CLI renders the results as a pass/fail table and exits nonzero when any
 non-skipped check fails. Desk scale keeps every suite in the seconds
 range; paper scale reruns the checks at the published dimensions.
@@ -208,7 +208,7 @@ class Plan:
         scheme, schedule = name.split("/")
         solver = solver_for(case.op, scheme, schedule,
                             **(KWARGS[kw](case.L) if kw else {}))
-        opts = TraceOpts(snapshot_stride=0, track_x_residual=x_residual)
+        opts = TraceOpts(track_x_residual=x_residual)
         return run(solver, case.y0, K, opts, observers=observers)
 
     def _fed(self, row, key):

@@ -26,7 +26,7 @@ from anchored.residuals import (
 )
 from anchored.rng import SplitMix64
 from anchored.schedules import halpern_params, transformed_nesterov_stream
-from anchored.schemes import Solver, run, solver_for
+from anchored.schemes import Solver, TraceOpts, run, solver_for
 from anchored.operators import OperatorSpec, affine_kind
 
 
@@ -38,6 +38,13 @@ def criterion(num, desc):
         print(f"criterion {num:>2} [{desc}]: FAIL")
         raise
     print(f"criterion {num:>2} [{desc}]: PASS")
+
+
+def recorded(solver, y0, K):
+    """The y and z iterates of every index of one run."""
+    record = dg.RecordFold()
+    run(solver, y0, K, observers=(record,))
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -79,21 +86,21 @@ def test_criterion_3_scheme_equivalences(ls_desk, huber_desk):
         for inst, y0 in (ls_desk, huber_desk):
             op = inst.operator
             L = op.lipschitz
-            h = run(solver_for(op, "halpern", "halpern_fast"), y0, 500)
+            h = recorded(solver_for(op, "halpern", "halpern_fast"), y0, 500)
             two = Solver("nesterov", op,
                          lambda L=L: transformed_nesterov_stream(
                              lambda k: halpern_params(k, L, "fast"),
                              lambda k: 1.0 / L, L))
-            n = run(two, y0, 500)
+            n = recorded(two, y0, 500)
             assert dg.equivalence_report(h, n, "y") <= 1e-8
 
-            a = run(solver_for(op, "eag", "nag_eag"), y0, 500)
-            b = run(solver_for(op, "nag_eag", "nag_eag"), y0, 500)
+            a = recorded(solver_for(op, "eag", "nag_eag"), y0, 500)
+            b = recorded(solver_for(op, "nag_eag", "nag_eag"), y0, 500)
             assert dg.equivalence_report(a, b, "y") <= 1e-8
             assert dg.equivalence_report(a, b, "z") <= 1e-8
 
-            c = run(solver_for(op, "peag", "peag"), y0, 500)
-            d = run(solver_for(op, "nag_peag", "nag_peag"), y0, 500)
+            c = recorded(solver_for(op, "peag", "peag"), y0, 500)
+            d = recorded(solver_for(op, "nag_peag", "nag_peag"), y0, 500)
             assert dg.equivalence_report(c, d, "z") <= 1e-8
 
 
@@ -103,11 +110,14 @@ def test_criterion_4_omega_family_suite(ls_desk):
     L = op.lipschitz
     gamma, omega, mu = 0.9 / L, 3.0, 1.0
     with criterion(4, "omega-family potential, budgets, trend, K=5000"):
+        potential = dg.omega_potential_fold(gamma, omega, y_star, mu)
+        budgets = dg.SummabilityFold(gamma, omega, L, mu)
         trace = run(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
-                               omega=omega), y0, 5000)
-        series = dg.nesterov_potential_series(trace, gamma, omega, y_star, mu)
+                               omega=omega), y0, 5000,
+                    observers=(potential, budgets))
+        series = potential.series()
         assert dg.decrease_report(series).violations == 0
-        for rep in dg.summability_check(trace, gamma, omega, L, series[0], mu):
+        for rep in budgets.reports(series[0]):
             assert rep.ok and not rep.skipped
         ok, early, late = dg.trend_check(trace.norm_g_y)
         assert ok, f"trend: early={early} late={late}"
@@ -119,16 +129,19 @@ def test_criterion_5_extra_gradient_suite(huber_desk):
     L = op.lipschitz
     d0 = float(np.linalg.norm(y0 - y_star))
     with criterion(5, "extra-gradient potential and residual bound, K=5000"):
-        trace = run(solver_for(op, "nag_eag", "nag_eag"), y0, 5000)
-        series = dg.eag_potential_series(trace, L, y_star)
+        potential = dg.eag_potential_fold(L, y_star)
+        g_y = dg.MapFold(lambda point: point.g_y)
+        trace = run(solver_for(op, "nag_eag", "nag_eag"), y0, 5000,
+                    observers=(potential, g_y))
+        series = potential.series()
         # decrease holds from the first computed step on; the k = 0 gap
         # is structural and equals |G y_0|^2 / (2 L^2) exactly
         assert dg.decrease_report(series[1:]).violations == 0
-        g0 = trace.snapshots[0].g_y
+        g0 = g_y.terms[0]
         assert series[1] - series[0] == pytest.approx(
             float(g0 @ g0) / (2.0 * L * L), rel=1e-9)
         for k in range(5000):
-            g = trace.snapshots[k].g_y
+            g = g_y.terms[k]
             assert series[k + 1] >= (k + 1.0) ** 2 / (4.0 * L * L) \
                 * float(g @ g) - 1e-10
         report = dg.bound_check(trace, "eag", L, d0)
@@ -141,18 +154,23 @@ def test_criterion_6_past_extra_suite(huber_desk):
     L = op.lipschitz
     d0 = float(np.linalg.norm(y0 - y_star))
     with criterion(6, "past-extra bounds (sigma=1) and potential (sigma=2)"):
-        trace = run(solver_for(op, "peag", "peag", sigma=1.0), y0, 5000)
-        rep = dg.bound_check(trace, "peag_residual", L, d0, sigma=1.0,
-                             operator=op)
+        # the run evaluates G(y_k), which the residual and potential read
+        tracked = TraceOpts(track_x_residual=True)
+        residual = dg.PeagResidualFold(L, d0, sigma=1.0)
+        trace = run(solver_for(op, "peag", "peag", sigma=1.0), y0, 5000,
+                    tracked, observers=(residual,))
+        rep = residual.report()
         assert rep.violations == 0
-        rep = dg.bound_check(trace, "peag_probe", L, d0, sigma=1.0,
-                             operator=op)
+        rep = dg.bound_check(trace, "peag_probe", L, d0, sigma=1.0)
         assert rep.violations == 0
 
-        trace2 = run(solver_for(op, "peag", "peag", sigma=2.0), y0, 5000)
-        series = dg.peag_potential_series(trace2, op, L, 2.0, y_star)
+        potential = dg.PeagPotentialFold(L, 2.0, y_star)
+        gaps = dg.PeagGapFold(L, 2.0)
+        run(solver_for(op, "peag", "peag", sigma=2.0), y0, 5000, tracked,
+            observers=(potential, gaps))
+        series = potential.series()
         assert dg.decrease_report(series).violations == 0
-        gap = dg.peag_gap_budget(trace2, L, 2.0, e0=series[0])
+        gap = gaps.report(e0=series[0])
         assert gap.violations == 0 and not gap.skipped
 
 

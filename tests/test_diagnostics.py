@@ -2,33 +2,37 @@ import numpy as np
 import pytest
 
 from anchored.diagnostics import (
+    AnchoredPotentialFold,
     BoundReport,
     LyapunovCoeffs,
+    PeagGapFold,
+    PeagPotentialFold,
+    PeagResidualFold,
+    RecordFold,
+    ResidualDifferenceFold,
+    SummabilityFold,
     anchor_to_corrected_coeffs,
     bound_check,
     decrease_report,
     eag_constant_rate_constant,
     eag_family_coeffs,
-    eag_potential_series,
+    eag_potential_fold,
     equivalence_report,
     halpern_potential,
     halpern_potential_coeffs,
-    halpern_potential_series,
     nesterov_potential,
-    nesterov_potential_series,
     omega_family_coeffs,
-    peag_gap_budget,
+    omega_potential_fold,
     peag_potential,
-    peag_potential_series,
     rate_fit,
-    residual_difference_budget,
-    summability_check,
     trend_check,
 )
 from anchored.errors import DataError, InputError
 from anchored.operators import identity_operator, least_squares_operator
 from anchored.rng import SplitMix64
-from anchored.schemes import run, solver_for
+from anchored.schemes import TraceOpts, run, solver_for
+
+X_RESIDUAL = TraceOpts(track_x_residual=True)
 
 
 def unit_columns(m):
@@ -42,6 +46,13 @@ def ls_fixture(seed=3, n=16, p=8):
     op = least_squares_operator(p_mat, b)
     y_star = np.linalg.lstsq(p_mat, b, rcond=None)[0]
     return op, y_star
+
+
+def fed(solver, y0, K, *folds, opts=None):
+    """Run ``solver`` with ``folds`` as observers; its trace points."""
+    points = []
+    run(solver, y0, K, opts, observers=(*folds, points.append))
+    return points
 
 
 def saddle_fixture(seed=7, m=10, n=8):
@@ -75,13 +86,15 @@ class TestRateFit:
 class TestEquivalenceReport:
     def test_trace_vs_itself(self):
         op = identity_operator()
-        t = run(solver_for(op, "halpern", "halpern_fast"), np.array([1.0]), 20)
+        t = RecordFold()
+        fed(solver_for(op, "halpern", "halpern_fast"), np.array([1.0]), 20, t)
         assert equivalence_report(t, t, "y") == 0.0
 
     def test_length_mismatch(self):
         op = identity_operator()
-        a = run(solver_for(op, "halpern", "halpern_fast"), np.array([1.0]), 5)
-        b = run(solver_for(op, "halpern", "halpern_fast"), np.array([1.0]), 6)
+        a, b = RecordFold(), RecordFold()
+        fed(solver_for(op, "halpern", "halpern_fast"), np.array([1.0]), 5, a)
+        fed(solver_for(op, "halpern", "halpern_fast"), np.array([1.0]), 6, b)
         with pytest.raises(InputError):
             equivalence_report(a, b)
 
@@ -99,10 +112,12 @@ class TestHalpernPotential:
 
     def test_scalar_identity_run_matches_direct_formula(self):
         op = identity_operator()
-        trace = run(solver_for(op, "halpern", "halpern_slow"), np.array([1.0]), 5)
-        series = halpern_potential_series(trace, L=1.0)
+        fold = AnchoredPotentialFold(L=1.0)
+        points = fed(solver_for(op, "halpern", "halpern_slow"),
+                     np.array([1.0]), 5, fold)
+        series = fold.series()
         # independent evaluation from the recorded iterates
-        ys = [s.y[0] for s in trace.snapshots]
+        ys = [s.y[0] for s in points]
         for k in range(5):
             p_k, q_k = k * (k + 1.0), k + 1.0
             expect = p_k * ys[k] ** 2 + q_k * ys[k] * (ys[k] - 1.0)
@@ -113,16 +128,16 @@ class TestHalpernPotential:
         # update is the anchored iteration on the full-length averaged map
         op, y_star = ls_fixture()
         y0 = SplitMix64(5).normal(op.dim)
-        trace = run(solver_for(op, "halpern", "halpern_fast"), y0, 400)
-        series = halpern_potential_series(trace, L=op.lipschitz)
-        assert decrease_report(series).violations == 0
+        fold = AnchoredPotentialFold(L=op.lipschitz)
+        fed(solver_for(op, "halpern", "halpern_fast"), y0, 400, fold)
+        assert decrease_report(fold.series()).violations == 0
 
     def test_slow_run_is_not_the_decreasing_parameterization(self):
         op, y_star = ls_fixture()
         y0 = SplitMix64(5).normal(op.dim)
-        trace = run(solver_for(op, "halpern", "halpern_slow"), y0, 400)
-        series = halpern_potential_series(trace, L=op.lipschitz)
-        assert decrease_report(series).violations > 0
+        fold = AnchoredPotentialFold(L=op.lipschitz)
+        fed(solver_for(op, "halpern", "halpern_slow"), y0, 400, fold)
+        assert decrease_report(fold.series()).violations > 0
 
 
 class TestNesterovPotential:
@@ -136,10 +151,11 @@ class TestNesterovPotential:
         op, y_star = ls_fixture(seed=11)
         y0 = SplitMix64(13).normal(op.dim)
         gamma, omega, mu = 0.9 / op.lipschitz, 3.0, 1.0
-        trace = run(solver_for(op, "nesterov", "nesterov_omega",
-                               gamma=gamma, omega=omega), y0, 2)
-        series = nesterov_potential_series(trace, gamma, omega, y_star, mu)
-        g0 = trace.snapshots[0].g_y
+        fold = omega_potential_fold(gamma, omega, y_star, mu)
+        points = fed(solver_for(op, "nesterov", "nesterov_omega",
+                                gamma=gamma, omega=omega), y0, 2, fold)
+        series = fold.series()
+        g0 = points[0].g_y
         a0 = omega_family_coeffs(0, gamma, omega, mu).a
         d0 = np.linalg.norm(y0 - y_star)
         expect = a0 * float(g0 @ g0) + (1.0 + mu) * d0 * d0
@@ -149,11 +165,12 @@ class TestNesterovPotential:
         op, y_star = ls_fixture(seed=19)
         y0 = SplitMix64(23).normal(op.dim)
         gamma, omega, mu = 0.9 / op.lipschitz, 3.0, 1.0
-        trace = run(solver_for(op, "nesterov", "nesterov_omega",
-                               gamma=gamma, omega=omega), y0, 500)
-        series = nesterov_potential_series(trace, gamma, omega, y_star, mu)
+        fold = omega_potential_fold(gamma, omega, y_star, mu)
+        points = fed(solver_for(op, "nesterov", "nesterov_omega",
+                                gamma=gamma, omega=omega), y0, 500, fold)
+        series = fold.series()
         assert decrease_report(series).violations == 0
-        for k, s in enumerate(trace.snapshots):
+        for k, s in enumerate(points):
             d = np.linalg.norm(s.x - y_star)
             assert series[k] >= mu * d * d - 1e-10
 
@@ -163,8 +180,7 @@ class TestNesterovPotential:
         op, y_star = ls_fixture(seed=29)
         L = op.lipschitz
         y0 = SplitMix64(31).normal(op.dim)
-        trace = run(solver_for(op, "nesterov", "nesterov_slow"), y0, 60)
-        snaps = trace.snapshots
+        snaps = fed(solver_for(op, "nesterov", "nesterov_slow"), y0, 60)
         d0sq = float(np.linalg.norm(y0 - y_star) ** 2)
         scale = 1.0 + abs(d0sq)
         for k in range(60):
@@ -199,17 +215,18 @@ class TestEagPotential:
         op, y_star = saddle_fixture()
         L = op.lipschitz
         y0 = SplitMix64(37).normal(op.dim)
-        trace = run(solver_for(op, "nag_eag", "nag_eag"), y0, 300)
-        series = eag_potential_series(trace, L, y_star)
+        fold = eag_potential_fold(L, y_star)
+        points = fed(solver_for(op, "nag_eag", "nag_eag"), y0, 300, fold)
+        series = fold.series()
         # decrease holds from k = 1 on; the k = 0 coefficients zero out
         # the terms that would offset the fresh a_1 |G y_0|^2 weight
         assert decrease_report(series[1:]).violations == 0
         assert series[1] - series[0] == pytest.approx(
-            float(trace.snapshots[0].g_y @ trace.snapshots[0].g_y)
+            float(points[0].g_y @ points[0].g_y)
             / (2.0 * L * L), rel=1e-9)
         # series[k+1] >= ((k+1)^2/(4 L^2)) |G y_k|^2 with b1 = 2/L
         for k in range(300):
-            g = trace.snapshots[k].g_y
+            g = points[k].g_y
             assert series[k + 1] >= (k + 1.0) ** 2 / (4.0 * L * L) * float(g @ g) - 1e-10
 
 
@@ -234,17 +251,21 @@ class TestPeagPotential:
     def test_decrease_and_gap_budget_sigma_two(self):
         op, y_star = saddle_fixture(seed=43)
         y0 = SplitMix64(47).normal(op.dim)
-        trace = run(solver_for(op, "peag", "peag", sigma=2.0), y0, 200)
-        series = peag_potential_series(trace, op, op.lipschitz, 2.0, y_star)
+        potential = PeagPotentialFold(op.lipschitz, 2.0, y_star)
+        gaps = PeagGapFold(op.lipschitz, 2.0)
+        fed(solver_for(op, "peag", "peag", sigma=2.0), y0, 200, potential,
+            gaps, opts=X_RESIDUAL)
+        series = potential.series()
         assert decrease_report(series).violations == 0
-        report = peag_gap_budget(trace, op.lipschitz, 2.0, e0=series[0])
+        report = gaps.report(e0=series[0])
         assert report.violations == 0 and not report.skipped
 
     def test_gap_budget_skipped_for_sigma_one(self):
         op, y_star = saddle_fixture(seed=43)
         y0 = SplitMix64(47).normal(op.dim)
-        trace = run(solver_for(op, "peag", "peag", sigma=1.0), y0, 20)
-        report = peag_gap_budget(trace, op.lipschitz, 1.0, e0=1.0)
+        gaps = PeagGapFold(op.lipschitz, 1.0)
+        fed(solver_for(op, "peag", "peag", sigma=1.0), y0, 20, gaps)
+        report = gaps.report(e0=1.0)
         assert report.skipped and report.ok
 
 
@@ -288,23 +309,24 @@ class TestBoundCheck:
     def test_peag_bounds_on_saddle_run(self):
         op, y_star = saddle_fixture(seed=59)
         y0 = SplitMix64(61).normal(op.dim)
-        trace = run(solver_for(op, "peag", "peag", sigma=1.0), y0, 300)
         d0 = float(np.linalg.norm(y0 - y_star))
-        for kind in ("peag_residual", "peag_probe"):
-            report = bound_check(trace, kind, op.lipschitz, d0, sigma=1.0,
-                                 operator=op)
-            assert report.violations == 0, kind
+        residual = PeagResidualFold(op.lipschitz, d0, sigma=1.0)
+        trace = run(solver_for(op, "peag", "peag", sigma=1.0), y0, 300,
+                    X_RESIDUAL, observers=(residual,))
+        assert residual.report().violations == 0
+        report = bound_check(trace, "peag_probe", op.lipschitz, d0, sigma=1.0)
+        assert report.violations == 0
 
 
 class TestSummability:
     def test_budgets_hold_scalar_identity(self):
         op = identity_operator()
         gamma, omega, mu = 0.9, 3.0, 1.0
-        trace = run(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
-                               omega=omega), np.array([1.0]), 1000)
-        series = nesterov_potential_series(trace, gamma, omega,
-                                           np.zeros(1), mu)
-        reports = summability_check(trace, gamma, omega, 1.0, series[0], mu)
+        potential = omega_potential_fold(gamma, omega, np.zeros(1), mu)
+        budgets = SummabilityFold(gamma, omega, 1.0, mu)
+        fed(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
+                       omega=omega), np.array([1.0]), 1000, potential, budgets)
+        reports = budgets.reports(potential.series()[0])
         assert len(reports) == 4
         for r in reports:
             assert r.ok and not r.skipped
@@ -315,20 +337,22 @@ class TestSummability:
         op = least_squares_operator(p_mat, np.zeros(16))
         y_star = np.zeros(8)
         gamma, omega = 0.9 / op.lipschitz, 3.0
-        trace = run(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
-                               omega=omega), y_star, 30)
-        series = nesterov_potential_series(trace, gamma, omega, y_star, 1.0)
+        potential = omega_potential_fold(gamma, omega, y_star, 1.0)
+        budgets = SummabilityFold(gamma, omega, op.lipschitz)
+        fed(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
+                       omega=omega), y_star, 30, potential, budgets)
+        series = potential.series()
         assert series[0] == 0.0
-        for r in summability_check(trace, gamma, omega, op.lipschitz,
-                                   series[0]):
+        for r in budgets.reports(series[0]):
             assert r.ok
 
     def test_oversized_gamma_skips_third_budget(self):
         op = identity_operator()
         gamma = 1.5
-        trace = run(solver_for(op, "nesterov", "nesterov_omega",
-                               gamma=gamma), np.array([1.0]), 50)
-        reports = summability_check(trace, gamma, 3.0, 1.0, 10.0)
+        budgets = SummabilityFold(gamma, 3.0, 1.0)
+        fed(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma),
+            np.array([1.0]), 50, budgets)
+        reports = budgets.reports(10.0)
         assert reports[2].skipped
         assert "nonpositive" in reports[2].note
 
@@ -348,9 +372,10 @@ class TestHelpers:
     def test_residual_difference_budget_on_slow_run(self):
         op, y_star = ls_fixture(seed=71)
         y0 = SplitMix64(73).normal(op.dim)
-        trace = run(solver_for(op, "halpern", "halpern_slow"), y0, 500)
         d0 = float(np.linalg.norm(y0 - y_star))
-        report = residual_difference_budget(trace, op.lipschitz, d0)
+        budget = ResidualDifferenceFold(op.lipschitz, d0)
+        fed(solver_for(op, "halpern", "halpern_slow"), y0, 500, budget)
+        report = budget.report()
         assert report.violations == 0
 
     def test_eag_constant_rate_constant_at_eighth(self):

@@ -1,4 +1,4 @@
-"""Folds fed by ``run`` equal the same folds fed from stride-1 snapshots."""
+"""Folds fed by ``run`` equal the same folds fed recorded points afterwards."""
 
 from dataclasses import replace
 
@@ -14,8 +14,7 @@ from anchored.schemes import TraceOpts, run, solver_for
 
 K = 300
 K_PEAG = 2000  # the past-extra runs of the small verify suites
-NO_SNAPSHOTS = TraceOpts(snapshot_stride=0)
-X_RESIDUAL = TraceOpts(snapshot_stride=0, track_x_residual=True)
+X_RESIDUAL = TraceOpts(track_x_residual=True)
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +27,26 @@ def hub():
     return desk_huber()
 
 
+def recorded(solver, y0, K, opts=None):
+    """Every trace point of one run, in index order."""
+    points = []
+    run(solver, y0, K, opts, observers=(points.append,))
+    return points
+
+
 def streamed_and_fed(solver, y0, make):
-    """(fold fed by the run at stride 0, fold fed from stride-1 snapshots)."""
+    """(fold fed by one run, fold fed a second run's points after it ended).
+
+    Equal results show that the folds keep no state outside their terms
+    and that ``run`` never mutates an array it handed out.
+    """
     live = make()
-    trace = run(solver, y0, K, NO_SNAPSHOTS, observers=(live,))
+    trace = run(solver, y0, K, observers=(live,))
     assert trace.snapshots == []
-    return live, make().feed(run(solver, y0, K))
+    fed = make()
+    for point in recorded(solver, y0, K):
+        fed(point)
+    return live, fed
 
 
 def assert_same_report(a, b):
@@ -62,9 +75,6 @@ class TestStreamedEqualsFed:
             solver, y0, lambda: dg.omega_potential_fold(gamma, omega, y_star))
         v = live.series()
         assert np.array_equal(v, fed.series())
-        assert np.array_equal(
-            v, dg.nesterov_potential_series(run(solver, y0, K), gamma, omega,
-                                            y_star))
         live, fed = streamed_and_fed(
             solver, y0, lambda: dg.SummabilityFold(gamma, omega, L))
         for a, b in zip(live.reports(v[0]), fed.reports(v[0])):
@@ -88,8 +98,6 @@ class TestStreamedEqualsFed:
         live, fed = streamed_and_fed(
             solver, y0, lambda: dg.ResidualDifferenceFold(L, d0))
         assert_same_report(live.report(), fed.report())
-        assert_same_report(live.report(), dg.residual_difference_budget(
-            run(solver, y0, K), L, d0))
 
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_peag_gap_budget(self, hub, sigma):
@@ -107,8 +115,8 @@ class TestStreamedEqualsFed:
             solver, y0, lambda: dg.CouplingIdentityFold(L, y_star))
         assert len(live.terms) == K
         assert np.array_equal(live.series(), fed.series())
-        # the step-by-step formula the fold replaces, on the snapshots
-        snaps = run(solver, y0, K).snapshots
+        # the step-by-step formula the fold replaces, on recorded points
+        snaps = recorded(solver, y0, K)
         d0sq = float(np.linalg.norm(y0 - y_star) ** 2)
         worst = 0.0
         for k in range(K):
@@ -129,37 +137,27 @@ class TestStreamedEqualsFed:
 class TestPastExtraFolds:
     """The past-extra folds read G y_k from the run's tracked x residual."""
 
-    @pytest.fixture(scope="class")
-    def peag_runs(self, hub):
-        """sigma -> (solver, its stride-1 trace)."""
-        runs = {}
-        for sigma in (1.0, 2.0):
-            solver = solver_for(hub.operator, "peag", "peag", sigma=sigma)
-            runs[sigma] = (solver, run(solver, start_point(hub), K_PEAG))
-        return runs
-
-    def test_potential_equals_snapshot_series(self, hub, peag_runs):
-        L, y_star, y0 = hub.operator.lipschitz, hub.solution, start_point(hub)
-        solver, snapshot_trace = peag_runs[2.0]
-        live = dg.PeagPotentialFold(L, 2.0, y_star)
-        trace = run(solver, y0, K_PEAG, X_RESIDUAL, observers=(live,))
-        assert trace.snapshots == []
-        expected = dg.peag_potential_series(snapshot_trace, hub.operator, L,
-                                            2.0, y_star)
-        assert len(expected) == K_PEAG + 1
-        assert np.array_equal(live.series(), expected)
-        assert dg.decrease_report(live.series()).ok
-
-    def test_residual_report_equals_bound_check(self, hub, peag_runs):
+    def test_residual_report_equals_bound_check(self, hub):
+        # the tracked run's fold equals the bound checked after an
+        # untracked run, with G evaluated at each recorded y_k
         L, y0 = hub.operator.lipschitz, start_point(hub)
         d0 = float(np.linalg.norm(y0 - hub.solution))
-        solver, snapshot_trace = peag_runs[1.0]
+        solver = solver_for(hub.operator, "peag", "peag", sigma=1.0)
         live = dg.PeagResidualFold(L, d0, sigma=1.0)
         run(solver, y0, K_PEAG, X_RESIDUAL, observers=(live,))
-        expected = dg.bound_check(snapshot_trace, "peag_residual", L, d0,
-                                  sigma=1.0, operator=hub.operator)
+        after = dg.PeagResidualFold(L, d0, sigma=1.0)
+        for point in recorded(solver, y0, K_PEAG):
+            after(replace(point, g_x=hub.operator(point.y)))
+        expected = after.report()
         assert_same_report(live.report(), expected)
         assert expected.ok and len(expected.observed) == K_PEAG + 1
+
+    def test_residual_bound_check_points_to_the_fold(self, hub):
+        # no trace column holds |G y_k| of a peag run
+        trace = run(solver_for(hub.operator, "peag", "peag"), start_point(hub),
+                    5, X_RESIDUAL)
+        with pytest.raises(InputError, match="PeagResidualFold"):
+            dg.bound_check(trace, "peag_residual", 1.0, 1.0, sigma=1.0)
 
     def test_evaluation_budget(self, hub):
         # K steps plus the warm-up, plus G at y_k for k = 0..K; the folds
@@ -178,24 +176,16 @@ class TestPastExtraFolds:
     def test_g_x_is_g_at_y(self, hub):
         op, y0 = hub.operator, start_point(hub)
         solver = solver_for(op, "peag", "peag")
-        tracked = run(solver, y0, 5, TraceOpts(track_x_residual=True))
-        for s in tracked.snapshots:
+        for s in recorded(solver, y0, 5, X_RESIDUAL):
             assert s.x is s.y
             assert np.array_equal(s.g_x, op(s.y))
-        assert all(s.g_x is None for s in run(solver, y0, 5).snapshots)
+        assert all(s.g_x is None for s in recorded(solver, y0, 5))
 
     def test_potential_needs_g_x(self, hub):
         fold = dg.PeagPotentialFold(1.0, 2.0, hub.solution)
         with pytest.raises(DataError):
             run(solver_for(hub.operator, "peag", "peag"), start_point(hub), 5,
-                NO_SNAPSHOTS, observers=(fold,))
-
-    def test_snapshot_functions_need_the_operator(self, peag_runs):
-        trace = peag_runs[1.0][1]
-        with pytest.raises(InputError):
-            dg.peag_potential_series(trace, None, 1.0, 1.0, 0.0)
-        with pytest.raises(InputError):
-            dg.bound_check(trace, "peag_residual", 1.0, 1.0, sigma=1.0)
+                observers=(fold,))
 
 
 class TestNegativeControls:
@@ -236,7 +226,7 @@ class TestNegativeControls:
         monkeypatch.setattr(dg, "anchor_to_corrected_coeffs", perturbed)
         fold = dg.CouplingIdentityFold(L, y_star)
         run(solver_for(ls.operator, "nesterov", "nesterov_slow"),
-            start_point(ls), K, NO_SNAPSHOTS, observers=(fold,))
+            start_point(ls), K, observers=(fold,))
         assert fold.max_deviation() > 1e-10
 
     def test_coupling_keeps_a_nan_deviation(self):
@@ -247,9 +237,9 @@ class TestNegativeControls:
 
 
 def test_lemma_and_bound_suites_keep_no_snapshots(monkeypatch):
-    # every run of the two suites is at stride 0, as in the equivalence
-    # suite, whose rows record iterates through a fold; called apart, the
-    # two suites share no run, and neither suite repeats a run key
+    # the two suites see iterates only through folds, as the equivalence
+    # suite does, whose rows record iterates through a fold; called
+    # apart, the two suites share no run, and neither repeats a run key
     seen = []
 
     def recording_run(solver, y0, K, trace_opts=None, observers=()):
@@ -265,27 +255,29 @@ def test_lemma_and_bound_suites_keep_no_snapshots(monkeypatch):
 
 
 class TestFoldInput:
-    def test_stride_two_snapshots_rejected(self, ls):
-        trace = run(solver_for(ls.operator, "halpern", "halpern_fast"),
-                    start_point(ls), 10, TraceOpts(snapshot_stride=2))
+    def test_skipped_index_rejected(self, ls):
+        points = recorded(solver_for(ls.operator, "halpern", "halpern_fast"),
+                          start_point(ls), 10)
+        fold = dg.AnchoredPotentialFold(1.0)
+        fold(points[0])
         with pytest.raises(DataError):
-            dg.AnchoredPotentialFold(1.0).feed(trace)
+            fold(points[2])
 
     def test_missing_field_rejected(self, hub):
         # the past-extra scheme never evaluates G at y_k
         fold = dg.ResidualDifferenceFold(1.0, 1.0)
         with pytest.raises(DataError):
             run(solver_for(hub.operator, "peag", "peag"), start_point(hub),
-                5, NO_SNAPSHOTS, observers=(fold,))
+                5, observers=(fold,))
 
     def test_probe_bound_reads_the_residual_column(self, hub):
-        # stride 0 and stride 1 give the same report; no operator needed
+        # runs with and without observers give the same report
         L, y0 = hub.operator.lipschitz, start_point(hub)
         d0 = float(np.linalg.norm(y0 - hub.solution))
         solver = solver_for(hub.operator, "nag_peag", "nag_peag")
-        a = dg.bound_check(run(solver, y0, K, NO_SNAPSHOTS), "peag_probe", L,
-                           d0, sigma=1.0)
-        b = dg.bound_check(run(solver, y0, K), "peag_probe", L, d0, sigma=1.0)
+        a = dg.bound_check(run(solver, y0, K), "peag_probe", L, d0, sigma=1.0)
+        b = dg.bound_check(run(solver, y0, K, observers=(dg.RecordFold(),)),
+                           "peag_probe", L, d0, sigma=1.0)
         assert_same_report(a, b)
         assert a.ok and len(a.observed) == K + 1
 
@@ -302,12 +294,11 @@ class TestFoldInput:
             return g if calls[0] <= 40 else np.full_like(g, np.nan)
 
         bad_op = replace(hub.operator, eval=failing)
-        cut = run(solver_for(bad_op, "nag_peag", "nag_peag"), y0, K,
-                  NO_SNAPSHOTS)
+        cut = run(solver_for(bad_op, "nag_peag", "nag_peag"), y0, K)
         assert cut.error is not None and len(cut.k) < K + 1
         a = dg.bound_check(cut, "peag_probe", L, d0, sigma=1.0)
         full = dg.bound_check(run(solver_for(hub.operator, "nag_peag",
-                                             "nag_peag"), y0, K, NO_SNAPSHOTS),
+                                             "nag_peag"), y0, K),
                               "peag_probe", L, d0, sigma=1.0)
         n = len(cut.k) - 1
         assert len(a.observed) == n

@@ -12,10 +12,10 @@ import pytest
 from anchored import cli, verify
 from anchored.cli import BOUND_OF_SCHEDULE, _attach_bound, main
 from anchored.diagnostics import (
+    PeagPotentialFold,
     bound_check,
     eag_varying_limit_lower_bound,
     eag_varying_rate_constant,
-    peag_potential_series,
 )
 from anchored.errors import InputError
 from anchored.figures import make_figure
@@ -33,7 +33,6 @@ from anchored.operators import counted
 from anchored.schemes import (
     COMPATIBLE_SCHEDULES,
     RunTrace,
-    TraceOpts,
     run,
     solver_for,
 )
@@ -242,12 +241,14 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
     def test_run_divergent_scheme_exits_nonzero(self, tmp_path):
-        # the fast anchored rule assumes co-coercivity; on the skew
-        # bilinear operator the forward map is expansive and blows up
+        # gamma = 50 is far above 2/L: the gradient step of the
+        # corrected scheme is expansive and blows up
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
-            "[run]\nscheme = halpern\nschedule = halpern_fast\niters = 500\n\n"
-            "[instance]\ngenerator = bilinear\nm = 30\nn = 20\nseed = 7\n")
+            "[run]\nscheme = nesterov\nschedule = nesterov_omega\n"
+            "iters = 500\n\n[schedule]\ngamma = 50\n\n"
+            "[instance]\ngenerator = least_squares\nn = 30\np = 20\n"
+            "seed = 7\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 1
         report = (tmp_path / "report.txt").read_text()
@@ -263,13 +264,14 @@ class TestCli:
     def test_peag_potential_streams_at_stride_zero(self, tmp_path,
                                                    monkeypatch):
         # 2K+2 evaluations: K steps, the warm-up at z_0 and G y_k at every
-        # index for the potential; the column equals the snapshot-fed series
+        # index for the potential; the column equals the potential of the
+        # points of an untracked run, with G evaluated at each y_k after it
         K = 50
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
             f"[run]\nscheme = peag\nschedule = peag\niters = {K}\n\n"
             "[instance]\ngenerator = minimax_huber\nm = 40\nn = 40\n"
-            "seed = 7\n\n[trace]\nsnapshot_stride = 0\nlyapunov = on\n")
+            "seed = 7\n\n[trace]\nlyapunov = on\n")
         build, counters = cli._build_instance, []
 
         def counted_instance(config, seed=None):
@@ -284,9 +286,13 @@ class TestCli:
 
         inst = gen_minimax_huber(40, 40, seed=7)
         op = inst.operator
-        trace = run(solver_for(op, "peag", "peag"), start_point(inst), K)
-        expected = list(format_column(peag_potential_series(
-            trace, op, op.lipschitz, 1.0, inst.solution)))
+        points = []
+        run(solver_for(op, "peag", "peag"), start_point(inst), K,
+            observers=(points.append,))
+        potential = PeagPotentialFold(op.lipschitz, 1.0, inst.solution)
+        for point in points:
+            potential(replace(point, g_x=op(point.y)))
+        expected = list(format_column(potential.series()))
         with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["lyapunov_main"] for r in rows] == expected
@@ -336,6 +342,7 @@ class TestCli:
         ("instance", "noise_var", "lots"),
         ("instance", "seed", "x"),
         ("schedule", "gamma", "fast"),
+        # a retired key: exits through the unknown-key rule
         ("trace", "snapshot_stride", "every"),
     ])
     def test_run_malformed_number_exits_two(self, tmp_path, capsys, section,
@@ -359,6 +366,7 @@ class TestCli:
         ("schedule", "gamma", "0", "nesterov_omega"),
         ("schedule", "gamma", "nan", "nesterov_omega"),
         ("schedule", "gamma", "nan", "nesterov_fast"),
+        # a retired key: exits through the unknown-key rule
         ("trace", "snapshot_stride", "-1", "nesterov_omega"),
         ("instance", "noise_var", "-1", "nesterov_omega"),
         ("instance", "noise_var", "nan", "nesterov_omega"),
@@ -398,6 +406,79 @@ class TestCli:
             "[instance]\ngenerator = bilinear\nm = 6\nn = 4\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "rho" in capsys.readouterr().err
+
+    def _exits_two(self, tmp_path, capsys, text):
+        """The config ``text`` exits 2 before a run: its one-line error."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.txt").exists()
+        return err
+
+    @pytest.mark.parametrize("text,names", [
+        ("[run]\nscheme = halpern\n\n[tracing]\nlyapunov = on\n",
+         ("[tracing]",)),
+        ("[DEFAULT]\niters = 5\n\n[run]\nscheme = halpern\n",
+         ("[DEFAULT]",)),
+        ("[run]\nscheme = halpern\niter = 5\n", ("[run]", "iter")),
+        ("[instance]\ngenerator = least_squares\nnoise = 0.1\n",
+         ("[instance]", "noise")),
+        ("[trace]\nsnapshot_stride = 1\n", ("[trace]", "snapshot_stride")),
+    ])
+    def test_unknown_section_or_key_exits_two(self, tmp_path, capsys, text,
+                                              names):
+        err = self._exits_two(tmp_path, capsys, text)
+        assert "unknown config" in err
+        assert all(name in err for name in names)
+
+    @pytest.mark.parametrize("key", ["lyapunov", "track_x_residual"])
+    def test_switch_must_be_on_or_off(self, tmp_path, capsys, key):
+        err = self._exits_two(tmp_path, capsys,
+                              f"[run]\niters = 2\n\n[trace]\n{key} = maybe\n")
+        assert f"{key} = maybe" in err
+
+    @pytest.mark.parametrize("value,tracked", [
+        ("on", True), ("Yes", True), ("1", True), ("true", True),
+        ("off", False), ("no", False), ("0", False), ("FALSE", False),
+    ])
+    def test_switch_spellings(self, tmp_path, value, tracked):
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[run]\nscheme = nesterov\nschedule = nesterov_slow\n"
+            "iters = 3\n\n[instance]\ngenerator = least_squares\nn = 20\n"
+            f"p = 10\n\n[trace]\ntrack_x_residual = {value}\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        loaded = read_trace_csv(tmp_path / "trace.csv")
+        filled = not np.any(np.isnan(loaded["norm_g_x"]))
+        assert filled == tracked
+
+    @pytest.mark.parametrize("scheme,schedule,generator", [
+        ("halpern", "halpern_fast", "minimax_huber"),
+        ("halpern", "halpern_slow", "bilinear"),
+        ("nesterov", "nesterov_omega", "minimax_huber"),
+    ])
+    def test_class_mismatch_exits_two(self, tmp_path, capsys, scheme,
+                                      schedule, generator):
+        # the anchored and corrected schemes need a co-coercive operator;
+        # halpern_fast on minimax_huber used to diverge at step 218
+        err = self._exits_two(
+            tmp_path, capsys,
+            f"[run]\nscheme = {scheme}\nschedule = {schedule}\n"
+            "iters = 5000\n\n"
+            f"[instance]\ngenerator = {generator}\nm = 40\nn = 30\n")
+        assert scheme in err and generator in err and "co-coercive" in err
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[run]\niters = 3\n\n[output]\ndir = {tmp_path}/a%x\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert (tmp_path / "a%x" / "trace.csv").exists()
+
+    def test_malformed_config_exits_two(self, tmp_path, capsys):
+        err = self._exits_two(tmp_path, capsys, "scheme = halpern\n")
+        assert "malformed config" in err
 
     def _ls_config(self, tmp_path, run_seed=None, instance_seed=None):
         cfg = tmp_path / "cfg.ini"
@@ -464,7 +545,7 @@ class TestVaryingStepRate:
         d0 = float(np.linalg.norm(y0 - hub.solution))
         eta0 = 0.5 / L
         trace = run(solver_for(hub.operator, "eag", "eag_varying", eta0=eta0),
-                    y0, 2000, TraceOpts(snapshot_stride=0))
+                    y0, 2000)
         ok, detail = eag_varying_rate_check(trace, eta0, L, d0)
         assert ok
         assert "worst_ratio=0.304" in detail
@@ -498,7 +579,7 @@ class TestBoundColumn:
             _attach_bound(trace, kind, kw, inst, y0)
             d0 = float(np.linalg.norm(y0 - inst.solution))
             report = bound_check(trace, bound, op.lipschitz, d0,
-                                 rho=kw.get("rho"), sigma=1.0, operator=op)
+                                 rho=kw.get("rho"), sigma=1.0)
             first = 1 if bound == "comono" else 0
             assert np.array_equal(trace.bound[first:], report.theory), kind
         assert BOUND_OF_SCHEDULE["nag_comono"] == "comono"

@@ -53,6 +53,17 @@ def small_saddle_operator(seed=7, m=8, n=6):
     return huber_saddle_operator(k, s, s, 0.05, k_norm=s)
 
 
+def points_of(solver, y0, K, opts=None):
+    """Every trace point of one run, in index order."""
+    points = []
+    run(solver, y0, K, opts, observers=(points.append,))
+    return points
+
+
+def column(points, name):
+    return [getattr(p, name) for p in points]
+
+
 def max_rel_dev(seq_a, seq_b):
     worst = 0.0
     for a, b in zip(seq_a, seq_b):
@@ -99,10 +110,11 @@ class TestNesterovEquivalence:
     def test_scalar_identity_matches_halpern(self, variant):
         op = identity_operator()
         y0 = np.array([1.0])
-        h = run(solver_for(op, "halpern", f"halpern_{variant}"), y0, 100)
-        n = run(solver_for(op, "nesterov", f"nesterov_{variant}"), y0, 100)
-        ys_h = h.snapshot_series("y")
-        ys_n = n.snapshot_series("y")
+        h = points_of(solver_for(op, "halpern", f"halpern_{variant}"), y0, 100)
+        n = points_of(solver_for(op, "nesterov", f"nesterov_{variant}"), y0,
+                      100)
+        ys_h = column(h, "y")
+        ys_n = column(n, "y")
         assert max_rel_dev(ys_h, ys_n) <= 1e-15
 
     def test_random_schedule_identity_on_catalog_operators(self):
@@ -127,15 +139,14 @@ class TestNesterovEquivalence:
                     lambda k: (beta[k], eta[k]), lambda k: gamma[k], L)
 
             from anchored.schemes import Solver
-            h = run(Solver("halpern", op, halpern_factory), y0, 200)
-            n = run(Solver("nesterov", op, nesterov_factory), y0, 200)
-            assert max_rel_dev(h.snapshot_series("y"),
-                               n.snapshot_series("y")) <= 1e-8
+            h = points_of(Solver("halpern", op, halpern_factory), y0, 200)
+            n = points_of(Solver("nesterov", op, nesterov_factory), y0, 200)
+            assert max_rel_dev(column(h, "y"), column(n, "y")) <= 1e-8
 
     def test_wrong_nu_diverges_from_halpern(self):
         op = identity_operator()
         y0 = np.array([1.0])
-        h = run(solver_for(op, "halpern", "halpern_fast"), y0, 10)
+        h = points_of(solver_for(op, "halpern", "halpern_fast"), y0, 10)
 
         def bad_factory():
             def gen():
@@ -146,8 +157,8 @@ class TestNesterovEquivalence:
             return gen()
 
         from anchored.schemes import Solver
-        n = run(Solver("nesterov", op, bad_factory), y0, 10)
-        dev = max_rel_dev(h.snapshot_series("y")[:6], n.snapshot_series("y")[:6])
+        n = points_of(Solver("nesterov", op, bad_factory), y0, 10)
+        dev = max_rel_dev(column(h, "y")[:6], column(n, "y")[:6])
         assert dev > 1e-3
 
 
@@ -180,10 +191,10 @@ class TestEag:
     def test_nag_form_tracks_eag_on_saddle_instance(self):
         op = small_saddle_operator()
         y0 = SplitMix64(3).normal(op.dim)
-        a = run(solver_for(op, "eag", "nag_eag"), y0, 300)
-        b = run(solver_for(op, "nag_eag", "nag_eag"), y0, 300)
-        assert max_rel_dev(a.snapshot_series("y"), b.snapshot_series("y")) <= 1e-8
-        assert max_rel_dev(a.snapshot_series("z"), b.snapshot_series("z")) <= 1e-8
+        a = points_of(solver_for(op, "eag", "nag_eag"), y0, 300)
+        b = points_of(solver_for(op, "nag_eag", "nag_eag"), y0, 300)
+        assert max_rel_dev(column(a, "y"), column(b, "y")) <= 1e-8
+        assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-8
 
 
 class TestComono:
@@ -203,12 +214,14 @@ class TestComono:
         op = small_saddle_operator()
         y0 = SplitMix64(5).normal(op.dim)
         from anchored.schemes import Solver
-        a = run(Solver("comono_eag", op,
-                       lambda: schedule_stream("comono_eag", op.lipschitz,
-                                               rho=0.0)), y0, 100)
-        b = run(Solver("eag", op, self._manual_eag_like_stream(op.lipschitz)),
-                y0, 100)
-        assert max_rel_dev(a.snapshot_series("y"), b.snapshot_series("y")) <= 1e-12
+        a = points_of(Solver("comono_eag", op,
+                             lambda: schedule_stream("comono_eag",
+                                                     op.lipschitz, rho=0.0)),
+                      y0, 100)
+        b = points_of(Solver("eag", op,
+                             self._manual_eag_like_stream(op.lipschitz)),
+                      y0, 100)
+        assert max_rel_dev(column(a, "y"), column(b, "y")) <= 1e-12
 
     def test_hand_iteration_fraction_oracle(self):
         # scalar identity, rho = -1/4, eta = 1, beta_k = 1/(k+1)
@@ -232,10 +245,12 @@ class TestComono:
         op = small_saddle_operator(seed=11)
         rho = -1.0 / (4.0 * op.lipschitz)
         y0 = SplitMix64(17).normal(op.dim)
-        a = run(solver_for(op, "comono_eag", "comono_eag", rho=rho), y0, 300)
-        b = run(solver_for(op, "nag_comono", "nag_comono", rho=rho), y0, 300)
-        assert max_rel_dev(a.snapshot_series("y"), b.snapshot_series("y")) <= 1e-8
-        assert max_rel_dev(a.snapshot_series("z"), b.snapshot_series("z")) <= 1e-8
+        a = points_of(solver_for(op, "comono_eag", "comono_eag", rho=rho), y0,
+                      300)
+        b = points_of(solver_for(op, "nag_comono", "nag_comono", rho=rho), y0,
+                      300)
+        assert max_rel_dev(column(a, "y"), column(b, "y")) <= 1e-8
+        assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-8
 
     def test_rejects_out_of_range_rho(self):
         op = identity_operator()
@@ -269,9 +284,9 @@ class TestPeag:
     def test_nag_form_tracks_peag_z_sequence_scalar(self):
         op = identity_operator()
         y0 = np.array([1.0])
-        a = run(solver_for(op, "peag", "peag"), y0, 50)
-        b = run(solver_for(op, "nag_peag", "nag_peag"), y0, 50)
-        assert max_rel_dev(a.snapshot_series("z"), b.snapshot_series("z")) <= 1e-13
+        a = points_of(solver_for(op, "peag", "peag"), y0, 50)
+        b = points_of(solver_for(op, "nag_peag", "nag_peag"), y0, 50)
+        assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-13
 
     def test_hand_values_of_nag_form(self):
         # must reproduce the past-extra z sequence 3/4, 1/2, 7/16 exactly
@@ -286,9 +301,9 @@ class TestPeag:
     def test_nag_form_tracks_peag_on_saddle_instance(self):
         op = small_saddle_operator(seed=23)
         y0 = SplitMix64(29).normal(op.dim)
-        a = run(solver_for(op, "peag", "peag"), y0, 300)
-        b = run(solver_for(op, "nag_peag", "nag_peag"), y0, 300)
-        assert max_rel_dev(a.snapshot_series("z"), b.snapshot_series("z")) <= 1e-8
+        a = points_of(solver_for(op, "peag", "peag"), y0, 300)
+        b = points_of(solver_for(op, "nag_peag", "nag_peag"), y0, 300)
+        assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-8
 
     def test_legacy_stepsizes_drive_residual_down(self):
         op = small_saddle_operator(seed=23)
@@ -308,9 +323,9 @@ class TestZeroOperatorInvariance:
                 "peag": "peag", "nag_peag": "nag_peag"}[scheme]
         kw = {"rho": -0.1} if "comono" in kind else {}
         solver = solver_for(ZERO_OP, scheme, kind, L=1.0, **kw)
-        trace = run(solver, np.array([0.7, -0.4]), 20)
+        points = points_of(solver, np.array([0.7, -0.4]), 20)
         for name in ("y", "z", "x"):
-            for v in trace.snapshot_series(name):
+            for v in column(points, name):
                 # anchor mixing beta*y0 + (1-beta)*y0 rounds within an ulp
                 assert np.allclose(v, [0.7, -0.4], rtol=1e-14, atol=0.0)
 
@@ -326,11 +341,11 @@ class TestLinearityEquivariance:
         p_mat = unit_columns(SplitMix64(41).normal_matrix(8, 4))
         op = least_squares_operator(p_mat, np.zeros(8))
         y0 = SplitMix64(43).normal(4)
-        a = run(solver_for(op, scheme, kind), y0, 40)
-        b = run(solver_for(op, scheme, kind), c * y0, 40)
-        for u, v in zip(a.snapshot_series("y"), b.snapshot_series("y")):
+        a = points_of(solver_for(op, scheme, kind), y0, 40)
+        b = points_of(solver_for(op, scheme, kind), c * y0, 40)
+        for u, v in zip(column(a, "y"), column(b, "y")):
             assert np.allclose(c * u, v, rtol=1e-12, atol=1e-12)
-        for u, v in zip(a.snapshot_series("z"), b.snapshot_series("z")):
+        for u, v in zip(column(a, "z"), column(b, "z")):
             assert np.allclose(c * u, v, rtol=1e-12, atol=1e-12)
 
 
@@ -348,7 +363,8 @@ class TestEvaluationCounts:
             assert counter.count == total, scheme
 
     def test_observers_keep_the_budget_and_no_snapshots(self):
-        # observers see every index 0..K but never evaluate the operator
+        # observers see every index 0..K but never evaluate the operator,
+        # and the trace keeps no iterates
         for scheme, kinds in COMPATIBLE_SCHEDULES.items():
             kind = kinds[0]
             op, counter = counted(identity_operator(2))
@@ -356,7 +372,7 @@ class TestEvaluationCounts:
             solver = solver_for(op, scheme, kind, L=1.0, **kw)
             seen = []
             trace = run(solver, np.array([1.0, 2.0]), 10,
-                        TraceOpts(snapshot_stride=0), observers=(seen.append,))
+                        observers=(seen.append,))
             per = 2 if scheme in ("eag", "nag_eag", "comono_eag",
                                   "nag_comono") else 1
             assert counter.count == per * 10 + 1, scheme
@@ -375,19 +391,18 @@ class TestEvaluationCounts:
         solver = solver_for(op, scheme, kind, **kw)
         seen = []
         trace = run(solver, SplitMix64(43).normal(4), 100,
-                    TraceOpts(snapshot_stride=0, track_x_residual=True),
+                    TraceOpts(track_x_residual=True),
                     observers=(seen.append,))
         assert trace.error is None
         assert counter.count == per * 100 + 1
         assert trace.norm_g_x.tobytes() == trace.norm_g_y.tobytes()
         assert all(p.g_x is p.g_y for p in seen)
 
-    def test_observers_see_the_snapshot_points(self):
-        solver = solver_for(identity_operator(2), "nag_eag", "nag_eag")
-        seen = []
-        trace = run(solver, np.array([1.0, 2.0]), 12,
-                    TraceOpts(snapshot_stride=3), observers=(seen.append,))
-        assert trace.snapshots == seen[::3]
+    @pytest.mark.parametrize("stride", [1, 3, -1])
+    def test_snapshot_stride_points_to_observers(self, stride):
+        with pytest.raises(InputError, match=r"observers=\[points\.append\]"):
+            TraceOpts(snapshot_stride=stride)
+        assert TraceOpts().snapshot_stride == 0
 
     def test_per_step_increments(self):
         one_eval = {"halpern": "halpern_fast", "nesterov": "nesterov_slow",
@@ -485,13 +500,13 @@ class TestMakeSolver:
         solver = make_solver("inclusion_a", (a, lam), "halpern",
                              lambda: schedule_stream("halpern_fast", 1.0 / lam))
         y0 = np.array([3.0, -2.0, 0.2])
-        trace = run(solver, y0, 30)
+        points = points_of(solver, y0, 30)
         res = a.with_lambda(lam)
         y = y0.copy()
         for k in range(30):
             beta = 1.0 / (k + 2)
             y = beta * y0 + (1 - beta) * (2.0 * resolvent_apply(res, y) - y)
-        assert np.allclose(trace.snapshots[-1].y, y, rtol=1e-12, atol=1e-14)
+        assert np.allclose(points[-1].y, y, rtol=1e-12, atol=1e-14)
 
     def test_fbs_midpoint_lambda_form(self):
         # lam = 2/L turns the fast anchored rule into
@@ -506,13 +521,13 @@ class TestMakeSolver:
                              lambda: schedule_stream("halpern_fast",
                                                      1.0 / g.cocoercivity_modulus))
         y0 = SplitMix64(53).normal(4)
-        trace = run(solver, y0, 25)
+        points = points_of(solver, y0, 25)
         res = l1_kind(0.3).with_lambda(lam)
         y = y0.copy()
         for k in range(25):
             beta = 1.0 / (k + 2)
             y = beta * y0 + (1 - beta) * resolvent_apply(res, y - lam * b_op(y))
-        assert np.allclose(trace.snapshots[-1].y, y, rtol=1e-10, atol=1e-12)
+        assert np.allclose(points[-1].y, y, rtol=1e-10, atol=1e-12)
 
     def test_three_operator_matches_fb_through_change_of_variable(self):
         rng = SplitMix64(57)
@@ -529,8 +544,7 @@ class TestMakeSolver:
         tos_op = make_solver("inclusion_abc", abc, "halpern",
                              lambda: schedule_stream("halpern_fast", l_b)).operator
         y0 = rng.normal(4)
-        trace = run(fb_solver, y0, 100)
-        for point in trace.snapshots[:-1]:
+        for point in points_of(fb_solver, y0, 100)[:-1]:
             u = point.y + lam * b_single(point.y)
             dev = np.linalg.norm(tos_op(u) - point.g_y)
             assert dev <= 1e-8 * (1.0 + np.linalg.norm(point.g_y))
