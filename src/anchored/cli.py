@@ -42,7 +42,7 @@ BOUND_OF_SCHEDULE = {
 #: the keys each config section may set; anything else is an input error
 CONFIG_KEYS = {
     "run": ("scheme", "schedule", "iters", "seed"),
-    "schedule": ("gamma", "omega", "mu", "sigma", "rho", "eta", "eta0"),
+    "schedule": ("gamma", "omega", "sigma", "rho", "eta", "eta0"),
     "instance": ("generator", "n", "p", "m", "noise_var", "seed"),
     "trace": ("lyapunov", "track_x_residual"),
     "output": ("dir",),
@@ -115,14 +115,9 @@ def _build_instance(cfg, seed_override=None):
 
 
 def _schedule_kwargs(cfg):
-    out = {}
-    if not cfg.has_section("schedule"):
-        return out
-    section = cfg["schedule"]
-    for key in CONFIG_KEYS["schedule"]:
-        if section.get(key, "") != "":
-            out[key] = _number(section, key, None)
-    return out
+    section = cfg["schedule"] if cfg.has_section("schedule") else {}
+    return {key: _number(section, key, None) for key in CONFIG_KEYS["schedule"]
+            if section.get(key, "") != ""}
 
 
 def _potential_fold(scheme, kind, kw, instance):
@@ -135,8 +130,7 @@ def _potential_fold(scheme, kind, kw, instance):
         return None
     if scheme == "nesterov" and kind == "nesterov_omega":
         return dg.omega_potential_fold(kw.get("gamma", 0.9 / L),
-                                       kw.get("omega", 3.0), y_star,
-                                       kw.get("mu", 1.0))
+                                       kw.get("omega", 3.0), y_star)
     if scheme == "nag_eag":
         return dg.eag_potential_fold(L, y_star)
     if scheme == "peag" and kind == "peag":
@@ -320,10 +314,19 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so
+        # the interpreter's exit-time flush of what is left stays quiet
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 1
 
 
 if __name__ == "__main__":

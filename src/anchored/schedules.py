@@ -84,12 +84,12 @@ def halpern_omega_params(k, L, gamma, omega):
     return beta, gamma * (1.0 - beta)
 
 
-def nesterov_omega_params(k, omega, mu=1.0):
+def nesterov_omega_params(k, omega):
     """Omega-family corrected-scheme parameters.
 
-    theta = (k+1)/(k+2w+2), nu = (k+w+2)/(k+2w+2), t = (k+2w+1)/w, with
-    mu fixed to 1. omega > 2 gives the full guarantees; smaller omega is
-    accepted (the rules stay well defined) but offers none.
+    theta = (k+1)/(k+2w+2), nu = (k+w+2)/(k+2w+2), t = (k+2w+1)/w; its
+    potential has mu = 1. omega > 2 gives the full guarantees; smaller
+    omega is accepted (the rules stay well defined) but offers none.
     """
     if omega < 1:
         raise InputError("omega must be at least 1")
@@ -269,7 +269,7 @@ def _recursion_stream(rule, L):
         yield ScheduleParams(k=k, beta=beta, eta=eta, eta_hat=eta_hat, L=L)
 
 
-def _closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta):
+def _closed_form_rule(kind, L, gamma, omega, sigma, rho, eta):
     """The map k -> :class:`ScheduleParams` of a rule that is closed form in k."""
     if kind in ("halpern_fast", "halpern_slow"):
         variant = kind.split("_")[1]
@@ -289,7 +289,7 @@ def _closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta):
             raise InputError("gamma must be positive")
 
         def rule(k):
-            th, nuv, _ = nesterov_omega_params(k, omega, mu)
+            th, nuv, _ = nesterov_omega_params(k, omega)
             return ScheduleParams(k=k, gamma=g, theta=th, nu=nuv, kappa=0.0,
                                   L=L)
     elif kind == "eag_constant":
@@ -326,8 +326,8 @@ def _closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta):
     return rule
 
 
-def schedule_stream(kind, L, gamma=None, omega=3.0, mu=1.0, sigma=1.0,
-                    rho=None, eta=None, eta0=None):
+def schedule_stream(kind, L, gamma=None, omega=3.0, sigma=1.0, rho=None,
+                    eta=None, eta0=None):
     """Iterator of :class:`ScheduleParams` for k = 0, 1, 2, ... of a named rule.
 
     Defaults follow the package conventions: omega = 3, sigma = 1,
@@ -351,5 +351,5 @@ def schedule_stream(kind, L, gamma=None, omega=3.0, mu=1.0, sigma=1.0,
         return _recursion_stream(
             lambda k, prev: peag_schedule(k, L, mode="legacy", eta0=eta0,
                                           eta_prev=prev), L)
-    return map(_closed_form_rule(kind, L, gamma, omega, mu, sigma, rho, eta),
+    return map(_closed_form_rule(kind, L, gamma, omega, sigma, rho, eta),
                itertools.count())

@@ -1,4 +1,4 @@
-"""Iteration steps, the trace-producing run driver, and composed solvers.
+"""Iteration steps, the table that declares each scheme, the run driver.
 
 Every step consumes an :class:`IterateState`, one operator, and one
 :class:`~anchored.schedules.ScheduleParams`, mutates the state in place,
@@ -6,9 +6,8 @@ and returns the operator values ``(G y_k, G z_k)`` at the pre-step
 iterates (None where a scheme has none). Operator values are evaluated
 once per step and cached on the state where a later step can reuse
 them, so the per-step evaluation budget (one for the anchored/corrected/past-extra families, two for the
-extra-gradient families) is exact and testable. Tracking the x residual
-adds K+1 evaluations for the schemes with an x iterate and for ``peag``,
-and none for ``halpern``, ``eag`` and ``comono_eag``, whose x slot is y_k.
+extra-gradient families) is exact and testable. :data:`SCHEMES`
+declares each scheme once, and :func:`run` reads only that row.
 
 A solver instance is single threaded; distinct solvers sharing one
 immutable operator may run concurrently, and each trace is owned by its
@@ -18,7 +17,7 @@ run.
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,51 +28,26 @@ from .schedules import schedule_stream
 
 DIVERGENCE_LIMIT = 1e30
 
-SCHEME_KINDS = (
-    "halpern",
-    "nesterov",
-    "eag",
-    "nag_eag",
-    "comono_eag",
-    "nag_comono",
-    "peag",
-    "nag_peag",
-)
-
-#: schedule kinds with guarantees for each scheme, used by the CLI
-COMPATIBLE_SCHEDULES = {
-    "halpern": ("halpern_fast", "halpern_slow", "halpern_omega"),
-    "nesterov": ("nesterov_slow", "nesterov_fast", "nesterov_omega"),
-    "eag": ("eag_constant", "eag_varying", "nag_eag"),
-    "nag_eag": ("nag_eag",),
-    "comono_eag": ("comono_eag",),
-    "nag_comono": ("nag_comono",),
-    "peag": ("peag", "peag_legacy"),
-    "nag_peag": ("nag_peag",),
-}
-
 
 @dataclass
 class IterateState:
-    """Sliding window of iterates shared by all schemes.
+    """The iterates and cached operator values some step reads.
 
-    Unused history slots simply keep their initial value y0. ``g_z``
-    caches the operator value at the current z iterate and ``g_z_prev``
-    the one before it (the past-extra schemes feed on these).
+    Each step writes only the slots it or :func:`run` reads; the others
+    keep their initial value y0. ``g_z`` caches G at the current z
+    iterate (the extra-gradient and ``peag`` steps) and ``g_z_prev`` the
+    one before it (``nag_peag``).
     """
 
     k: int
     y0: np.ndarray
     x: np.ndarray
     x_prev: np.ndarray
-    xhat: np.ndarray
-    xhat_prev: np.ndarray
     y: np.ndarray
     y_prev: np.ndarray
     z: np.ndarray
     z_prev: np.ndarray
     z_prev2: np.ndarray
-    g_y: Optional[np.ndarray] = None
     g_z: Optional[np.ndarray] = None
     g_z_prev: Optional[np.ndarray] = None
 
@@ -81,9 +55,8 @@ class IterateState:
 def init_state(y0):
     y0 = np.array(y0, dtype=np.float64, ndmin=1)
     return IterateState(k=0, y0=y0, x=y0.copy(), x_prev=y0.copy(),
-                        xhat=y0.copy(), xhat_prev=y0.copy(), y=y0.copy(),
-                        y_prev=y0.copy(), z=y0.copy(), z_prev=y0.copy(),
-                        z_prev2=y0.copy())
+                        y=y0.copy(), y_prev=y0.copy(), z=y0.copy(),
+                        z_prev=y0.copy(), z_prev2=y0.copy())
 
 
 def _check(v, k):
@@ -93,24 +66,8 @@ def _check(v, k):
         return
     if not np.all(np.isfinite(v)):
         raise NumericError(f"non-finite iterate at step {k}", step=k)
-    if np.max(np.abs(v)) > DIVERGENCE_LIMIT:
-        raise NumericError(f"iterate magnitude exceeded {DIVERGENCE_LIMIT:g} "
-                           f"at step {k}", step=k)
-
-
-#: schedule fields each scheme reads at every step, two or more each so
-#: that ``attrgetter`` returns a tuple (nag_peag also reads beta and
-#: eta_hat at k = 0 and eta_hat at k = 1, and checks those itself)
-REQUIRED_PARAMS = {
-    "halpern": ("beta", "eta"),
-    "nesterov": ("gamma", "theta", "nu"),
-    "eag": ("beta", "eta", "eta_hat"),
-    "nag_eag": ("gamma", "theta", "nu", "eta", "eta_hat"),
-    "comono_eag": ("beta", "eta", "rho"),
-    "nag_comono": ("beta", "eta", "rho", "theta", "nu"),
-    "peag": ("beta", "eta", "eta_hat"),
-    "nag_peag": ("gamma_hat", "theta", "nu"),
-}
+    raise NumericError(f"iterate magnitude exceeded {DIVERGENCE_LIMIT:g} "
+                       f"at step {k}", step=k)
 
 
 def _require(p, names):
@@ -124,28 +81,25 @@ def halpern_step(state, op, p):
     g_y = op(state.y)
     y_next = p.beta * state.y0 + (1.0 - p.beta) * state.y - p.eta * g_y
     _check(y_next, state.k)
-    state.y_prev, state.y = state.y, y_next
-    state.g_y = g_y
+    state.y = y_next
     state.k += 1
     return g_y, None
 
 
 def nesterov_step_two_corr(state, op, p):
-    """Gradient step plus extrapolation and up to two correction terms.
+    """Gradient step plus extrapolation and two correction terms.
 
     x_{k+1} = y_k - gamma*G(y_k)
     y_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(y_k-x_{k+1})
                       + kappa*(y_{k-1}-x_k)
     """
-    kappa = 0.0 if p.kappa is None else p.kappa
     g_y = op(state.y)
     x_next = state.y - p.gamma * g_y
     y_next = (x_next + p.theta * (x_next - state.x)
-              + p.nu * (state.y - x_next) + kappa * (state.y_prev - state.x))
+              + p.nu * (state.y - x_next) + p.kappa * (state.y_prev - state.x))
     _check(y_next, state.k)
-    state.x_prev, state.x = state.x, x_next
+    state.x = x_next
     state.y_prev, state.y = state.y, y_next
-    state.g_y = g_y
     state.k += 1
     return g_y, None
 
@@ -158,10 +112,9 @@ def eag_step(state, op, p):
     g_z_next = op(z_next)
     y_next = anchor - p.eta_hat * g_z_next
     _check(y_next, state.k)
-    state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
-    state.y_prev, state.y = state.y, y_next
+    state.z, state.y = z_next, y_next
     g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_y, state.g_z = g_y, g_z_next
+    state.g_z = g_z_next
     state.k += 1
     return g_y, g_z
 
@@ -179,11 +132,9 @@ def nag_eag_step(state, op, p):
     g_z_next = op(z_next)
     y_next = z_next - p.eta_hat * g_z_next + p.eta * g_y
     _check(y_next, state.k)
-    state.x_prev, state.x = state.x, x_next
-    state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
-    state.y_prev, state.y = state.y, y_next
+    state.x, state.z, state.y = x_next, z_next, y_next
     g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_y, state.g_z = g_y, g_z_next
+    state.g_z = g_z_next
     state.k += 1
     return g_y, g_z
 
@@ -198,10 +149,9 @@ def comono_eag_step(state, op, p):
     g_z_next = op(z_next)
     y_next = anchor - 2.0 * p.rho * (1.0 - p.beta) * g_y - p.eta * g_z_next
     _check(y_next, state.k)
-    state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
-    state.y_prev, state.y = state.y, y_next
+    state.z, state.y = z_next, y_next
     g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_y, state.g_z = g_y, g_z_next
+    state.g_z = g_z_next
     state.k += 1
     return g_y, g_z
 
@@ -221,11 +171,9 @@ def nag_comono_step(state, op, p):
     g_z_next = op(z_next)
     y_next = z_next - p.eta * (g_z_next - (1.0 - p.beta) * g_y)
     _check(y_next, state.k)
-    state.x_prev, state.x = state.x, x_next
-    state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
-    state.y_prev, state.y = state.y, y_next
+    state.x, state.z, state.y = x_next, z_next, y_next
     g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_y, state.g_z = g_y, g_z_next
+    state.g_z = g_z_next
     state.k += 1
     return g_y, g_z
 
@@ -247,9 +195,8 @@ def peag_step(state, op, p):
     g_z_next = op(z_next)
     y_next = anchor - p.eta_hat * g_z_next
     _check(y_next, state.k)
-    state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
-    state.y_prev, state.y = state.y, y_next
-    state.g_z_prev, state.g_z = g_z, g_z_next
+    state.z, state.y = z_next, y_next
+    state.g_z = g_z_next
     state.k += 1
     return None, g_z
 
@@ -257,25 +204,23 @@ def peag_step(state, op, p):
 def nag_peag_step(state, op, p):
     """Three-correction form of the past-extra anchored scheme.
 
-    xhat_{k+1} = z_k - gamma_hat*G(z_k)
-    z_{k+1}    = xhat_{k+1} + theta*(xhat_{k+1}-xhat_k)
-                 + nu*(z_k-xhat_{k+1}) + kappa*(z_{k-1}-xhat_k)
-                 - zeta*(z_{k-2}-xhat_{k-1})
+    x_{k+1} = z_k - gamma_hat*G(z_k)
+    z_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(z_k-x_{k+1})
+              + kappa*(z_{k-1}-x_k) - zeta*(z_{k-2}-x_{k-1})
 
-    All histories start at y0, which zeroes the difference vectors that
-    would otherwise encode G(z_0) at k = 0 and k = 1; those two steps
-    apply the equivalent corrections +eta_hat*(1-beta)*G(z_0) and
-    -theta*eta_hat*G(z_0) directly, using the cached value, so the
-    z-sequence matches the past-extra anchored one from the start.
+    (x is the paper's xhat.) All histories start at y0, which zeroes the
+    difference vectors that would otherwise encode G(z_0) at k = 0 and
+    k = 1; those two steps apply the equivalent corrections
+    +eta_hat*(1-beta)*G(z_0) and -theta*eta_hat*G(z_0) directly, using
+    the cached value, so the z-sequence matches the past-extra anchored
+    one from the start.
     """
-    kappa = 0.0 if p.kappa is None else p.kappa
-    zeta = 0.0 if p.zeta is None else p.zeta
     g_z = op(state.z)
-    xhat_next = state.z - p.gamma_hat * g_z
-    z_next = (xhat_next + p.theta * (xhat_next - state.xhat)
-              + p.nu * (state.z - xhat_next)
-              + kappa * (state.z_prev - state.xhat)
-              - zeta * (state.z_prev2 - state.xhat_prev))
+    x_next = state.z - p.gamma_hat * g_z
+    z_next = (x_next + p.theta * (x_next - state.x)
+              + p.nu * (state.z - x_next)
+              + p.kappa * (state.z_prev - state.x)
+              - p.zeta * (state.z_prev2 - state.x_prev))
     if state.k == 0:
         _require(p, ("beta", "eta_hat"))
         z_next = z_next + p.eta_hat * (1.0 - p.beta) * g_z
@@ -284,22 +229,49 @@ def nag_peag_step(state, op, p):
         z_next = z_next - p.theta * p.eta_hat * state.g_z_prev
     _check(z_next, state.k)
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
-    state.xhat_prev, state.xhat = state.xhat, xhat_next
-    state.g_z_prev, state.g_z = g_z, None
+    state.x_prev, state.x = state.x, x_next
+    state.g_z_prev = g_z
     state.k += 1
     return None, g_z
 
 
-STEPS = {
-    "halpern": halpern_step,
-    "nesterov": nesterov_step_two_corr,
-    "eag": eag_step,
-    "nag_eag": nag_eag_step,
-    "comono_eag": comono_eag_step,
-    "nag_comono": nag_comono_step,
-    "peag": peag_step,
-    "nag_peag": nag_peag_step,
+class Scheme(NamedTuple):
+    """Everything :func:`run` knows about one scheme."""
+
+    step: Callable
+    # schedule fields read at every step, two or more so that attrgetter
+    # returns a tuple (nag_peag checks its k = 0 and k = 1 extras itself)
+    params: tuple
+    updates: str  # the iterates among x, y and z that the step advances
+    evaluates: str  # the points among y and z where the step evaluates G
+    schedules: tuple  # the schedule kinds with guarantees for the scheme
+
+
+SCHEMES = {
+    "halpern": Scheme(halpern_step, ("beta", "eta"), "y", "y",
+                      ("halpern_fast", "halpern_slow", "halpern_omega")),
+    "nesterov": Scheme(nesterov_step_two_corr, ("gamma", "theta", "nu",
+                       "kappa"), "xy", "y",
+                       ("nesterov_slow", "nesterov_fast", "nesterov_omega")),
+    "eag": Scheme(eag_step, ("beta", "eta", "eta_hat"), "yz", "yz",
+                  ("eag_constant", "eag_varying", "nag_eag")),
+    "nag_eag": Scheme(nag_eag_step, ("gamma", "theta", "nu", "eta",
+                      "eta_hat"), "xyz", "yz", ("nag_eag",)),
+    "comono_eag": Scheme(comono_eag_step, ("beta", "eta", "rho"), "yz", "yz",
+                         ("comono_eag",)),
+    "nag_comono": Scheme(nag_comono_step, ("beta", "eta", "rho", "theta",
+                         "nu"), "xyz", "yz", ("nag_comono",)),
+    "peag": Scheme(peag_step, ("beta", "eta", "eta_hat"), "yz", "z",
+                   ("peag", "peag_legacy")),
+    "nag_peag": Scheme(nag_peag_step, ("gamma_hat", "theta", "nu", "kappa",
+                       "zeta"), "xz", "z", ("nag_peag",)),
 }
+
+SCHEME_KINDS = tuple(SCHEMES)
+#: schedule kinds with guarantees for each scheme, used by the CLI
+COMPATIBLE_SCHEDULES = {name: s.schedules for name, s in SCHEMES.items()}
+STEPS = {name: s.step for name, s in SCHEMES.items()}
+
 
 @dataclass
 class TracePoint:
@@ -307,10 +279,10 @@ class TracePoint:
 
     ``run`` hands one point per index to its observers. The vectors are
     the run's own arrays, which it never mutates, not copies. ``x`` is
-    the x slot: xhat_k for ``nag_peag``, and y_k for the schemes without
-    an x iterate (``halpern``, ``eag``, ``comono_eag``, ``peag``).
-    ``g_x`` is G at ``x`` when the run tracks the x residual, so a
-    tracked ``peag`` run exposes G y_k.
+    the x slot: the x iterate (the paper's xhat for ``nag_peag``), and
+    y_k for the schemes without one (``halpern``, ``eag``,
+    ``comono_eag``, ``peag``). ``g_x`` is G at ``x`` when the run tracks
+    the x residual, so a tracked ``peag`` run exposes G y_k.
     """
 
     k: int
@@ -379,18 +351,14 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-_HAS_X = ("nesterov", "nag_eag", "nag_comono")
-_HAS_Y = ("halpern", "nesterov", "eag", "nag_eag", "comono_eag",
-          "nag_comono", "peag")
-
-
 def run(solver, y0, K, trace_opts=None, observers=()):
     """Execute ``K`` steps and collect a :class:`RunTrace`.
 
     Deterministic given (y0, schedule, operator). On a numeric error the
     trace is truncated at the failing step and carries the error text.
     A schedule step that lacks a field the scheme reads is an
-    :class:`InputError`.
+    :class:`InputError`. Everything scheme-specific comes from the
+    scheme's :data:`SCHEMES` row.
 
     Observers are the one way to see the iterates: each is called with
     the :class:`TracePoint` of every index 0..K in order (the
@@ -400,9 +368,13 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     operator, so the evaluation budget is the same with or without
     them, and with no observers no point is built. ``track_x_residual``
     evaluates G at the x slot of every index and hands the value to
-    observers as ``TracePoint.g_x``; where the x slot is y_k and the run
-    already has G(y_k) (every scheme without an x iterate but ``peag``),
-    it reuses that value instead.
+    observers as ``TracePoint.g_x``; where the x slot is y_k and the
+    scheme evaluates G there, it reuses that value instead.
+
+    The final index K follows one rule: G(y_K) is evaluated when the
+    scheme evaluates at y. G(z_K) is the step's cached value; without
+    one it is G(y_K) when z_K is y_K (K = 0), else one evaluation.
+    ``final_residual = False`` skips both evaluations.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
@@ -410,19 +382,16 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     # iterates are float64 arrays by construction: skip the conversion
     # of OperatorSpec.__call__
     op = solver.operator.eval
-    scheme = solver.scheme
-    step = STEPS[scheme]
-    lacks = attrgetter(*REQUIRED_PARAMS[scheme])
-    # the x slot is xhat for nag_peag; schemes without one report at y
-    has_x = scheme in _HAS_X or scheme == "nag_peag"
-    x_slot = attrgetter("xhat" if scheme == "nag_peag" else "x")
-    has_yx = scheme in _HAS_X
-    has_y = scheme in _HAS_Y
+    scheme = SCHEMES[solver.scheme]
+    step = scheme.step
+    lacks = attrgetter(*scheme.params)
+    has_x = "x" in scheme.updates
+    has_y = "y" in scheme.updates
+    at_y = "y" in scheme.evaluates
     schedule = solver.schedule_factory()
     state = init_state(y0)
-    n = K + 1
     norm_g_y, norm_g_x, norm_g_z, norm_dx, norm_yx, norm_dy = np.full(
-        (6, n), np.nan)
+        (6, K + 1), np.nan)
     error = None
     observers = tuple(observers)
 
@@ -433,11 +402,11 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     done = 0
     for k in range(K):
         y_old, z_old = state.y, state.z
-        x_old = x_slot(state) if has_x else y_old
+        x_old = state.x if has_x else y_old
         try:
             params = next(schedule)
             if None in lacks(params):
-                _require(params, REQUIRED_PARAMS[scheme])
+                _require(params, scheme.params)
             g_at_y, g_at_z = step(state, op, params)
         except NumericError as exc:
             error = str(exc)
@@ -447,8 +416,8 @@ def run(solver, y0, K, trace_opts=None, observers=()):
         if g_at_z is not None:
             norm_g_z[k] = _norm(g_at_z)
         if has_x:
-            norm_dx[k] = _norm(x_slot(state) - x_old)
-            if has_yx:
+            norm_dx[k] = _norm(state.x - x_old)
+            if has_y:
                 norm_yx[k] = _norm(y_old - x_old)
         if has_y:
             norm_dy[k] = _norm(state.y - y_old)
@@ -462,30 +431,28 @@ def run(solver, y0, K, trace_opts=None, observers=()):
                             g_z=g_at_z, g_x=g_at_x))
         done = k + 1
 
-    kmax = done if error is not None else K
     if error is None:
-        g_final_y = None
-        if has_y and scheme != "peag" and opts.final_residual:
-            g_final_y = op(state.y)
-            norm_g_y[K] = _norm(g_final_y)
-        # only the extra-gradient and past-extra steps cache G(z)
+        final = opts.final_residual
+        g_final_y = op(state.y) if at_y and final else None
         g_final_z = state.g_z
-        if g_final_z is None and scheme == "nag_peag" and opts.final_residual:
-            g_final_z = op(state.z)
-        if g_final_z is not None:
-            norm_g_z[K] = _norm(g_final_z)
-        x_at = x_slot(state) if has_x else state.y
+        if g_final_z is None and final and "z" in scheme.evaluates:
+            # no cached value: z_K is y_K only at K = 0
+            g_final_z = g_final_y if K == 0 and at_y else op(state.z)
+        x_at = state.x if has_x else state.y
         g_at_x = None
         if opts.track_x_residual:
             g_at_x = op(x_at) if has_x or g_final_y is None else g_final_y
-            norm_g_x[K] = _norm(g_at_x)
+        for norms, g in ((norm_g_y, g_final_y), (norm_g_z, g_final_z),
+                         (norm_g_x, g_at_x)):
+            if g is not None:
+                norms[K] = _norm(g)
         if observers:
             emit(TracePoint(k=K, x=x_at, y=state.y, z=state.z,
                             g_y=g_final_y, g_z=g_final_z, g_x=g_at_x))
 
-    end = kmax + 1
+    end = done + 1
     meta = dict(solver.meta)
-    meta.update(scheme=scheme, K=K, dim=len(np.atleast_1d(y0)))
+    meta.update(scheme=solver.scheme, K=K, dim=len(np.atleast_1d(y0)))
     return RunTrace(meta=meta, k=np.arange(end),
                     norm_g_y=norm_g_y[:end], norm_g_x=norm_g_x[:end],
                     norm_g_z=norm_g_z[:end], norm_dx=norm_dx[:end],
@@ -502,7 +469,7 @@ def make_solver(problem_case, data, scheme_kind, schedule_factory, meta=None):
     "inclusion_abc" the three-operator residual (C may be absent, which
     is the reflected-splitting case).
     """
-    if scheme_kind not in STEPS:
+    if scheme_kind not in SCHEMES:
         raise InputError(f"unknown scheme kind {scheme_kind!r}")
     if problem_case == "cocoercive":
         op = data
@@ -511,14 +478,12 @@ def make_solver(problem_case, data, scheme_kind, schedule_factory, meta=None):
     elif problem_case == "inclusion_a":
         a_kind, lam = data
         op = yosida(a_kind, lam)
-    elif problem_case == "inclusion_ab":
+    elif problem_case in ("inclusion_ab", "inclusion_abc"):
         if not isinstance(data, SplittingSpec):
             raise InputError("inclusion cases expect a SplittingSpec")
-        op = fb_residual(data)
-    elif problem_case == "inclusion_abc":
-        if not isinstance(data, SplittingSpec):
-            raise InputError("inclusion cases expect a SplittingSpec")
-        op = tos_residual(data)
+        residual = fb_residual if problem_case == "inclusion_ab" \
+            else tos_residual
+        op = residual(data)
     else:
         raise InputError(f"unknown problem case {problem_case!r}")
     return Solver(scheme=scheme_kind, operator=op,

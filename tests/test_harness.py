@@ -322,6 +322,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "halpern" in out and "nag_peag" in out
 
+    def test_closed_pipe_exits_one_quietly(self, monkeypatch, capsys):
+        # ``anchored list-schemes | head``: the reader has gone away
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["list-schemes"]) == 1
+        assert capsys.readouterr().err == ""
+
     def test_figure_command(self, tmp_path, capsys):
         assert main(["figure", "--which", "exam2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "exam2.svg").exists()
@@ -426,6 +435,9 @@ class TestCli:
         ("[instance]\ngenerator = least_squares\nnoise = 0.1\n",
          ("[instance]", "noise")),
         ("[trace]\nsnapshot_stride = 1\n", ("[trace]", "snapshot_stride")),
+        # mu is fixed by the omega rule; the key was never read by a run
+        ("[run]\nscheme = nesterov\nschedule = nesterov_omega\n\n"
+         "[schedule]\nmu = 0.25\n", ("[schedule]", "mu")),
     ])
     def test_unknown_section_or_key_exits_two(self, tmp_path, capsys, text,
                                               names):

@@ -114,8 +114,8 @@ class TestNesterovOmega:
         # both defining conditions, b_k = 2 gamma t_k (t_k - 1), mu = 1
         gamma, omega, mu = 0.9, 3.0, 1.0
         for k in [0, 1, 2, 10, 100, 1000, 10_000]:
-            theta, nu, t_k = nesterov_omega_params(k, omega, mu)
-            _, _, t_k1 = nesterov_omega_params(k + 1, omega, mu)
+            theta, nu, t_k = nesterov_omega_params(k, omega)
+            _, _, t_k1 = nesterov_omega_params(k + 1, omega)
             b_k = 2.0 * gamma * t_k * (t_k - 1.0)
             b_k1 = 2.0 * gamma * t_k1 * (t_k1 - 1.0)
             c1 = t_k - t_k1 * theta - 1.0 - mu

@@ -17,6 +17,7 @@ from anchored.residuals import SplittingSpec, fb_residual
 from anchored.rng import SplitMix64
 from anchored.schemes import (
     COMPATIBLE_SCHEDULES,
+    SCHEMES,
     STEPS,
     Solver,
     TraceOpts,
@@ -75,8 +76,7 @@ class TestStateInit:
     def test_all_slots_start_at_anchor(self):
         y0 = np.array([1.0, -2.0])
         s = init_state(y0)
-        for name in ("x", "x_prev", "xhat", "xhat_prev", "y", "y_prev",
-                     "z", "z_prev", "z_prev2"):
+        for name in ("x", "x_prev", "y", "y_prev", "z", "z_prev", "z_prev2"):
             assert np.array_equal(getattr(s, name), y0)
         assert s.k == 0
 
@@ -485,6 +485,15 @@ class TestRunDriver:
         with pytest.raises(InputError, match=f"'{name}' at k={at}"):
             run(solver, np.array([1.0, 2.0]), 5)
 
+    def test_stream_without_kappa_is_an_input_error(self):
+        def factory():
+            return (ScheduleParams(k=k, gamma=1.0, theta=0.0, nu=0.5)
+                    for k in range(5))
+
+        solver = Solver("nesterov", identity_operator(2), factory)
+        with pytest.raises(InputError, match="'kappa' at k=0"):
+            run(solver, np.array([1.0, 2.0]), 5)
+
     def test_rejects_negative_budget(self):
         solver = solver_for(identity_operator(), "halpern", "halpern_fast")
         with pytest.raises(InputError):
@@ -559,3 +568,63 @@ class TestMakeSolver:
 def zero_kind_safe():
     from anchored.operators import zero_kind
     return zero_kind()
+
+
+def _table_solver(name, op):
+    kind = SCHEMES[name].schedules[0]
+    kw = {"rho": -0.1 / op.lipschitz} if "comono" in kind else {}
+    return solver_for(op, name, kind, **kw)
+
+
+class TestSchemeTable:
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_columns_follow_the_declaration(self, name):
+        row = SCHEMES[name]
+        p_mat = unit_columns(SplitMix64(41).normal_matrix(8, 4))
+        op = least_squares_operator(p_mat, np.ones(8))
+        solver = _table_solver(name, op)
+        y0 = SplitMix64(43).normal(4)
+        K = 6
+        points = points_of(solver, y0, K)
+        trace = run(solver, y0, K)
+        steps = np.arange(K + 1) < K
+        expect = {
+            "norm_g_y": np.full(K + 1, "y" in row.evaluates),
+            "norm_g_z": np.full(K + 1, "z" in row.evaluates),
+            "norm_dx": steps & ("x" in row.updates),
+            "norm_yx": steps & ("x" in row.updates and "y" in row.updates),
+            "norm_dy": steps & ("y" in row.updates),
+            "norm_g_x": np.zeros(K + 1, bool),
+        }
+        for column_name, finite in expect.items():
+            assert np.isfinite(getattr(trace, column_name)).tolist() \
+                == finite.tolist(), column_name
+        # the x slot is the state's x iterate, or y_k without one
+        state = init_state(y0)
+        stream = solver.schedule_factory()
+        for k in range(K):
+            if "x" in row.updates:
+                assert np.array_equal(points[k].x, state.x)
+            else:
+                assert points[k].x is points[k].y
+            row.step(state, op, next(stream))
+
+    def test_nag_peag_x_is_the_gradient_step_from_z(self):
+        # xhat_{k+1} = z_k - gamma_hat G(z_k)
+        op = small_saddle_operator(seed=23)
+        points = points_of(_table_solver("nag_peag", op),
+                           SplitMix64(29).normal(op.dim), 8)
+        stream = schedule_stream("nag_peag", op.lipschitz)
+        for prev, point in zip(points, points[1:]):
+            gamma_hat = next(stream).gamma_hat
+            assert np.array_equal(point.x, prev.z - gamma_hat * prev.g_z)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_zero_steps_make_one_evaluation(self, name):
+        # z_0 = y_0: one value of G serves every column the scheme has
+        row = SCHEMES[name]
+        op, counter = counted(identity_operator(2))
+        trace = run(_table_solver(name, op), np.array([1.0, 2.0]), 0)
+        assert counter.count == 1
+        assert np.isfinite(trace.norm_g_y[0]) == ("y" in row.evaluates)
+        assert np.isfinite(trace.norm_g_z[0]) == ("z" in row.evaluates)
