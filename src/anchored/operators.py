@@ -39,11 +39,15 @@ class ResolventSpec:
     """Resolvent (I + lam*A)^-1 of a maximally monotone A.
 
     ``kind`` selects A: "zero", "l1" (weight * subdifferential of the l1
-    norm), "box" (normal cone of [lo, hi]), or "affine" (A = My + c).
-    For the affine kind the first :func:`resolvent_apply` inverts I + lam*M
-    and caches it in ``inverse``, so that each later application is one
-    matrix-vector product. The cache is not a constructor argument, and
-    ``replace()`` drops it.
+    norm), "box" (normal cone of [lo, hi]), "affine" (A = My + c), or
+    "least_squares" (A y = P^T (P y - b), with P in ``matrix`` and b in
+    ``shift``). For the affine kind the first :func:`resolvent_apply`
+    inverts I + lam*M and caches it in ``inverse``, so that each later
+    application is one matrix-vector product. For the least-squares kind,
+    with P of shape (m, n), the cache is the m x m (I + lam*P P^T)^-1,
+    and each application is three matrix-vector products with P (the
+    Woodbury identity); no n x n matrix is formed. The cache is not a
+    constructor argument, and ``replace()`` drops it.
     """
 
     kind: str
@@ -93,6 +97,22 @@ def affine_kind(matrix, shift=None):
     return ResolventSpec("affine", matrix=matrix, shift=np.asarray(shift, dtype=np.float64))
 
 
+def _least_squares_data(p_mat, b):
+    p_mat = np.asarray(p_mat, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if p_mat.ndim != 2:
+        raise InputError("P must be a matrix")
+    if b.shape != (p_mat.shape[0],):
+        raise InputError("P and b have mismatched dimensions")
+    return p_mat, b
+
+
+def least_squares_kind(p_mat, b):
+    """A y = P^T (P y - b), the gradient of |P y - b|^2 / 2; y has P's columns."""
+    p_mat, b = _least_squares_data(p_mat, b)
+    return ResolventSpec("least_squares", matrix=p_mat, shift=b)
+
+
 def resolvent_apply(res: ResolventSpec, y):
     """Evaluate J_{lam A} y for the resolvent kinds of the catalog."""
     y = np.asarray(y, dtype=np.float64)
@@ -110,6 +130,16 @@ def resolvent_apply(res: ResolventSpec, y):
             object.__setattr__(res, "inverse",
                                _affine_inverse(res.matrix, res.lam))
         return res.inverse @ (y - res.lam * res.shift)
+    if res.kind == "least_squares":
+        p_mat, lam = res.matrix, res.lam
+        if p_mat.shape[1] != y.shape[0]:
+            raise InputError("dimension mismatch in least-squares resolvent")
+        if res.inverse is None:
+            object.__setattr__(res, "inverse",
+                               _affine_inverse(p_mat @ p_mat.T, lam))
+        # (I + lam P^T P)^-1 v = v - lam P^T (I + lam P P^T)^-1 P v
+        v = y + lam * (p_mat.T @ res.shift)
+        return v - lam * (p_mat.T @ (res.inverse @ (p_mat @ v)))
     raise InputError(f"unknown resolvent kind {res.kind!r}")
 
 
@@ -164,12 +194,7 @@ def least_squares_operator(p_mat, b, seed=0):
     G is co-coercive with constant ``norm(P^T P)`` estimated by
     :func:`spectral_norm`.
     """
-    p_mat = np.asarray(p_mat, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if p_mat.ndim != 2:
-        raise InputError("P must be a matrix")
-    if b.shape != (p_mat.shape[0],):
-        raise InputError("P and b have mismatched dimensions")
+    p_mat, b = _least_squares_data(p_mat, b)
     p_t = p_mat.T
     lip = spectral_norm(p_t @ p_mat, seed=seed)
 

@@ -56,7 +56,11 @@ def _modulus(lam, l_const):
 
 
 def _kind_dim(res: ResolventSpec):
-    return res.matrix.shape[0] if res.kind == "affine" else None
+    if res.kind == "affine":
+        return res.matrix.shape[0]
+    if res.kind == "least_squares":
+        return res.matrix.shape[1]
+    return None
 
 
 def yosida(a_kind: ResolventSpec, lam, dim=None) -> OperatorSpec:

@@ -374,7 +374,8 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     The final index K follows one rule: G(y_K) is evaluated when the
     scheme evaluates at y. G(z_K) is the step's cached value; without
     one it is G(y_K) when z_K is y_K (K = 0), else one evaluation.
-    ``final_residual = False`` skips both evaluations.
+    ``final_residual = False`` skips both evaluations. A tracked x
+    residual at K = 0 reuses whichever of the two was made.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
@@ -441,7 +442,12 @@ def run(solver, y0, K, trace_opts=None, observers=()):
         x_at = state.x if has_x else state.y
         g_at_x = None
         if opts.track_x_residual:
-            g_at_x = op(x_at) if has_x or g_final_y is None else g_final_y
+            if K == 0:  # x_0 = y_0 = z_0
+                g_at_x = g_final_y if g_final_y is not None else g_final_z
+            elif not has_x:  # the x slot is y_K
+                g_at_x = g_final_y
+            if g_at_x is None:
+                g_at_x = op(x_at)
         for norms, g in ((norm_g_y, g_final_y), (norm_g_z, g_final_z),
                          (norm_g_x, g_at_x)):
             if g is not None:

@@ -25,7 +25,13 @@ from .instances import (
     paper_least_squares,
     start_point,
 )
-from .operators import affine_kind, l1_kind, OperatorSpec, box_kind
+from .operators import (
+    OperatorSpec,
+    affine_kind,
+    box_kind,
+    l1_kind,
+    least_squares_kind,
+)
 from .residuals import (
     SplittingSpec,
     cocoercivity_report,
@@ -352,23 +358,22 @@ def _cocoercive(residual, seed):
 
 
 def _change_of_variable(case, trace):
-    """Forward-backward and three-operator residuals agree at u = y + lam B y."""
-    op, L, lam = case.op, case.L, default_lambda(case.L)
-    p_mat = case.meta["P"]
-    m_sym = p_mat.T @ p_mat
-    ptb = p_mat.T @ case.meta["b"]
-    b_aff = OperatorSpec(dim=op.dim, eval=lambda y: m_sym @ y - ptb,
-                         lipschitz=L, cocoercivity_modulus=1.0 / L,
-                         monotone=True)
-    fb2 = fb_residual(SplittingSpec(a=l1_kind(0.1), b=b_aff, lam=lam,
-                                    l_of_b_or_c=L))
+    """Forward-backward and three-operator residuals agree at u = y + lam B y.
+
+    B is the instance's own operator P^T (P y - b): a forward step in
+    the one, the least-squares resolvent in the other.
+    """
+    op, lam = case.op, default_lambda(case.L)
+    fb2 = fb_residual(SplittingSpec(a=l1_kind(0.1), b=op, lam=lam,
+                                    l_of_b_or_c=case.L))
     tos2 = tos_residual(SplittingSpec(
-        a=l1_kind(0.1), b=affine_kind(m_sym, -ptb), lam=lam))
+        a=l1_kind(0.1), b=least_squares_kind(case.meta["P"], case.meta["b"]),
+        lam=lam))
     rng = SplitMix64(17)
     worst = 0.0
     for _ in range(100):
         y = rng.uniform_symmetric(op.dim)
-        u = y + lam * b_aff(y)
+        u = y + lam * op(y)
         g = fb2(y)
         worst = max(worst, float(np.linalg.norm(tos2(u) - g))
                     / (1.0 + float(np.linalg.norm(g))))

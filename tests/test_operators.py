@@ -17,6 +17,7 @@ from anchored.operators import (
     huber_saddle_operator,
     identity_operator,
     l1_kind,
+    least_squares_kind,
     least_squares_operator,
     resolvent_apply,
     spectral_norm,
@@ -204,12 +205,50 @@ class TestResolvents:
                 got = resolvent_apply(res, y)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("m,n", [(30, 50), (50, 30)], ids=["wide", "tall"])
+    def test_least_squares_matches_dense_solve(self, m, n):
+        # unit columns, as the instances have: the Woodbury form loses
+        # about (1 + lam |P|^2) ulps, here at most ~21 (lam = 3, wide)
+        rng = SplitMix64(12)
+        p_mat = unit_columns(rng.normal_matrix(m, n))
+        b = rng.normal(m)
+        for lam in (0.05, 0.7, 3.0):
+            res = least_squares_kind(p_mat, b).with_lambda(lam)
+            for _ in range(3):
+                u = rng.normal(n)
+                want = np.linalg.solve(np.eye(n) + lam * p_mat.T @ p_mat,
+                                       u + lam * p_mat.T @ b)
+                got = resolvent_apply(res, u)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert res.inverse.shape == (m, m)
+
+    def test_least_squares_inverse_dropped_by_with_lambda_and_replace(self):
+        res = least_squares_kind(np.ones((3, 2)), np.ones(3)).with_lambda(0.5)
+        resolvent_apply(res, np.ones(2))
+        cached = res.inverse
+        assert cached is not None
+        resolvent_apply(res, np.zeros(2))
+        assert res.inverse is cached
+        assert res.with_lambda(2.0).inverse is None
+        assert replace(res, lam=0.5).inverse is None
+
+    def test_least_squares_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            least_squares_kind(np.ones((3, 2)), np.ones(2))
+        with pytest.raises(InputError):
+            least_squares_kind(np.ones(3), np.ones(3))
+        res = least_squares_kind(np.ones((3, 2)), np.ones(3))
+        with pytest.raises(InputError):
+            resolvent_apply(res, np.ones(3))
+
     def test_firm_nonexpansiveness_sampled(self):
         rng = SplitMix64(8)
         specs = [
             l1_kind(0.7).with_lambda(1.3),
             box_kind(-0.2, 0.4).with_lambda(2.0),
             affine_kind(np.array([[1.0, 0.3], [0.3, 2.0]])).with_lambda(0.5),
+            least_squares_kind(np.array([[1.0, -0.4], [0.2, 0.9], [0.5, 0.3]]),
+                               np.array([0.3, -1.0, 0.6])).with_lambda(1.5),
         ]
         for res in specs:
             for _ in range(200):

@@ -8,6 +8,7 @@ from anchored.operators import (
     box_kind,
     identity_operator,
     l1_kind,
+    least_squares_kind,
     least_squares_operator,
     resolvent_apply,
     zero_kind,
@@ -45,6 +46,16 @@ class TestYosida:
         g = yosida(affine_kind(np.eye(2)), 1.0)
         # J solves 2x = y, so (y - y/2)/1 = y/2
         assert np.allclose(g(np.array([2.0, 2.0])), [1.0, 1.0])
+
+    def test_least_squares_dim_from_p(self):
+        rng = SplitMix64(4)
+        p_mat, b = rng.normal_matrix(3, 5), rng.normal(3)
+        g = yosida(least_squares_kind(p_mat, b), 0.5)
+        assert g.dim == 5
+        # the Yosida value is A at the resolvent point: P^T (P J y - b)
+        y = rng.normal(5)
+        j = y - 0.5 * g(y)
+        assert np.allclose(g(y), p_mat.T @ (p_mat @ j - b), atol=1e-12)
 
     def test_is_lambda_cocoercive(self):
         g = yosida(l1_kind(0.5), 1.7, dim=4)
@@ -147,6 +158,23 @@ class TestThreeOperatorResidual:
             y = rng.uniform_symmetric(4, 2.0)
             u = y + lam * (m @ y)
             dev = np.linalg.norm(tos(u) - fb(y))
+            assert dev <= 1e-10 * (1.0 + np.linalg.norm(fb(y)))
+
+    def test_least_squares_b_matches_fb_and_gives_dim(self):
+        # B = P^T (P y - b) forward in fb, through its resolvent in tos
+        rng = SplitMix64(32)
+        p_mat = unit_columns(rng.normal_matrix(5, 8))
+        b = rng.normal(5)
+        b_op = least_squares_operator(p_mat, b)
+        lam = default_lambda(b_op.lipschitz)
+        fb = fb_residual(SplittingSpec(a=l1_kind(0.2), b=b_op, lam=lam,
+                                       l_of_b_or_c=b_op.lipschitz))
+        tos = tos_residual(SplittingSpec(
+            a=l1_kind(0.2), b=least_squares_kind(p_mat, b), lam=lam))
+        assert tos.dim == 8
+        for _ in range(50):
+            y = rng.uniform_symmetric(8, 2.0)
+            dev = np.linalg.norm(tos(y + lam * b_op(y)) - fb(y))
             assert dev <= 1e-10 * (1.0 + np.linalg.norm(fb(y)))
 
     def test_composition_matches_step_by_step_oracle(self):

@@ -621,10 +621,14 @@ class TestSchemeTable:
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_zero_steps_make_one_evaluation(self, name):
-        # z_0 = y_0: one value of G serves every column the scheme has
+        # x_0 = y_0 = z_0: one value of G serves every column the scheme
+        # has, the tracked x residual included
         row = SCHEMES[name]
-        op, counter = counted(identity_operator(2))
-        trace = run(_table_solver(name, op), np.array([1.0, 2.0]), 0)
-        assert counter.count == 1
-        assert np.isfinite(trace.norm_g_y[0]) == ("y" in row.evaluates)
-        assert np.isfinite(trace.norm_g_z[0]) == ("z" in row.evaluates)
+        for tracked in (False, True):
+            op, counter = counted(identity_operator(2))
+            trace = run(_table_solver(name, op), np.array([1.0, 2.0]), 0,
+                        TraceOpts(track_x_residual=tracked))
+            assert counter.count == 1
+            assert np.isfinite(trace.norm_g_y[0]) == ("y" in row.evaluates)
+            assert np.isfinite(trace.norm_g_z[0]) == ("z" in row.evaluates)
+            assert np.isfinite(trace.norm_g_x[0]) == tracked

@@ -9,8 +9,8 @@ import pytest
 
 from anchored import verify
 from anchored.cli import main
-from anchored.instances import desk_huber, desk_least_squares
-from anchored.operators import counted
+from anchored.instances import desk_huber, desk_least_squares, gen_least_squares
+from anchored.operators import ResolventSpec, counted, least_squares_kind
 from anchored.schemes import run
 
 
@@ -60,7 +60,7 @@ def test_run_plan_of_the_small_suites(monkeypatch):
     assert len(seen) == 26
     assert all(opts.snapshot_stride == 0 for _, opts in seen)
     assert len({key for key, _ in seen}) == 26
-    assert sum(c.count for c in counters) == 60026
+    assert sum(c.count for c in counters) == 60226
 
 
 @pytest.mark.parametrize("name", [
@@ -173,3 +173,38 @@ def test_equivalence_row_fails_on_a_perturbed_corrected_run(monkeypatch,
     [result] = verify.run_checks([check])
     assert result.status == "FAIL"
     assert float(result.detail.removeprefix("max_dev=")) > verify.EQUIV_TOL
+
+
+class _ScaledLambda(ResolventSpec):
+    """A resolvent kind applied at 1.01 times the index it is given."""
+
+    def with_lambda(self, lam):
+        return super().with_lambda(1.01 * lam)
+
+
+@pytest.mark.parametrize("kind", [
+    lambda p_mat, b: least_squares_kind(p_mat, b * (1.0 + 1e-6)),
+    lambda p_mat, b: _ScaledLambda("least_squares", matrix=p_mat, shift=b),
+], ids=["b*(1+1e-6)", "1.01*lam"])
+def test_change_of_variable_row_fails_on_a_perturbed_resolvent(monkeypatch,
+                                                               kind):
+    monkeypatch.setattr(verify, "least_squares_kind", kind)
+    [result] = verify.run_checks([row("residual change-of-variable agreement")])
+    assert result.status == "FAIL"
+    assert float(result.detail.removeprefix("max_dev=")) > 1e-10
+
+
+def test_change_of_variable_row_forms_no_n_by_n_matrix():
+    # P is 60 x 600: the resolvent caches a 60 x 60 inverse; the Gram
+    # P^T P alone would take n^2 * 8 bytes
+    inst = gen_least_squares(60, 600, seed=7)
+    op = inst.operator
+    case = verify.Case(op, None, inst.solution, inst.meta, op.lipschitz, 0.0)
+    tracemalloc.start()
+    try:
+        ok, detail = verify._change_of_variable(case, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, detail
+    assert peak < 600 * 600 * 8

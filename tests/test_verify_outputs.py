@@ -15,7 +15,7 @@ import hashlib
 
 from anchored.verify import format_table, run_suites
 
-DIGEST = "5d143c59b5463a8474562415cb34f3ef3fdf457f47e489738b4cabf1b0f4809f"
+DIGEST = "2a35ab1fe5ef9bd9433be6890b242d8d26080c4ebaf886ae7e75038ab3615cd7"
 
 
 def test_small_verify_table_is_byte_identical():
