@@ -18,7 +18,7 @@ from . import diagnostics as dg
 from .errors import InputError
 from .figures import FIGURES, make_figure
 from .instances import DESK_SEED, GENERATORS, start_point
-from .schedules import SCHEDULE_KINDS
+from .schedules import SCHEDULE_KINDS, SCHEDULES
 from .schemes import (
     COMPATIBLE_SCHEDULES,
     SCHEME_KINDS,
@@ -29,15 +29,6 @@ from .schemes import (
 from .traceio import write_trace_csv
 from .verify import SUITES, format_table, run_suites
 
-
-#: closed-form residual bound (a ``diagnostics.BOUND_KINDS`` entry) of each
-#: schedule kind that has one; it fills the ``bound_value`` column
-BOUND_OF_SCHEDULE = {
-    "halpern_fast": "halpern_fast", "nesterov_fast": "halpern_fast",
-    "halpern_slow": "halpern_slow", "nesterov_slow": "halpern_slow",
-    "nag_eag": "eag", "comono_eag": "comono", "nag_comono": "comono",
-    "peag": "peag_probe",
-}
 
 #: the keys each config section may set; anything else is an input error
 CONFIG_KEYS = {
@@ -114,7 +105,7 @@ def _build_instance(cfg, seed_override=None):
     return GENERATORS[generator](m, n, seed)
 
 
-def _schedule_kwargs(cfg):
+def _constants(cfg):
     section = cfg["schedule"] if cfg.has_section("schedule") else {}
     return {key: _number(section, key, None) for key in CONFIG_KEYS["schedule"]
             if section.get(key, "") != ""}
@@ -142,10 +133,11 @@ def _attach_bound(trace, kind, kw, instance, y0):
     """Fill the bound column when the schedule has a closed-form bound."""
     L = instance.operator.lipschitz
     y_star = instance.solution
-    if y_star is None or kind not in BOUND_OF_SCHEDULE:
+    bound = SCHEDULES[kind].bound
+    if y_star is None or bound is None:
         return
     d0 = float(np.linalg.norm(y0 - y_star))
-    trace.bound = dg.bound_series(BOUND_OF_SCHEDULE[kind], trace.k, L, d0,
+    trace.bound = dg.bound_series(bound, trace.k, L, d0,
                                   rho=kw.get("rho"),
                                   sigma=kw.get("sigma", 1.0))
 
@@ -185,17 +177,13 @@ def cmd_run(args):
         raise InputError(f"scheme {scheme!r} needs a co-coercive operator; "
                          f"the {instance.meta.get('generator')} operator is "
                          "not declared co-coercive")
-    kw = _schedule_kwargs(cfg)
+    kw = _constants(cfg)
 
     potential = _potential_fold(scheme, kind, kw, instance) if lyap_on \
         else None
     # the past-extra potential reads G y_k, which only x tracking evaluates
     opts = TraceOpts(track_x_residual=track_x or (
         potential is not None and "g_x" in potential.need))
-
-    out_dir = args.out or (cfg["output"].get("dir", ".")
-                           if cfg.has_section("output") else ".")
-    os.makedirs(out_dir, exist_ok=True)
 
     y0 = start_point(instance)
     solver = solver_for(instance.operator, scheme, kind, **kw)
@@ -208,6 +196,10 @@ def cmd_run(args):
     if lyap_on:
         _attach_bound(trace, kind, kw, instance, y0)
 
+    # made only now, so that a run refused for its input leaves no directory
+    out_dir = args.out or (cfg["output"].get("dir", ".")
+                           if cfg.has_section("output") else ".")
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, csv_path)
     report_path = os.path.join(out_dir, "report.txt")

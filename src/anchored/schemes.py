@@ -141,8 +141,6 @@ def nag_eag_step(state, op, p):
 
 def comono_eag_step(state, op, p):
     """Anchored extra-gradient with the co-monotone stepsize split."""
-    if p.L is not None and not -1.0 / (2.0 * p.L) < p.rho <= 1.0 / p.L:
-        raise InputError("rho outside the admissible range")
     g_y = op(state.y)
     anchor = p.beta * state.y0 + (1.0 - p.beta) * state.y
     z_next = anchor - (1.0 - p.beta) * (2.0 * p.rho + p.eta) * g_y
@@ -163,8 +161,6 @@ def nag_comono_step(state, op, p):
     z_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(z_k-x_{k+1})
     y_{k+1} = z_{k+1} - eta*(G(z_{k+1}) - (1-beta)*G(y_k))
     """
-    if p.L is not None and not -1.0 / (2.0 * p.L) < p.rho <= 1.0 / p.L:
-        raise InputError("rho outside the admissible range")
     g_y = op(state.y)
     x_next = state.y - (p.eta + 2.0 * p.rho) * g_y
     z_next = x_next + p.theta * (x_next - state.x) + p.nu * (state.z - x_next)

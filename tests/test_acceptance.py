@@ -90,7 +90,7 @@ def test_criterion_3_scheme_equivalences(ls_desk, huber_desk):
             two = Solver("nesterov", op,
                          lambda L=L: transformed_nesterov_stream(
                              lambda k: halpern_params(k, L, "fast"),
-                             lambda k: 1.0 / L, L))
+                             lambda k: 1.0 / L))
             n = recorded(two, y0, 500)
             assert dg.equivalence_report(h, n, "y") <= 1e-8
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from anchored import cli, verify
-from anchored.cli import BOUND_OF_SCHEDULE, _attach_bound, main
+from anchored.cli import _attach_bound, main
 from anchored.diagnostics import (
     PeagPotentialFold,
     bound_check,
@@ -30,6 +30,7 @@ from anchored.instances import (
     start_point,
 )
 from anchored.operators import counted
+from anchored.schedules import SCHEDULES
 from anchored.schemes import (
     COMPATIBLE_SCHEDULES,
     RunTrace,
@@ -397,6 +398,46 @@ class TestCli:
         assert key in err
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("scheme,schedule,key,value", [
+        # sqrt(1 + sigma) used to be taken before sigma was checked
+        ("nag_peag", "nag_peag", "sigma", "-2"),
+        # NaN passed every range check; inf sigma gave zero stepsizes
+        ("halpern", "halpern_omega", "omega", "nan"),
+        ("nesterov", "nesterov_omega", "omega", "nan"),
+        ("nesterov", "nesterov_omega", "omega", "inf"),
+        ("peag", "peag", "sigma", "nan"),
+        ("peag", "peag", "sigma", "inf"),
+        ("nag_peag", "nag_peag", "sigma", "inf"),
+        ("eag", "eag_varying", "eta0", "nan"),
+        ("comono_eag", "comono_eag", "rho", "nan"),
+    ])
+    def test_run_bad_schedule_constant_exits_two(self, tmp_path, capsys,
+                                                 scheme, schedule, key,
+                                                 value):
+        generator = "least_squares" if scheme in ("halpern", "nesterov") \
+            else "bilinear" if "comono" in scheme else "minimax_huber"
+        out = tmp_path / "out"
+        err = self._exits_two(
+            tmp_path, capsys,
+            f"[run]\nscheme = {scheme}\nschedule = {schedule}\niters = 5\n\n"
+            f"[schedule]\n{key} = {value}\n\n"
+            f"[instance]\ngenerator = {generator}\nm = 12\nn = 8\n"
+            "p = 6\n", out)
+        assert key in err and value in err
+        assert not out.exists()
+
+    def test_run_unread_schedule_key_exits_two(self, tmp_path, capsys):
+        # nesterov_fast reads only gamma: the others used to be ignored
+        out = tmp_path / "out"
+        err = self._exits_two(
+            tmp_path, capsys,
+            "[run]\nscheme = nesterov\nschedule = nesterov_fast\n"
+            "iters = 5\n\n[schedule]\nomega = 4\nsigma = 2\n\n"
+            "[instance]\ngenerator = least_squares\nn = 20\np = 10\n",
+            out)
+        assert "nesterov_fast" in err and "omega" in err and "sigma" in err
+        assert not out.exists()
+
     def test_python_dash_m_runs_the_cli(self):
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
@@ -416,14 +457,15 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "rho" in capsys.readouterr().err
 
-    def _exits_two(self, tmp_path, capsys, text):
+    def _exits_two(self, tmp_path, capsys, text, out=None):
         """The config ``text`` exits 2 before a run: its one-line error."""
         path = tmp_path / "cfg.ini"
         path.write_text(text)
-        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        out = out or tmp_path
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "report.txt").exists()
+        assert not (out / "report.txt").exists()
         return err
 
     @pytest.mark.parametrize("text,names", [
@@ -577,7 +619,9 @@ class TestBoundColumn:
         ls = gen_least_squares(30, 12, seed=7, noise_var=0.1)
         hub = gen_minimax_huber(20, 15, seed=7)
         bil = gen_bilinear(15, 10, seed=7)
-        for kind, bound in BOUND_OF_SCHEDULE.items():
+        bounded = {kind: row.bound for kind, row in SCHEDULES.items()
+                   if row.bound is not None}
+        for kind, bound in bounded.items():
             scheme = next(s for s, kinds in COMPATIBLE_SCHEDULES.items()
                           if kind in kinds)
             if kind.startswith(("halpern", "nesterov")):
@@ -594,4 +638,4 @@ class TestBoundColumn:
                                  rho=kw.get("rho"), sigma=1.0)
             first = 1 if bound == "comono" else 0
             assert np.array_equal(trace.bound[first:], report.theory), kind
-        assert BOUND_OF_SCHEDULE["nag_comono"] == "comono"
+        assert bounded["nag_comono"] == "comono"

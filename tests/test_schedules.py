@@ -1,22 +1,26 @@
+import hashlib
+import inspect
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+from anchored.diagnostics import eag_family_coeffs, omega_family_coeffs
 from anchored.errors import InputError
 from anchored.schedules import (
     SCHEDULE_KINDS,
-    comono_schedule,
-    eag_schedule,
-    halpern_omega_params,
+    SCHEDULES,
+    ScheduleParams,
     halpern_params,
-    nag_comono_transform,
-    nag_eag_schedule,
-    nag_peag_schedule,
-    nesterov_omega_params,
-    peag_schedule,
     schedule_stream,
     transformed_nesterov_stream,
 )
+
+
+def draws(kind, L, n, **kw):
+    """The first ``n`` parameter sets of a schedule stream."""
+    return list(itertools.islice(schedule_stream(kind, L, **kw), n))
 
 
 def nag_peag_schedule_general(k, L, sigma=1.0):
@@ -25,11 +29,15 @@ def nag_peag_schedule_general(k, L, sigma=1.0):
     gamma_hat_k = eta_hat_{k-1} + eta_k / (1 - beta_k),
     kappa_k = eta_{k-1} (1 - beta_k) / gamma_hat_{k-1},
     zeta_k = theta_k eta_{k-2} / gamma_hat_{k-2}, with negative-index
-    stepsizes set to the index-0 values. The reference the closed forms
-    of :func:`nag_peag_schedule` are checked against.
+    stepsizes set to the index-0 values, and the stepsizes read from the
+    ``peag`` stream. The reference the closed forms of ``nag_peag`` are
+    checked against.
     """
+    peag = draws("peag", L, k + 1, sigma=sigma)
+
     def stepsizes(j):
-        return peag_schedule(max(j, 0), L, sigma=sigma)
+        p = peag[max(j, 0)]
+        return p.beta, p.eta, p.eta_hat
 
     beta_k, eta_k, eta_hat_k = stepsizes(k)
 
@@ -71,53 +79,57 @@ class TestHalpernParams:
 
 class TestHalpernOmega:
     def test_beta_at_zero(self):
-        beta, _ = halpern_omega_params(0, 1.0, 0.9, 3.0)
-        assert beta == 0.5
+        p = draws("halpern_omega", 1.0, 1, gamma=0.9, omega=3.0)[0]
+        assert p.beta == 0.5
 
     def test_limit(self):
-        beta, eta = halpern_omega_params(10**7, 1.0, 0.9, 3.0)
-        assert beta < 1e-6
-        assert eta == pytest.approx(0.9, rel=1e-6)
+        # beta_k = 4/(k+8) -> 0 and eta_k -> gamma; k = 10^5 is the last
+        # index drawn
+        p = draws("halpern_omega", 1.0, 10**5 + 1, gamma=0.9, omega=3.0)[-1]
+        assert p.beta < 1e-4
+        assert p.eta == pytest.approx(0.9, rel=1e-4)
 
     def test_k6_values(self):
-        beta, eta = halpern_omega_params(6, 1.0, 0.9, 3.0)
-        assert beta == pytest.approx(2.0 / 7.0)
-        assert eta == pytest.approx(0.9 * 5.0 / 7.0)
+        p = draws("halpern_omega", 1.0, 7, gamma=0.9, omega=3.0)[6]
+        assert p.beta == pytest.approx(2.0 / 7.0)
+        assert p.eta == pytest.approx(0.9 * 5.0 / 7.0)
 
     def test_gamma_must_be_interior(self):
         with pytest.raises(InputError):
-            halpern_omega_params(0, 1.0, 1.0, 3.0)
+            schedule_stream("halpern_omega", 1.0, gamma=1.0, omega=3.0)
 
 
 class TestNesterovOmega:
     def test_values_at_zero(self):
-        theta, nu, t = nesterov_omega_params(0, 3.0)
-        assert theta == pytest.approx(1.0 / 8.0)
-        assert nu == pytest.approx(5.0 / 8.0)
-        assert t == pytest.approx(7.0 / 3.0)
+        p = draws("nesterov_omega", 1.0, 1, omega=3.0)[0]
+        assert p.theta == pytest.approx(1.0 / 8.0)
+        assert p.nu == pytest.approx(5.0 / 8.0)
+        assert omega_family_coeffs(0, 0.9, 3.0).t == pytest.approx(7.0 / 3.0)
 
     def test_extrapolation_identity(self):
         # theta_k * t_{k+1} = t_k - 1 - mu with mu = 1
-        for k in range(101):
-            theta, _, t_k = nesterov_omega_params(k, 3.0)
-            _, _, t_k1 = nesterov_omega_params(k + 1, 3.0)
-            assert abs(theta * t_k1 - (t_k - 2.0)) < 1e-12
+        for p in draws("nesterov_omega", 1.0, 101, omega=3.0):
+            t_k = omega_family_coeffs(p.k, 0.9, 3.0).t
+            t_k1 = omega_family_coeffs(p.k + 1, 0.9, 3.0).t
+            assert abs(p.theta * t_k1 - (t_k - 2.0)) < 1e-12
 
     def test_t_increments_by_inverse_omega(self):
         for omega in (3.0, 5.0):
             for k in (0, 7, 1000):
-                _, _, t_k = nesterov_omega_params(k, omega)
-                _, _, t_k1 = nesterov_omega_params(k + 1, omega)
+                t_k = omega_family_coeffs(k, 0.9, omega).t
+                t_k1 = omega_family_coeffs(k + 1, 0.9, omega).t
                 assert t_k1 - t_k == pytest.approx(1.0 / omega, abs=1e-12)
 
     def test_coefficient_conditions_hold_far_out(self):
         # both defining conditions, b_k = 2 gamma t_k (t_k - 1), mu = 1
         gamma, omega, mu = 0.9, 3.0, 1.0
+        params = draws("nesterov_omega", 1.0, 10_001, gamma=gamma,
+                       omega=omega)
         for k in [0, 1, 2, 10, 100, 1000, 10_000]:
-            theta, nu, t_k = nesterov_omega_params(k, omega)
-            _, _, t_k1 = nesterov_omega_params(k + 1, omega)
-            b_k = 2.0 * gamma * t_k * (t_k - 1.0)
-            b_k1 = 2.0 * gamma * t_k1 * (t_k1 - 1.0)
+            theta, nu = params[k].theta, params[k].nu
+            c_k = omega_family_coeffs(k, gamma, omega, mu)
+            c_k1 = omega_family_coeffs(k + 1, gamma, omega, mu)
+            t_k, t_k1, b_k, b_k1 = c_k.t, c_k1.t, c_k.b, c_k1.b
             c1 = t_k - t_k1 * theta - 1.0 - mu
             c2 = b_k1 * theta + 2 * gamma * t_k * (t_k - 1) \
                 - 2 * gamma * nu * theta * t_k1 ** 2 - b_k
@@ -128,7 +140,7 @@ class TestNesterovOmega:
 def transform(beta, eta, gamma):
     """(theta, nu, kappa) lists of the transform for finite sequences."""
     stream = transformed_nesterov_stream(
-        lambda k: (beta[k], eta[k]), lambda k: gamma[k], 1.0)
+        lambda k: (beta[k], eta[k]), lambda k: gamma[k])
     params = [next(stream) for _ in beta]
     return ([p.theta for p in params], [p.nu for p in params],
             [p.kappa for p in params])
@@ -171,15 +183,12 @@ class TestTransform:
         for k in range(1, 200):
             assert abs(beta[k - 1] * theta[k] - beta[k] * (1 - beta[k - 1])) <= 1e-14
 
-    def test_rejects_beta_out_of_range(self):
-        with pytest.raises(InputError):
-            transform([1.0], [0.5], [1.0])
-        with pytest.raises(InputError):
-            transform([0.5, 0.0], [0.5, 0.5], [1.0, 1.0])
-
     def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(InputError):
-            transform([0.5], [0.5], [0.0])
+        # the corrected kinds check their gamma when the stream is built
+        for kind in ("nesterov_slow", "nesterov_fast", "nesterov_omega"):
+            for gamma in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(InputError, match="gamma"):
+                    schedule_stream(kind, 1.0, gamma=gamma)
 
     def test_carries_previous_step(self):
         # each (beta, eta, gamma) is drawn once, in order
@@ -189,7 +198,7 @@ class TestTransform:
             calls.append(k)
             return 1.0 / (k + 2), 0.5
 
-        stream = transformed_nesterov_stream(beta_eta, lambda k: 1.0, 1.0)
+        stream = transformed_nesterov_stream(beta_eta, lambda k: 1.0)
         for _ in range(5):
             next(stream)
         assert calls == [0, 1, 2, 3, 4]
@@ -197,21 +206,22 @@ class TestTransform:
 
 class TestEagSchedule:
     def test_constant(self):
-        assert eag_schedule(0, 1.0, "constant", eta=0.125) == (0.5, 0.125, 0.125)
+        p = draws("eag_constant", 1.0, 1, eta=0.125)[0]
+        assert (p.beta, p.eta, p.eta_hat) == (0.5, 0.125, 0.125)
 
     def test_constant_rejects_large_eta(self):
         with pytest.raises(InputError):
-            eag_schedule(0, 1.0, "constant", eta=0.2)
+            schedule_stream("eag_constant", 1.0, eta=0.2)
 
     def test_varying_first_update_matches_fraction_oracle(self):
         e0 = Fraction(1, 2)
         expect = (1 - e0 ** 2 / ((1 - e0 ** 2) * 1 * 3)) * e0
-        _, eta1, _ = eag_schedule(1, 1.0, "varying", eta0=0.5, eta_prev=0.5)
+        eta1 = draws("eag_varying", 1.0, 2, eta0=0.5)[1].eta
         assert eta1 == pytest.approx(float(expect), rel=1e-15)
         assert expect == Fraction(4, 9)
 
     def test_varying_vanishing_eta0_is_fixed_point(self):
-        _, eta1, _ = eag_schedule(1, 1.0, "varying", eta0=1e-9, eta_prev=1e-9)
+        eta1 = draws("eag_varying", 1.0, 2, eta0=1e-9)[1].eta
         assert eta1 == pytest.approx(1e-9, rel=1e-12)
 
     def test_varying_stream_is_decreasing_with_positive_limit(self):
@@ -222,89 +232,177 @@ class TestEagSchedule:
 
 class TestNagEagSchedule:
     def test_values_at_zero(self):
-        gamma, eta, eta_hat, theta, nu, t, a, b = nag_eag_schedule(0, 1.0)
-        assert (gamma, eta_hat, eta, theta, nu) == (1.0, 1.0, 0.5, 0.0, 0.5)
-        assert t == 1.0
-        assert a == 0.0 and b == 0.0
+        p = draws("nag_eag", 1.0, 1)[0]
+        assert (p.gamma, p.eta_hat, p.eta, p.theta, p.nu) == (1.0, 1.0, 0.5,
+                                                              0.0, 0.5)
+        c = eag_family_coeffs(0, 1.0)
+        assert c.t == 1.0
+        assert c.a == 0.0 and c.b == 0.0
 
     def test_b_recursion_matches_closed_form(self):
         L = 2.5
-        b_prev = nag_eag_schedule(1, L)[7]
+        b_prev = eag_family_coeffs(1, L).b
         for k in range(1, 200):
-            b_next = nag_eag_schedule(k + 1, L)[7]
+            b_next = eag_family_coeffs(k + 1, L).b
             assert abs(b_next - b_prev * (k + 2) / k) <= 1e-12 * max(1.0, b_next)
             b_prev = b_next
 
     def test_b2_value(self):
-        assert nag_eag_schedule(2, 1.0)[7] == pytest.approx(6.0)
+        assert eag_family_coeffs(2, 1.0).b == pytest.approx(6.0)
 
 
 class TestComono:
-    def test_zero_rho_reduces_to_unit_tau(self):
-        _, _, tau = comono_schedule(3, 1.0, 0.0)
-        assert tau == 1.0
-
-    def test_negative_rho_tau(self):
-        _, _, tau = comono_schedule(1, 1.0, -0.25)
-        assert tau == pytest.approx(2.0)
-
     def test_beta_starts_at_one(self):
-        beta, _, _ = comono_schedule(0, 1.0, -0.1)
-        assert beta == 1.0
+        p = draws("comono_eag", 1.0, 1, rho=-0.1)[0]
+        assert p.beta == 1.0
 
     def test_rejects_rho_below_threshold(self):
-        with pytest.raises(InputError):
-            comono_schedule(0, 1.0, -0.5)
+        for kind in ("comono_eag", "nag_comono"):
+            with pytest.raises(InputError):
+                schedule_stream(kind, 1.0, rho=-0.5)
 
     def test_transform_coefficients(self):
-        beta, eta, tau, theta, nu = nag_comono_transform(2, 1.0, -0.25)
-        assert theta == pytest.approx(1.0 / 3.0)
-        assert nu == pytest.approx(2.0 / 3.0)
+        params = draws("nag_comono", 1.0, 3, rho=-0.25)
+        assert params[2].theta == pytest.approx(1.0 / 3.0)
+        assert params[2].nu == pytest.approx(2.0 / 3.0)
         # start convention: only nu - theta enters the first step
-        _, _, _, th0, nu0 = nag_comono_transform(0, 1.0, -0.25)
-        assert nu0 - th0 == pytest.approx(1.0)
+        assert params[0].nu - params[0].theta == pytest.approx(1.0)
 
 
 class TestPeagSchedule:
     def test_two_step_values(self):
-        beta, eta, eta_hat = peag_schedule(0, 1.0, sigma=1.0)
-        assert beta == 0.5
-        assert eta == pytest.approx(0.25)
-        assert eta_hat == pytest.approx(0.5)
+        p = draws("peag", 1.0, 1, sigma=1.0)[0]
+        assert p.beta == 0.5
+        assert p.eta == pytest.approx(0.25)
+        assert p.eta_hat == pytest.approx(0.5)
 
     def test_sigma_one_eta_hat_is_half_inverse_l(self):
+        params = draws("peag", 2.0, 34, sigma=1.0)
         for k in (0, 5, 33):
-            _, _, eta_hat = peag_schedule(k, 2.0, sigma=1.0)
-            assert eta_hat == pytest.approx(1.0 / 4.0)
+            assert params[k].eta_hat == pytest.approx(1.0 / 4.0)
 
     def test_legacy_first_update_matches_fraction_oracle(self):
         e0, b0, b1 = Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)
         expect = (1 - b0 ** 2 - 2 * e0 ** 2) * b1 * e0 / ((1 - 2 * e0 ** 2) * (1 - b0) * b0)
-        _, eta1, _ = peag_schedule(1, 1.0, mode="legacy", eta0=0.25, eta_prev=0.25)
+        eta1 = draws("peag_legacy", 1.0, 2, eta0=0.25)[1].eta
         assert expect == Fraction(5, 21)
         assert eta1 == pytest.approx(float(expect), rel=1e-14)
 
     def test_legacy_rejects_large_eta0(self):
         with pytest.raises(InputError):
-            peag_schedule(0, 1.0, mode="legacy", eta0=0.6)
+            schedule_stream("peag_legacy", 1.0, eta0=0.6)
+
+
+def corrections(p):
+    return p.gamma_hat, p.theta, p.nu, p.kappa, p.zeta
 
 
 class TestNagPeagSchedule:
     def test_k2_sigma1(self):
-        gh, theta, nu, kappa, zeta = nag_peag_schedule(2, 1.0, sigma=1.0)
+        gh, theta, nu, kappa, zeta = corrections(
+            draws("nag_peag", 1.0, 3, sigma=1.0)[2])
         assert gh == pytest.approx(1.0)
         assert (theta, nu, kappa, zeta) == (0.5, 0.75, 0.25, 0.125)
 
     def test_zero_index_corrections_vanish(self):
-        _, _, _, kappa, zeta = nag_peag_schedule(0, 1.0)
-        assert kappa == 0.0 and zeta == 0.0
+        p = draws("nag_peag", 1.0, 1)[0]
+        assert p.kappa == 0.0 and p.zeta == 0.0
 
     @pytest.mark.parametrize("sigma", [1.0, 2.0, 0.19])
     def test_general_formula_agrees_with_closed_form(self, sigma):
+        params = draws("nag_peag", 1.3, 51, sigma=sigma)
         for k in range(51):
-            closed = nag_peag_schedule(k, 1.3, sigma=sigma)
+            closed = corrections(params[k])
             general = nag_peag_schedule_general(k, 1.3, sigma=sigma)
             assert closed == pytest.approx(general, rel=1e-12, abs=1e-14)
+
+
+#: the ScheduleParams fields, in order
+FIELDS = ("k", "beta", "eta", "eta_hat", "gamma", "gamma_hat", "theta", "nu",
+          "kappa", "zeta", "rho")
+
+#: sha256 over float.hex of every field (None as "-") of the first 2000
+#: parameter sets, for each kind at its default keywords (L = 2.5; the
+#: required rho and eta0 at the values verify uses) and at one other set
+#: (L = 0.7, and other keywords where the kind reads any)
+PINNED = [
+    ("halpern_fast", 2.5, {},
+     "ec63aa204e86bf7926f3ffc95721a0203c294604afa6519900a1b0af00ddd6b2"),
+    ("halpern_fast", 0.7, {},
+     "f85062544dbf41b36b5859d25c1e820498bc292b53622beaf3e251237eff334d"),
+    ("halpern_slow", 2.5, {},
+     "d069fec37b0b8e87c67fa70057bf32b49123133b0531b93a5b1a9be22c2391dd"),
+    ("halpern_slow", 0.7, {},
+     "a01ffcc2f934f7442ea8ff42bb084656272cee28ea8a3eeab504f6cfecd758ca"),
+    ("halpern_omega", 2.5, {},
+     "a5f9aa3c1b394d0314ba4a857b017f25e97ad3d469dc5bc2d6942afa332adf1a"),
+    ("halpern_omega", 0.7, {"gamma": 0.5 / 0.7, "omega": 4.5},
+     "59685b847805cca852adc050d54824715b4268bfd17de00d53ba72a988f0abb1"),
+    ("nesterov_slow", 2.5, {},
+     "34faf4fa6b938eebb09b4d4f45e5c3926237b2c25795a08c00cd0f100eadcf03"),
+    ("nesterov_slow", 0.7, {"gamma": 0.6 / 0.7},
+     "619a06f61a165bbf42ecfb084f5352a36e9646199849889d9a92ead6c7b66bd8"),
+    ("nesterov_fast", 2.5, {},
+     "7217c70d742f61e20738333d4922cada2fd1a1f165e4b86400ecdafe9b68bc1c"),
+    ("nesterov_fast", 0.7, {"gamma": 1.3 / 0.7},
+     "23584dd064cd852844183f86c2d44453cea511cd48dd67cbe81d5289cdbb547f"),
+    ("nesterov_omega", 2.5, {},
+     "5b7c3a86e1f6dfbf1779a9a702e6d7e7d0b0b23585c94c388d030b5e0f52dbda"),
+    ("nesterov_omega", 0.7, {"gamma": 1.7 / 0.7, "omega": 1.5},
+     "3dd29f4bd76beeb5c38b3ed65b50b67341392ba9252c44c165b5b608d7603a58"),
+    ("eag_constant", 2.5, {},
+     "38cc6b8690b0acb29f92ae5730383f602912132acfe5a1970f4340f63aa1fba0"),
+    ("eag_constant", 0.7, {"eta": 0.05 / 0.7},
+     "ad35b8ceb0553b4dd92e647a0286e8346abfb9d3816ab7cca063eb0af25317de"),
+    ("eag_varying", 2.5, {"eta0": 0.5 / 2.5},
+     "a36f466240582f38449a7a56a4ab1c64d953b5a5fadb25483cd6a2747d15edec"),
+    ("eag_varying", 0.7, {"eta0": 0.9 / 0.7},
+     "e3afc2c37c0f28b634808a41bda54434c81198ce60b7474bd1bf13a0388fc48f"),
+    ("comono_eag", 2.5, {"rho": -1.0 / (4.0 * 2.5)},
+     "b6ca17ac092d031e386f1a20e531a9d880eda20d88b768bcd4cd1260ccf8f099"),
+    ("comono_eag", 0.7, {"rho": 0.8 / 0.7},
+     "16180db563467c119ac5633404cb19bd75505471d6e69e1b72c5949b94664e2f"),
+    ("peag", 2.5, {},
+     "8487b96525a6e0ff73f2859149532919146d5eb70bb37e1af7db59fa88b135eb"),
+    ("peag", 0.7, {"sigma": 0.19},
+     "1819cb5e480ac3cf69637f70018e8ea7d6ce851f90097aa7b2bd46611852ea4a"),
+    ("peag_legacy", 2.5, {"eta0": 0.4 / 2.5},
+     "291452bc04c569fd0deb9af329da3e538ec4f0689b2c8f33a445db9e163b7d9d"),
+    ("peag_legacy", 0.7, {"eta0": 0.1 / 0.7},
+     "8738147648ef7305d164979942305a9d4f0b3a4650d0c2ab2935252bd348b4d3"),
+    ("nag_eag", 2.5, {},
+     "43a3799c310a0a8f75586effc65b59c73125f91d05a2330c44f34c2b588ff504"),
+    ("nag_eag", 0.7, {},
+     "4970eaf6bafa9d732da648ad78d5ddb0eb8e6d9a40f86ebfe46946ba9d010fad"),
+    ("nag_comono", 2.5, {"rho": -1.0 / (4.0 * 2.5)},
+     "deb745f4948511b5e4c2089879a7b95b3caefbdec16fd21bf2f2147a96b5946b"),
+    ("nag_comono", 0.7, {"rho": 0.3 / 0.7},
+     "83d5bc3b9a99a8621ba6381515255c86cc1d1d4dc562720d66d24c71758db5f4"),
+    ("nag_peag", 2.5, {},
+     "ca087f1ad7b6022e17767078afdece785a8f0a2fdae88967a09e104326a71ad9"),
+    ("nag_peag", 0.7, {"sigma": 2.0},
+     "65eb7f0e59690a777149a544b4fae8b575f4a036b1525157b5520953512d4d80"),
+]
+
+#: a constant out of its range for each kind that reads one, NaN and inf
+#: included; each must be refused when the stream is built
+BAD_CONSTANTS = [
+    ("halpern_omega", {"gamma": math.nan}), ("halpern_omega", {"gamma": 0.0}),
+    ("halpern_omega", {"omega": math.nan}), ("halpern_omega", {"omega": 2.0}),
+    ("halpern_omega", {"omega": math.inf}),
+    ("nesterov_omega", {"omega": math.nan}),
+    ("nesterov_omega", {"omega": 0.5}),
+    ("nesterov_omega", {"omega": math.inf}),
+    ("eag_constant", {"eta": math.nan}), ("eag_constant", {"eta": math.inf}),
+    ("eag_varying", {}), ("eag_varying", {"eta0": math.nan}),
+    ("eag_varying", {"eta0": 1.0}),
+    ("comono_eag", {}), ("comono_eag", {"rho": math.nan}),
+    ("nag_comono", {"rho": 2.0}),
+    ("peag", {"sigma": math.nan}), ("peag", {"sigma": math.inf}),
+    ("peag", {"sigma": 0.0}), ("nag_peag", {"sigma": -2.0}),
+    ("nag_peag", {"sigma": math.nan}),
+    ("peag_legacy", {"eta0": math.nan}), ("peag_legacy", {"eta0": 0.5}),
+]
 
 
 class TestStreams:
@@ -329,7 +427,7 @@ class TestStreams:
         # fast stepsizes with gamma = 1/L reproduce the two-correction rule
         L = 2.0
         stream = transformed_nesterov_stream(
-            lambda k: halpern_params(k, L, "fast"), lambda k: 1.0 / L, L)
+            lambda k: halpern_params(k, L, "fast"), lambda k: 1.0 / L)
         closed = schedule_stream("nesterov_fast", L)
         for _ in range(30):
             a, b = next(stream), next(closed)
@@ -353,3 +451,43 @@ class TestStreams:
                     assert p.beta == 1.0
                 else:
                     assert 0.0 < p.beta < 1.0
+
+    @pytest.mark.parametrize("kind,L,kw,digest", PINNED,
+                             ids=[f"{c[0]}-L{c[1]}" for c in PINNED])
+    def test_first_2000_params_are_pinned(self, kind, L, kw, digest):
+        h = hashlib.sha256()
+        for p in draws(kind, L, 2000, **kw):
+            for name in FIELDS:
+                v = getattr(p, name)
+                h.update(b"-," if v is None else float(v).hex().encode() + b",")
+        assert h.hexdigest() == digest
+
+    def test_pins_cover_every_kind_twice(self):
+        assert sorted(c[0] for c in PINNED) == sorted(SCHEDULE_KINDS * 2)
+        assert ScheduleParams._fields == FIELDS
+
+    def test_rows_declare_the_keywords_their_rules_read(self):
+        for kind, row in SCHEDULES.items():
+            params = tuple(inspect.signature(row.rule).parameters)
+            assert params == ("L",) + row.keywords, kind
+
+    @pytest.mark.parametrize("kind,kw", BAD_CONSTANTS,
+                             ids=[f"{k}-{v}" for k, v in BAD_CONSTANTS])
+    def test_bad_constant_refused_when_built(self, kind, kw):
+        with pytest.raises(InputError):
+            schedule_stream(kind, 1.0, **kw)
+
+    def test_unread_keyword_names_key_and_kind(self):
+        every = ("gamma", "omega", "sigma", "rho", "eta", "eta0")
+        for kind, row in SCHEDULES.items():
+            for key in every:
+                if key in row.keywords:
+                    continue
+                with pytest.raises(InputError) as err:
+                    schedule_stream(kind, 1.0, **{key: 0.1})
+                assert key in str(err.value) and kind in str(err.value)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf, None])
+    def test_bad_lipschitz_constant_refused(self, L):
+        with pytest.raises(InputError):
+            schedule_stream("halpern_fast", L)

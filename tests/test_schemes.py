@@ -136,7 +136,7 @@ class TestNesterovEquivalence:
 
             def nesterov_factory():
                 return transformed_nesterov_stream(
-                    lambda k: (beta[k], eta[k]), lambda k: gamma[k], L)
+                    lambda k: (beta[k], eta[k]), lambda k: gamma[k])
 
             from anchored.schemes import Solver
             h = points_of(Solver("halpern", op, halpern_factory), y0, 200)
@@ -237,7 +237,7 @@ class TestComono:
         state = init_state(np.array([1.0]))
         for k in range(2):
             comono_eag_step(state, op, ScheduleParams(k=k, beta=1.0 / (k + 1),
-                                                      eta=1.0, rho=-0.25, L=1.0))
+                                                      eta=1.0, rho=-0.25))
             assert state.z[0] == pytest.approx(float(vals[k][0]), abs=1e-15)
             assert state.y[0] == pytest.approx(float(vals[k][1]), abs=1e-15)
 
@@ -253,11 +253,13 @@ class TestComono:
         assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-8
 
     def test_rejects_out_of_range_rho(self):
-        op = identity_operator()
-        state = init_state(np.array([1.0]))
-        with pytest.raises(InputError):
-            comono_eag_step(state, op, ScheduleParams(k=0, beta=1.0, eta=1.0,
-                                                      rho=-0.6, L=1.0))
+        # the stream checks rho once, before the first step evaluates G
+        for scheme in ("comono_eag", "nag_comono"):
+            op, counter = counted(identity_operator())
+            solver = solver_for(op, scheme, scheme, rho=-0.6, L=1.0)
+            with pytest.raises(InputError, match="rho"):
+                run(solver, np.array([1.0]), 3)
+            assert counter.count == 0
 
 
 class TestPeag:
