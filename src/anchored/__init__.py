@@ -23,7 +23,6 @@ from .schemes import (
     RunTrace,
     Solver,
     TraceOpts,
-    make_solver,
     run,
     solver_for,
 )
@@ -37,5 +36,5 @@ __all__ = [
     "bilinear_saddle_operator", "from_nonexpansive", "huber_saddle_operator",
     "identity_operator", "least_squares_operator", "resolvent_apply",
     "spectral_norm", "cocoercivity_report", "fb_residual", "tos_residual",
-    "yosida", "schedule_stream", "make_solver", "run", "solver_for",
+    "yosida", "schedule_stream", "run", "solver_for",
 ]

@@ -138,8 +138,7 @@ def _attach_bound(trace, kind, kw, instance, y0):
         return
     d0 = float(np.linalg.norm(y0 - y_star))
     trace.bound = dg.bound_series(bound, trace.k, L, d0,
-                                  rho=kw.get("rho"),
-                                  sigma=kw.get("sigma", 1.0))
+                                  **{"sigma": 1.0, **kw})
 
 
 def cmd_run(args):

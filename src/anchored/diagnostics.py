@@ -12,7 +12,7 @@ magnitude along a run.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,8 +31,6 @@ class LyapunovCoeffs:
     b: float
     t: float
     mu: float = 0.0
-    p: Optional[float] = None
-    q: Optional[float] = None
 
 
 @dataclass
@@ -76,10 +74,10 @@ class RateReport:
                 f"intercept={self.intercept:.4f} residual={self.residual:.3e}")
 
 
-def _compare(name, observed, theory, ks=None, slack=BOUND_SLACK, note=""):
+def _compare(name, observed, theory, ks=None):
     observed = np.asarray(observed, dtype=float)
     theory = np.asarray(theory, dtype=float)
-    bad = observed > theory * (1.0 + slack)
+    bad = observed > theory * (1.0 + BOUND_SLACK)
     viol = int(np.count_nonzero(bad))
     if viol:
         idx = int(np.argmax(bad))
@@ -92,16 +90,16 @@ def _compare(name, observed, theory, ks=None, slack=BOUND_SLACK, note=""):
         first, worst = None, 0.0
     return BoundReport(name=name, theory=theory, observed=observed,
                        violations=viol, worst_excess=worst,
-                       first_violation=first, note=note)
+                       first_violation=first)
 
 
 # ---------------------------------------------------------------------------
 # potential functions
 
 
-def halpern_potential_coeffs(k, q0=1.0):
-    """Weights p_k = q0*k*(k+1), q_k = q0*(k+1) of the anchored potential."""
-    return q0 * k * (k + 1.0), q0 * (k + 1.0)
+def halpern_potential_coeffs(k):
+    """Weights p_k = k*(k+1), q_k = k+1 of the anchored potential."""
+    return k * (k + 1.0), k + 1.0
 
 
 def halpern_potential(g_y, y, y0, p_k, q_k, L):
@@ -125,42 +123,40 @@ def nesterov_potential(g_y_prev, x, y, coeffs, y_star):
     return val
 
 
-def peag_potential(g_y, y, z, k, L, sigma, y0, y_star, b0=1.0):
+def peag_potential(g_y, y, z, k, L, sigma, y0, y_star):
     """Past-extra potential with the probe-distance and offset terms.
 
     a_k|G y_k|^2 + b_k <G y_k, y_k - y0> + c_k|z_k - y_k|^2
-    + b0*sqrt(2M)|y0 - y*|^2, with M = L^2 (1 + sigma),
-    b_k = b0 (k+1), a_k = b0 (k+1)^2 / (2 sqrt(2M)) and
-    c_k = L^2 b0 (k+1)^2 / (2 sqrt(2M)).
+    + sqrt(2M)|y0 - y*|^2, with M = L^2 (1 + sigma), b_k = k+1,
+    a_k = (k+1)^2 / (2 sqrt(2M)) and c_k = L^2 (k+1)^2 / (2 sqrt(2M)).
     """
     if g_y is None:
         raise DataError("need the operator value at y_k")
     root = math.sqrt(2.0 * L * L * (1.0 + sigma))
-    b_k = b0 * (k + 1.0)
-    a_k = b0 * (k + 1.0) ** 2 / (2.0 * root)
-    c_k = L * L * b0 * (k + 1.0) ** 2 / (2.0 * root)
+    b_k = k + 1.0
+    a_k = (k + 1.0) ** 2 / (2.0 * root)
+    c_k = L * L * (k + 1.0) ** 2 / (2.0 * root)
     d0 = y0 - y_star
     dzy = z - y
     return (a_k * float(g_y @ g_y) + b_k * float(g_y @ (y - y0))
-            + c_k * float(dzy @ dzy) + b0 * root * float(d0 @ d0))
+            + c_k * float(dzy @ dzy) + root * float(d0 @ d0))
 
 
-def omega_family_coeffs(k, gamma, omega, mu=1.0):
+def omega_family_coeffs(k, gamma, omega):
     """Coefficients a = gamma^2 t (t-1), b = 2 gamma t (t-1), t = (k+2w+1)/w."""
     t = (k + 2.0 * omega + 1.0) / omega
     return LyapunovCoeffs(a=gamma * gamma * t * (t - 1.0),
-                          b=2.0 * gamma * t * (t - 1.0), t=t, mu=mu)
+                          b=2.0 * gamma * t * (t - 1.0), t=t, mu=1.0)
 
 
-def eag_family_coeffs(k, L, b1=None):
+def eag_family_coeffs(k, L):
     """Coefficients a = b1 k (k+2)/(4L), b = b1 k (k+1)/2, t = k+1, mu = 0."""
-    if b1 is None:
-        b1 = 2.0 / L
+    b1 = 2.0 / L
     return LyapunovCoeffs(a=b1 * k * (k + 2.0) / (4.0 * L),
                           b=b1 * k * (k + 1.0) / 2.0, t=k + 1.0, mu=0.0)
 
 
-def anchor_to_corrected_coeffs(k, beta_k, eta_k, L, q0=1.0):
+def anchor_to_corrected_coeffs(k, beta_k, eta_k, L):
     """Index-(k+1) coefficients that tie the two potentials together.
 
     With p, q the anchored-potential weights at k, the corrected
@@ -169,10 +165,10 @@ def anchor_to_corrected_coeffs(k, beta_k, eta_k, L, q0=1.0):
 
         V_{k+1} = (4 p / (L q^2)) * anchored_potential_k + |y0 - y*|^2.
     """
-    p, q = halpern_potential_coeffs(k, q0)
+    p, q = halpern_potential_coeffs(k)
     a = 4.0 * p * p / (L * L * q * q) + 4.0 * p * eta_k / (L * q * (1.0 - beta_k))
     b = 4.0 * p / (L * q * beta_k)
-    return LyapunovCoeffs(a=a, b=b, t=1.0 / beta_k, mu=0.0, p=p, q=q)
+    return LyapunovCoeffs(a=a, b=b, t=1.0 / beta_k, mu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +237,16 @@ class AnchoredPotentialFold(Fold):
 
     need = ("y", "g_y")
 
-    def __init__(self, L, q0=1.0):
+    def __init__(self, L):
         super().__init__()
-        self.L, self.q0 = L, q0
+        self.L = L
         self._y0 = None
 
     def term(self, point, prev):
         if prev is None:
             self._y0 = point.y
         if point.g_y is not None:
-            p_k, q_k = halpern_potential_coeffs(point.k, self.q0)
+            p_k, q_k = halpern_potential_coeffs(point.k)
             return halpern_potential(point.g_y, point.y, self._y0, p_k, q_k,
                                      self.L)
         return None
@@ -275,15 +271,15 @@ class CorrectedPotentialFold(Fold):
                                   self.coeffs_fn(point.k), self.y_star)
 
 
-def omega_potential_fold(gamma, omega, y_star, mu=1.0):
+def omega_potential_fold(gamma, omega, y_star):
     """Corrected potential of the omega family (corrected schemes, at y)."""
     return CorrectedPotentialFold(
-        lambda k: omega_family_coeffs(k, gamma, omega, mu), y_star)
+        lambda k: omega_family_coeffs(k, gamma, omega), y_star)
 
 
-def eag_potential_fold(L, y_star, b1=None):
+def eag_potential_fold(L, y_star):
     """Extra-gradient potential: the corrected one read at z."""
-    return CorrectedPotentialFold(lambda k: eag_family_coeffs(k, L, b1),
+    return CorrectedPotentialFold(lambda k: eag_family_coeffs(k, L),
                                   y_star, field="z")
 
 
@@ -312,7 +308,7 @@ class ResidualDifferenceFold(Fold):
 class SummabilityFold(Fold):
     """The four partial-sum budgets of the omega-family decrease estimate.
 
-    Budgets (all bounded by V_0): mu(2 t_k - 1 - mu)|x_{k+1}-x_k|^2;
+    Budgets (all bounded by V_0): 2(t_k - 1)|x_{k+1}-x_k|^2;
     (gamma (w-1)/(L w)) |G y_k|^2; (2 gamma (1 - L gamma)/L)
     t_k(t_k-1)|G y_k - G y_{k-1}|^2; gamma^2 t_k(t_k-1)
     |x_{k+1}-x_k-theta_{k-1}(x_k-x_{k-1})|^2. A budget whose coefficient
@@ -323,9 +319,9 @@ class SummabilityFold(Fold):
 
     need = ("x", "g_y")
 
-    def __init__(self, gamma, omega, L, mu=1.0):
+    def __init__(self, gamma, omega, L):
         super().__init__()
-        self.gamma, self.omega, self.L, self.mu = gamma, omega, L, mu
+        self.gamma, self.omega, self.L = gamma, omega, L
         self._step = None    # x_k - x_{k-1}
         self._g_back = None  # G y_{k-1}, with G y_{-1} = G y_0
 
@@ -347,7 +343,7 @@ class SummabilityFold(Fold):
     def reports(self, v0):
         if v0 is None:
             raise DataError("summability check needs V_0")
-        gamma, omega, L, mu = self.gamma, self.omega, self.L, self.mu
+        gamma, omega, L = self.gamma, self.omega, self.L
         n = len(self.terms)
         dx, g_norm, dg, corr = np.array(self.terms).reshape(n, 4).T
         t = np.array([(k + 2.0 * omega + 1.0) / omega for k in range(n)])
@@ -364,8 +360,7 @@ class SummabilityFold(Fold):
                 return
             reports.append(_compare(name, np.cumsum(coeff_terms), budget))
 
-        add("anchor_distance_budget", mu * (2.0 * t - 1.0 - mu) * dx ** 2,
-            mu > 0)
+        add("anchor_distance_budget", (2.0 * t - 2.0) * dx ** 2, True)
         add("residual_budget",
             (gamma * (omega - 1.0) / (L * omega)) * g_norm ** 2, omega > 1.0)
         add("residual_difference_budget",
@@ -379,16 +374,16 @@ class SummabilityFold(Fold):
 class PeagGapFold(Fold):
     """Weighted probe-gap sums of the past-extra potential, bounded by E_0.
 
-    Partial sums of (L^2 (sigma-1) b0 / (2 sqrt(2M))) * (k+1)(k+2)
+    Partial sums of (L^2 (sigma-1) / (2 sqrt(2M))) * (k+1)(k+2)
     |z_{k+1} - y_{k+1}|^2 stay below E_0; meaningful only for sigma > 1
     (smaller sigma gives a nonpositive weight and the check is skipped).
     """
 
     need = ("y", "z")
 
-    def __init__(self, L, sigma, b0=1.0):
+    def __init__(self, L, sigma):
         super().__init__()
-        self.L, self.sigma, self.b0 = L, sigma, b0
+        self.L, self.sigma = L, sigma
 
     def term(self, point, prev):
         if prev is None:
@@ -405,7 +400,7 @@ class PeagGapFold(Fold):
                                note="sigma <= 1, weight nonpositive")
         L = self.L
         root = math.sqrt(2.0 * L * L * (1.0 + self.sigma))
-        w = L * L * (self.sigma - 1.0) * self.b0 / (2.0 * root)
+        w = L * L * (self.sigma - 1.0) / (2.0 * root)
         ks = np.arange(n, dtype=float)
         terms = w * (ks + 1.0) * (ks + 2.0) * np.array(self.terms)
         return _compare("probe_gap_budget", np.cumsum(terms), np.full(n, e0))
@@ -420,16 +415,16 @@ class PeagPotentialFold(Fold):
 
     need = ("y", "z", "g_x")
 
-    def __init__(self, L, sigma, y_star, b0=1.0):
+    def __init__(self, L, sigma, y_star):
         super().__init__()
-        self.L, self.sigma, self.y_star, self.b0 = L, sigma, y_star, b0
+        self.L, self.sigma, self.y_star = L, sigma, y_star
         self._y0 = None
 
     def term(self, point, prev):
         if prev is None:
             self._y0 = point.y
         return peag_potential(point.g_x, point.y, point.z, point.k, self.L,
-                              self.sigma, self._y0, self.y_star, self.b0)
+                              self.sigma, self._y0, self.y_star)
 
 
 class PeagResidualFold(Fold):
@@ -492,11 +487,11 @@ class CouplingIdentityFold(Fold):
         return float(np.max(self.terms, initial=0.0))
 
 
-def decrease_report(values, name="decrease", slack=DECREASE_SLACK):
+def decrease_report(values, name="decrease"):
     """Count indices where the series increases beyond the relative slack."""
     values = np.asarray(values, dtype=float)
     diffs = values[:-1] - values[1:]
-    allowed = -slack * (1.0 + np.abs(values[:-1]))
+    allowed = -DECREASE_SLACK * (1.0 + np.abs(values[:-1]))
     bad = diffs < allowed
     viol = int(np.count_nonzero(bad))
     first = int(np.argmax(bad)) if viol else None
@@ -508,66 +503,6 @@ def decrease_report(values, name="decrease", slack=DECREASE_SLACK):
 
 # ---------------------------------------------------------------------------
 # theoretical residual bounds
-
-BOUND_KINDS = ("halpern_fast", "halpern_slow", "eag", "comono",
-               "peag_residual", "peag_probe")
-
-
-def bound_series(bound, ks, L, dist0, rho=None, sigma=None):
-    """Closed-form right-hand side of one residual bound at indices ``ks``.
-
-    dist0 is |y0 - y*|. ``halpern_fast`` bounds |G y_k|, the others a
-    squared residual. The co-monotone bound holds from k = 1 on and is
-    inf at k = 0; it needs rho, and the past-extra bounds need sigma.
-    """
-    if bound not in BOUND_KINDS:
-        raise InputError(f"unknown bound kind {bound!r}")
-    ks = np.asarray(ks, dtype=float)
-    if bound == "halpern_fast":
-        return L * dist0 / (ks + 1.0)
-    scale = 4.0 * L * L * dist0 * dist0
-    if bound == "halpern_slow":
-        return scale / ((ks + 1.0) * (ks + 3.0))
-    if bound == "eag":
-        return scale / (ks + 1.0) ** 2
-    if bound == "comono":
-        if rho is None:
-            raise InputError("comono bound needs rho")
-        with np.errstate(divide="ignore"):
-            return scale / ((1.0 + 2.0 * rho * L) * ks ** 2)
-    if sigma is None:
-        raise InputError("past-extra bounds need sigma")
-    m_big = L * L * (1.0 + sigma)
-    weight = 2.0 if bound == "peag_residual" else 3.0
-    return weight * (1.0 + 4.0 * m_big) * dist0 * dist0 / (ks + 1.0) ** 2
-
-
-def bound_check(trace, bound, L, dist0, rho=None, sigma=None):
-    """Compare a trace against one of the closed-form residual bounds.
-
-    dist0 is |y0 - y*|. The co-monotone bound starts at k = 1. The
-    past-extra probe bound reads the trace's |G z_k| column, the other
-    column bounds |G y_k|. A run that stopped on a numeric error, or
-    kept no final residual, has no residual at its last index, and the
-    comparison ends one index earlier. The past-extra residual bound is
-    on |G y_k| and |z_k - y_k|, which no trace column holds: a ``peag``
-    run with ``track_x_residual`` feeds :class:`PeagResidualFold`
-    instead.
-    """
-    if bound == "peag_residual":
-        raise InputError("the peag_residual bound reads iterates: feed "
-                         "PeagResidualFold to a run with track_x_residual")
-    first = 1 if bound == "comono" else 0
-    column = trace.norm_g_z if bound == "peag_probe" else trace.norm_g_y
-    obs, ks = column[first:], trace.k[first:]
-    if len(obs) and np.isnan(obs[-1]):
-        obs, ks = obs[:-1], ks[:-1]
-    if bound != "halpern_fast":
-        obs = obs ** 2
-    if np.any(np.isnan(obs)):
-        raise InputError("trace lacks the residual values this bound reads")
-    theory = bound_series(bound, ks, L, dist0, rho=rho, sigma=sigma)
-    return _compare(bound, obs, theory, ks)
 
 
 def eag_constant_rate_constant(eta, L):
@@ -610,6 +545,107 @@ def eag_varying_limit_lower_bound(eta0, L):
     tail = 1.0 - 0.5 * c * (1.0 / (_LIMIT_FACTORS + 1.0)
                             + 1.0 / (_LIMIT_FACTORS + 2.0))
     return eta0 * prod * tail
+
+
+class Bound(NamedTuple):
+    """Everything :func:`bound_series` and :func:`bound_check` know of a bound."""
+
+    rhs: Callable  # rhs(ks, L, dist0, *constants), ks a float array
+    constants: tuple  # the constants rhs reads, in its order
+    column: Optional[str]  # the trace column bounded; None: a fold feeds it
+    squared: bool  # the column is compared squared
+    first: int = 0  # the first index the bound holds at
+
+
+def _scale(L, dist0):
+    return 4.0 * L * L * dist0 * dist0
+
+
+def _comono(ks, L, dist0, rho):
+    with np.errstate(divide="ignore"):  # inf at k = 0
+        return _scale(L, dist0) / ((1.0 + 2.0 * rho * L) * ks ** 2)
+
+
+def _past_extra(weight):
+    return lambda ks, L, dist0, sigma: (
+        weight * (1.0 + 4.0 * (L * L * (1.0 + sigma))) * dist0 * dist0
+        / (ks + 1.0) ** 2)
+
+
+def _eag_constant(ks, L, dist0, eta):
+    return (eag_constant_rate_constant(eta, L) * dist0 * dist0
+            / (ks + 1.0) ** 2)
+
+
+def _eag_varying(ks, L, dist0, eta0):
+    eta_star = eag_varying_limit_lower_bound(eta0, L)
+    return (eag_varying_rate_constant(eta0, eta_star, L) * dist0 * dist0
+            / ((ks + 1.0) * (ks + 2.0)))
+
+
+#: every closed-form residual bound, dist0 = |y0 - y*|. ``halpern_fast``
+#: bounds |G y_k|, the others a squared residual. The past-extra residual
+#: bound is on |G y_k|^2 + 2 L^2 |z_k - y_k|^2, which no trace column
+#: holds: :class:`PeagResidualFold` feeds it. The varying-step EAG
+#: constant is taken at the certified lower bound on the limit stepsize,
+#: which makes it an upper bound on the rate constant.
+BOUNDS = {
+    "halpern_fast": Bound(lambda ks, L, dist0: L * dist0 / (ks + 1.0), (),
+                          "norm_g_y", False),
+    "halpern_slow": Bound(lambda ks, L, dist0: _scale(L, dist0)
+                          / ((ks + 1.0) * (ks + 3.0)), (), "norm_g_y", True),
+    "eag": Bound(lambda ks, L, dist0: _scale(L, dist0) / (ks + 1.0) ** 2, (),
+                 "norm_g_y", True),
+    "comono": Bound(_comono, ("rho",), "norm_g_y", True, first=1),
+    "peag_residual": Bound(_past_extra(2.0), ("sigma",), None, True),
+    "peag_probe": Bound(_past_extra(3.0), ("sigma",), "norm_g_z", True),
+    "eag_constant": Bound(_eag_constant, ("eta",), "norm_g_y", True),
+    "eag_varying": Bound(_eag_varying, ("eta0",), "norm_g_y", True),
+}
+
+BOUND_KINDS = tuple(BOUNDS)
+
+
+def _bound_row(bound):
+    if bound not in BOUNDS:
+        raise InputError(f"unknown bound kind {bound!r}")
+    return BOUNDS[bound]
+
+
+def bound_series(bound, ks, L, dist0, **constants):
+    """Closed-form right-hand side of one residual bound at indices ``ks``.
+
+    ``constants`` holds the constants the kind's :data:`BOUNDS` row
+    reads; a missing one is an input error, and the others are ignored.
+    """
+    row = _bound_row(bound)
+    values = [constants.get(name) for name in row.constants]
+    if None in values:
+        raise InputError(f"{bound} bound needs {', '.join(row.constants)}")
+    return row.rhs(np.asarray(ks, dtype=float), L, dist0, *values)
+
+
+def bound_check(trace, bound, L, dist0, **constants):
+    """Compare a trace's residual column against a closed-form bound.
+
+    The kind's :data:`BOUNDS` row names the column, whether it is
+    squared and the first index compared. A run that stopped on a
+    numeric error, or kept no final residual, has no residual at its
+    last index, and the comparison ends one index earlier.
+    """
+    row = _bound_row(bound)
+    if row.column is None:
+        raise InputError(f"the {bound} bound reads iterates: feed "
+                         "PeagResidualFold to a run with track_x_residual")
+    obs, ks = getattr(trace, row.column)[row.first:], trace.k[row.first:]
+    if len(obs) and np.isnan(obs[-1]):
+        obs, ks = obs[:-1], ks[:-1]
+    if row.squared:
+        obs = obs ** 2
+    if np.any(np.isnan(obs)):
+        raise InputError("trace lacks the residual values this bound reads")
+    theory = bound_series(bound, ks, L, dist0, **constants)
+    return _compare(bound, obs, theory, ks)
 
 
 def trend_check(norm_g_y, name="quadratic_trend"):

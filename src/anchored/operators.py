@@ -27,8 +27,6 @@ class OperatorSpec:
     cocoercivity_modulus: Optional[float] = None
     comonotonicity_rho: Optional[float] = None
     monotone: bool = False
-    # optional exposure of composition intermediates, set by residual builders
-    parts: Optional[Callable] = None
 
     def __call__(self, y):
         return self.eval(np.asarray(y, dtype=np.float64))
@@ -368,10 +366,4 @@ def counted(op: OperatorSpec):
         counter.count += 1
         return op.eval(y)
 
-    parts = None
-    if op.parts is not None:
-        def parts(y):
-            counter.count += 1
-            return op.parts(y)
-
-    return replace(op, eval=apply, parts=parts), counter
+    return replace(op, eval=apply), counter

@@ -109,8 +109,7 @@ def tos_residual(spec: SplittingSpec) -> OperatorSpec:
     Handles set-valued B (given as a resolvent kind) and an optional
     co-coercive C. With C absent the modulus reduces to lam itself,
     which follows from firm nonexpansiveness of the two resolvents
-    rather than from a stated constant. The returned spec exposes the
-    intermediates through ``parts(u) -> (Eu, z_u, w_u)`` for tracing.
+    rather than from a stated constant.
     """
     lam = spec.lam
     res_a = spec.a.with_lambda(lam)
@@ -128,23 +127,18 @@ def tos_residual(spec: SplittingSpec) -> OperatorSpec:
         warnings.warn("lam outside (0, 4/L): residual built without a "
                       "co-coercivity modulus")
 
-    def parts(u):
+    def apply(u):
         z = resolvent_apply(res_b, u)
         inner = 2.0 * z - u
         if c_op is not None:
             inner = inner - lam * c_op(z)
-        w = resolvent_apply(res_a, inner)
-        return (z - w) / lam, z, w
-
-    def apply(u):
-        return parts(u)[0]
+        return (z - resolvent_apply(res_a, inner)) / lam
 
     dim = spec.c.dim if spec.c is not None else (
         _kind_dim(spec.a) or (_kind_dim(res_b) if spec.b is not None else None))
     return OperatorSpec(dim=dim, eval=apply,
                         lipschitz=None if modulus is None else 1.0 / modulus,
-                        cocoercivity_modulus=modulus, monotone=True,
-                        parts=parts)
+                        cocoercivity_modulus=modulus, monotone=True)
 
 
 def cocoercivity_report(op, modulus, n_pairs, seed=0, dim=None, scale=1.0):

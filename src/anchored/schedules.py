@@ -34,7 +34,7 @@ class Schedule(NamedTuple):
 
     rule: Callable  # rule(L, **keywords) -> iterator of ScheduleParams
     keywords: tuple  # the schedule keywords the rule reads
-    bound: Optional[str]  # its diagnostics.BOUND_KINDS entry, if any
+    bound: Optional[str]  # its diagnostics.BOUNDS kind, if any
 
 
 def _need(ok, message):
@@ -243,7 +243,7 @@ SCHEDULES = {
     "peag_legacy": Schedule(_peag_legacy, ("eta0",), None),
     "nag_eag": Schedule(_nag_eag, (), "eag"),
     "nag_comono": Schedule(_nag_comono, ("rho",), "comono"),
-    "nag_peag": Schedule(_nag_peag, ("sigma",), None),
+    "nag_peag": Schedule(_nag_peag, ("sigma",), "peag_probe"),
 }
 
 SCHEDULE_KINDS = tuple(SCHEDULES)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .operators import OperatorSpec
-from .residuals import SplittingSpec, fb_residual, tos_residual, yosida
 from .schedules import schedule_stream
 
 DIVERGENCE_LIMIT = 1e30
@@ -462,40 +461,17 @@ def run(solver, y0, K, trace_opts=None, observers=()):
                     error=error)
 
 
-def make_solver(problem_case, data, scheme_kind, schedule_factory, meta=None):
-    """Wire a residual operator for the given problem case into a scheme.
+def solver_for(op, scheme_kind, schedule_kind, meta=None, **schedule_kw):
+    """A solver of ``op`` with a named schedule.
 
-    problem_case selects the reduction: "cocoercive" uses the operator
-    directly, "inclusion_a" the resolvent surrogate, "inclusion_ab" the
-    forward-backward residual (single-valued B only), and
-    "inclusion_abc" the three-operator residual (C may be absent, which
-    is the reflected-splitting case).
+    A residual operator (``residuals.yosida``, ``fb_residual`` or
+    ``tos_residual``) goes in as ``op`` like any other.
     """
     if scheme_kind not in SCHEMES:
         raise InputError(f"unknown scheme kind {scheme_kind!r}")
-    if problem_case == "cocoercive":
-        op = data
-        if not isinstance(op, OperatorSpec):
-            raise InputError("cocoercive case expects an OperatorSpec")
-    elif problem_case == "inclusion_a":
-        a_kind, lam = data
-        op = yosida(a_kind, lam)
-    elif problem_case in ("inclusion_ab", "inclusion_abc"):
-        if not isinstance(data, SplittingSpec):
-            raise InputError("inclusion cases expect a SplittingSpec")
-        residual = fb_residual if problem_case == "inclusion_ab" \
-            else tos_residual
-        op = residual(data)
-    else:
-        raise InputError(f"unknown problem case {problem_case!r}")
-    return Solver(scheme=scheme_kind, operator=op,
-                  schedule_factory=schedule_factory, meta=meta or {})
-
-
-def solver_for(op, scheme_kind, schedule_kind, meta=None, **schedule_kw):
-    """Convenience: a cocoercive-case solver with a named schedule."""
     lip = schedule_kw.pop("L", op.lipschitz)
     factory = lambda: schedule_stream(schedule_kind, lip, **schedule_kw)
     md = {"schedule": schedule_kind, "L": lip}
     md.update(meta or {})
-    return make_solver("cocoercive", op, scheme_kind, factory, md)
+    return Solver(scheme=scheme_kind, operator=op, schedule_factory=factory,
+                  meta=md)

@@ -117,11 +117,10 @@ FOLDS = {
     "record": lambda c: dg.RecordFold(),
     "anchored": lambda c: dg.AnchoredPotentialFold(c.L),
     "omega": lambda c: dg.omega_potential_fold(
-        y_star=c.y_star, mu=1.0, **KWARGS["omega"](c.L)),
+        y_star=c.y_star, **KWARGS["omega"](c.L)),
     "anchor distance": lambda c: dg.MapFold(
         lambda s: _norm(s.x - c.y_star) ** 2),
-    "budgets": lambda c: dg.SummabilityFold(L=c.L, mu=1.0,
-                                            **KWARGS["omega"](c.L)),
+    "budgets": lambda c: dg.SummabilityFold(L=c.L, **KWARGS["omega"](c.L)),
     "coupling": lambda c: dg.CouplingIdentityFold(c.L, c.y_star),
     "eag": lambda c: dg.eag_potential_fold(c.L, c.y_star),
     "|G y|^2": lambda c: dg.MapFold(lambda s: float(s.g_y @ s.g_y)),
@@ -297,34 +296,20 @@ def _slope(column):
     return verdict
 
 
-def _rate_result(trace, c_star, dist0, denom, note=""):
-    """|G y_k|^2 <= c_star dist0^2 / denom_k at every index k."""
-    theory = c_star * dist0 * dist0 / denom
-    viol = int(np.count_nonzero(trace.norm_g_y ** 2 > theory * (1.0 + 1e-9)))
-    return viol == 0, f"violations={viol}{note}"
-
-
-def _constant_rate(case, trace):
-    eta = KWARGS["eta=1/8L"](case.L)["eta"]
-    return _rate_result(trace, dg.eag_constant_rate_constant(eta, case.L),
-                        case.d0, (trace.k + 1.0) ** 2)
-
-
-def eag_varying_rate_check(trace, eta0, L, dist0):
-    """Varying-step extra-gradient rate |G y_k|^2 <= c* dist0^2/((k+1)(k+2)).
-
-    c* = 4(1 + eta0 eta* L^2)/eta*^2 at the certified lower bound on the
-    limit stepsize eta*, which makes it an upper bound on the rate
-    constant.
-    """
-    eta_star = dg.eag_varying_limit_lower_bound(eta0, L)
-    c_star = dg.eag_varying_rate_constant(eta0, eta_star, L)
-    ks = np.asarray(trace.k, dtype=float)
-    denom = (ks + 1.0) * (ks + 2.0)
-    ratio = float(np.max(trace.norm_g_y ** 2 * denom
-                         / (c_star * dist0 * dist0)))
-    return _rate_result(trace, c_star, dist0, denom,
-                        f" eta*L>={eta_star * L:.4f} worst_ratio={ratio:.3f}")
+def _rate(kind, kw):
+    """An extra-gradient rate-constant row; the varying step also prints
+    the certified limit stepsize and the largest observed/bound ratio."""
+    def verdict(case, trace):
+        constants = KWARGS[kw](case.L)
+        rep = dg.bound_check(trace, kind, case.L, case.d0, **constants)
+        detail = f"violations={rep.violations}"
+        if "eta0" in constants:
+            eta_star = dg.eag_varying_limit_lower_bound(constants["eta0"],
+                                                        case.L)
+            detail += (f" eta*L>={eta_star * case.L:.4f} worst_ratio="
+                       f"{np.max(rep.observed / rep.theory):.3f}")
+        return rep.ok, detail
+    return verdict
 
 
 def _trend(case, trace):
@@ -472,10 +457,10 @@ CHECKS = (
     Check("bounds", "extra-gradient residual bound [huber]", "huber",
           "nag_eag/nag_eag", _bound("eag")),
     Check("bounds", "constant-step extra-gradient rate constant [huber]",
-          "huber", "eag/eag_constant", _constant_rate, kw="eta=1/8L"),
+          "huber", "eag/eag_constant", _rate("eag_constant", "eta=1/8L"),
+          kw="eta=1/8L"),
     Check("bounds", "varying-step extra-gradient rate constant [huber]",
-          "huber", "eag/eag_varying", lambda case, trace:
-          eag_varying_rate_check(trace, 0.5 / case.L, case.L, case.d0),
+          "huber", "eag/eag_varying", _rate("eag_varying", "eta0=0.5/L"),
           kw="eta0=0.5/L"),
     Check("bounds", "past-extra residual bound [huber]", "huber", "peag/peag",
           lambda case, trace, residual: _report(residual.report()),

@@ -108,10 +108,10 @@ def test_criterion_4_omega_family_suite(ls_desk):
     inst, y0 = ls_desk
     op, y_star = inst.operator, inst.solution
     L = op.lipschitz
-    gamma, omega, mu = 0.9 / L, 3.0, 1.0
+    gamma, omega = 0.9 / L, 3.0
     with criterion(4, "omega-family potential, budgets, trend, K=5000"):
-        potential = dg.omega_potential_fold(gamma, omega, y_star, mu)
-        budgets = dg.SummabilityFold(gamma, omega, L, mu)
+        potential = dg.omega_potential_fold(gamma, omega, y_star)
+        budgets = dg.SummabilityFold(gamma, omega, L)
         trace = run(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
                                omega=omega), y0, 5000,
                     observers=(potential, budgets))

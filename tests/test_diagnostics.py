@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from anchored.diagnostics import (
+    BOUND_KINDS,
+    BOUNDS,
     AnchoredPotentialFold,
     BoundReport,
     LyapunovCoeffs,
@@ -13,6 +17,7 @@ from anchored.diagnostics import (
     SummabilityFold,
     anchor_to_corrected_coeffs,
     bound_check,
+    bound_series,
     decrease_report,
     eag_constant_rate_constant,
     eag_family_coeffs,
@@ -151,12 +156,12 @@ class TestNesterovPotential:
         op, y_star = ls_fixture(seed=11)
         y0 = SplitMix64(13).normal(op.dim)
         gamma, omega, mu = 0.9 / op.lipschitz, 3.0, 1.0
-        fold = omega_potential_fold(gamma, omega, y_star, mu)
+        fold = omega_potential_fold(gamma, omega, y_star)
         points = fed(solver_for(op, "nesterov", "nesterov_omega",
                                 gamma=gamma, omega=omega), y0, 2, fold)
         series = fold.series()
         g0 = points[0].g_y
-        a0 = omega_family_coeffs(0, gamma, omega, mu).a
+        a0 = omega_family_coeffs(0, gamma, omega).a
         d0 = np.linalg.norm(y0 - y_star)
         expect = a0 * float(g0 @ g0) + (1.0 + mu) * d0 * d0
         assert series[0] == pytest.approx(expect, rel=1e-12)
@@ -165,7 +170,7 @@ class TestNesterovPotential:
         op, y_star = ls_fixture(seed=19)
         y0 = SplitMix64(23).normal(op.dim)
         gamma, omega, mu = 0.9 / op.lipschitz, 3.0, 1.0
-        fold = omega_potential_fold(gamma, omega, y_star, mu)
+        fold = omega_potential_fold(gamma, omega, y_star)
         points = fed(solver_for(op, "nesterov", "nesterov_omega",
                                 gamma=gamma, omega=omega), y0, 500, fold)
         series = fold.series()
@@ -237,7 +242,7 @@ class TestPeagPotential:
         y0 = np.array([1.0, 2.0])
         y_star = np.array([0.0, 0.5])
         g0 = np.array([0.3, -0.4])
-        val = peag_potential(g0, y0, y0, 0, L, sigma, y0, y_star, b0)
+        val = peag_potential(g0, y0, y0, 0, L, sigma, y0, y_star)
         d0sq = float(np.linalg.norm(y0 - y_star) ** 2)
         expect = (b0 / (2.0 * root)) * float(g0 @ g0) + b0 * root * d0sq
         assert val == pytest.approx(expect, rel=1e-14)
@@ -318,12 +323,78 @@ class TestBoundCheck:
         assert report.violations == 0
 
 
+#: sha256 of ``bound_series(kind, 0..2000, L, dist0, **pin_constants(L))``
+#: bytes, recorded when each bound was still a branch of its own; the two
+#: extra-gradient rate kinds from the expression c* dist0^2 / denominator
+#: that the verify rows used then
+BOUND_PINS = {
+    ("halpern_fast", 1.0, 1.0):
+        "c8c8e45630df0c766c9f04449746a43bb420eafb4062d06c9ff67ff19d245c2f",
+    ("halpern_fast", 0.7, 2.5):
+        "7a18fbdf6de88a0d78a4a939bbd1dc3362456514dd3c65ebbf8d249580fb589e",
+    ("halpern_slow", 1.0, 1.0):
+        "6489d6be5b6004d054c18fc27d7ddbcde1a9e4f4104f1206544df761128eb40e",
+    ("halpern_slow", 0.7, 2.5):
+        "7c3288a8356a61f45f7cd089b3002cb4418a25b655dd92181db18b9f2e241f28",
+    ("eag", 1.0, 1.0):
+        "5da5150ca6f9e8fa65e1f71a5feedaaf3d14f5e67fae070b27ead5467dfe9a8e",
+    ("eag", 0.7, 2.5):
+        "c5228d55bb5fda5fcaa6934c6a91cbf7377319a2f5561e2951d47f6a2b1c0f14",
+    ("comono", 1.0, 1.0):
+        "cc80f432e8641b3f8038b9fe54dafba10f0fcc32d89dfc6e902ba91ae97a320c",
+    ("comono", 0.7, 2.5):
+        "45debae729cdc06c62e03bc3f6d3569572e3351ac3efbb5bd5ca632169e43929",
+    ("peag_residual", 1.0, 1.0):
+        "7972b86704e55cabbcbbc4ec81421dc603ef6eaef86ec36ee7d1070f1ee5d45b",
+    ("peag_residual", 0.7, 2.5):
+        "b94bf2417e1ce0a99582d632b1301d97afd2131ed1201fd4e61fe24c72c0119b",
+    ("peag_probe", 1.0, 1.0):
+        "47c3a7721e784bf33792ba2e3cfdb17b07c9976ec8f88be6eb8dee3d61b04a3b",
+    ("peag_probe", 0.7, 2.5):
+        "7fa1ed4e6d7a47e377615a708a14a887f70da118c9621a215a464750130e6a5b",
+    ("eag_constant", 1.0, 1.0):
+        "2f68cb2c89030615bfa15c2677beb4de359fafc64c96b6e59847c31bb14184d7",
+    ("eag_constant", 0.7, 2.5):
+        "f633e14c32af644e11af4190afe9c800e485debc7f7aa22e9b2f3757e70ad1fe",
+    ("eag_varying", 1.0, 1.0):
+        "c2e5791d6569a8e3c57a62b62e18d391496557de00626c97f4bb4f4af0cd3606",
+    ("eag_varying", 0.7, 2.5):
+        "d294cfc3733ef533db90c39efcc9064c371f3a351c60469592330dc8c8059a09",
+}
+
+
+def pin_constants(L):
+    return dict(rho=-1.0 / (4.0 * L), sigma=2.0, eta=1.0 / (8.0 * L),
+                eta0=0.5 / L)
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("kind, L, dist0", list(BOUND_PINS))
+    def test_series_bits_are_pinned(self, kind, L, dist0):
+        # every kind gets all four constants: those it does not read are
+        # ignored
+        series = bound_series(kind, np.arange(2001), L, dist0,
+                              **pin_constants(L))
+        digest = hashlib.sha256(series.tobytes()).hexdigest()
+        assert digest == BOUND_PINS[kind, L, dist0]
+
+    def test_pins_cover_every_kind_twice(self):
+        assert sorted(kind for kind, _, _ in BOUND_PINS) \
+            == sorted(BOUND_KINDS * 2)
+
+    def test_missing_constant_names_it(self):
+        for kind, row in BOUNDS.items():
+            for name in row.constants:
+                with pytest.raises(InputError, match=name):
+                    bound_series(kind, [1.0], 1.0, 1.0)
+
+
 class TestSummability:
     def test_budgets_hold_scalar_identity(self):
         op = identity_operator()
-        gamma, omega, mu = 0.9, 3.0, 1.0
-        potential = omega_potential_fold(gamma, omega, np.zeros(1), mu)
-        budgets = SummabilityFold(gamma, omega, 1.0, mu)
+        gamma, omega = 0.9, 3.0
+        potential = omega_potential_fold(gamma, omega, np.zeros(1))
+        budgets = SummabilityFold(gamma, omega, 1.0)
         fed(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
                        omega=omega), np.array([1.0]), 1000, potential, budgets)
         reports = budgets.reports(potential.series()[0])
@@ -337,7 +408,7 @@ class TestSummability:
         op = least_squares_operator(p_mat, np.zeros(16))
         y_star = np.zeros(8)
         gamma, omega = 0.9 / op.lipschitz, 3.0
-        potential = omega_potential_fold(gamma, omega, y_star, 1.0)
+        potential = omega_potential_fold(gamma, omega, y_star)
         budgets = SummabilityFold(gamma, omega, op.lipschitz)
         fed(solver_for(op, "nesterov", "nesterov_omega", gamma=gamma,
                        omega=omega), y_star, 30, potential, budgets)

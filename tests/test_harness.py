@@ -12,10 +12,10 @@ import pytest
 from anchored import cli, verify
 from anchored.cli import _attach_bound, main
 from anchored.diagnostics import (
+    BOUNDS,
     PeagPotentialFold,
     bound_check,
     eag_varying_limit_lower_bound,
-    eag_varying_rate_constant,
 )
 from anchored.errors import InputError
 from anchored.figures import make_figure
@@ -33,6 +33,7 @@ from anchored.operators import counted
 from anchored.schedules import SCHEDULES
 from anchored.schemes import (
     COMPATIBLE_SCHEDULES,
+    SCHEMES,
     RunTrace,
     run,
     solver_for,
@@ -44,7 +45,6 @@ from anchored.traceio import (
     read_trace_csv,
     write_trace_csv,
 )
-from anchored.verify import _rate_result, eag_varying_rate_check
 
 
 class TestGenerators:
@@ -600,16 +600,13 @@ class TestVaryingStepRate:
         eta0 = 0.5 / L
         trace = run(solver_for(hub.operator, "eag", "eag_varying", eta0=eta0),
                     y0, 2000)
-        ok, detail = eag_varying_rate_check(trace, eta0, L, d0)
+        case = verify.Case(hub.operator, y0, hub.solution, hub.meta, L, d0)
+        ok, detail = verify._rate("eag_varying", "eta0=0.5/L")(case, trace)
         assert ok
         assert "worst_ratio=0.304" in detail
-        # negative control: a constant four times too small must fail
-        c_star = eag_varying_rate_constant(
-            eta0, eag_varying_limit_lower_bound(eta0, L), L)
-        ks = trace.k.astype(float)
-        bad, _ = _rate_result(trace, c_star / 4.0, d0,
-                              (ks + 1.0) * (ks + 2.0))
-        assert not bad
+        # negative control: a bound four times too small must fail
+        bad = bound_check(trace, "eag_varying", L, d0 / 2, eta0=eta0)
+        assert not bad.ok
 
 
 class TestBoundColumn:
@@ -639,3 +636,23 @@ class TestBoundColumn:
             first = 1 if bound == "comono" else 0
             assert np.array_equal(trace.bound[first:], report.theory), kind
         assert bounded["nag_comono"] == "comono"
+        assert bounded["nag_peag"] == "peag_probe"
+
+    @staticmethod
+    def _unevaluated(schedules):
+        """(kind, scheme) pairs whose bound reads a point the scheme skips."""
+        return [(kind, scheme) for kind, row in schedules.items()
+                if row.bound is not None
+                for scheme, s in SCHEMES.items() if kind in s.schedules
+                and BOUNDS[row.bound].column[-1] not in s.evaluates]
+
+    def test_bounds_read_points_the_schemes_evaluate(self):
+        # a bound on |G y_k| needs a scheme that evaluates G at y_k
+        assert self._unevaluated(SCHEDULES) == []
+
+    def test_bound_on_an_unevaluated_point_is_caught(self):
+        # control: nag_peag evaluates G only at z, so eag's |G y_k| bound
+        # would read an empty column
+        wrong = dict(SCHEDULES,
+                     nag_peag=SCHEDULES["nag_peag"]._replace(bound="eag"))
+        assert self._unevaluated(wrong) == [("nag_peag", "nag_peag")]

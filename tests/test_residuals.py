@@ -188,8 +188,6 @@ class TestThreeOperatorResidual:
         z = resolvent_apply(affine_kind(np.eye(3)).with_lambda(1.0), u)
         w = resolvent_apply(l1_kind(1.0).with_lambda(1.0), 2.0 * z - u - 0.1 * z)
         assert np.allclose(g(u), z - w)
-        gu, zu, wu = g.parts(u)
-        assert np.allclose(zu, z) and np.allclose(wu, w)
 
     def test_modulus_sampled_with_c(self):
         c_op = desk_ls_operator(seed=41)

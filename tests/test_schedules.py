@@ -127,8 +127,8 @@ class TestNesterovOmega:
                        omega=omega)
         for k in [0, 1, 2, 10, 100, 1000, 10_000]:
             theta, nu = params[k].theta, params[k].nu
-            c_k = omega_family_coeffs(k, gamma, omega, mu)
-            c_k1 = omega_family_coeffs(k + 1, gamma, omega, mu)
+            c_k = omega_family_coeffs(k, gamma, omega)
+            c_k1 = omega_family_coeffs(k + 1, gamma, omega)
             t_k, t_k1, b_k, b_k1 = c_k.t, c_k1.t, c_k.b, c_k1.b
             c1 = t_k - t_k1 * theta - 1.0 - mu
             c2 = b_k1 * theta + 2 * gamma * t_k * (t_k - 1) \

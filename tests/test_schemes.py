@@ -13,7 +13,7 @@ from anchored.operators import (
     least_squares_operator,
     resolvent_apply,
 )
-from anchored.residuals import SplittingSpec, fb_residual
+from anchored.residuals import SplittingSpec, fb_residual, tos_residual, yosida
 from anchored.rng import SplitMix64
 from anchored.schemes import (
     COMPATIBLE_SCHEDULES,
@@ -25,7 +25,6 @@ from anchored.schemes import (
     eag_step,
     halpern_step,
     init_state,
-    make_solver,
     nag_eag_step,
     nag_peag_step,
     peag_step,
@@ -508,8 +507,8 @@ class TestMakeSolver:
         # y_{k+1} = beta*y0 + (1-beta)*(2 J - I) y_k
         lam = 0.7
         a = l1_kind(1.0)
-        solver = make_solver("inclusion_a", (a, lam), "halpern",
-                             lambda: schedule_stream("halpern_fast", 1.0 / lam))
+        solver = Solver("halpern", yosida(a, lam),
+                        lambda: schedule_stream("halpern_fast", 1.0 / lam))
         y0 = np.array([3.0, -2.0, 0.2])
         points = points_of(solver, y0, 30)
         res = a.with_lambda(lam)
@@ -528,9 +527,9 @@ class TestMakeSolver:
         spec = SplittingSpec(a=l1_kind(0.3), b=b_op, lam=lam,
                              l_of_b_or_c=b_op.lipschitz)
         g = fb_residual(spec)
-        solver = make_solver("inclusion_ab", spec, "halpern",
-                             lambda: schedule_stream("halpern_fast",
-                                                     1.0 / g.cocoercivity_modulus))
+        solver = Solver("halpern", g,
+                        lambda: schedule_stream("halpern_fast",
+                                                1.0 / g.cocoercivity_modulus))
         y0 = SplitMix64(53).normal(4)
         points = points_of(solver, y0, 25)
         res = l1_kind(0.3).with_lambda(lam)
@@ -550,10 +549,9 @@ class TestMakeSolver:
         lam = 2.0 / l_b
         ab = SplittingSpec(a=l1_kind(0.2), b=b_single, lam=lam, l_of_b_or_c=l_b)
         abc = SplittingSpec(a=l1_kind(0.2), b=affine_kind(m), lam=lam)
-        fb_solver = make_solver("inclusion_ab", ab, "halpern",
-                                lambda: schedule_stream("halpern_fast", l_b))
-        tos_op = make_solver("inclusion_abc", abc, "halpern",
-                             lambda: schedule_stream("halpern_fast", l_b)).operator
+        fb_solver = Solver("halpern", fb_residual(ab),
+                           lambda: schedule_stream("halpern_fast", l_b))
+        tos_op = tos_residual(abc)
         y0 = rng.normal(4)
         for point in points_of(fb_solver, y0, 100)[:-1]:
             u = point.y + lam * b_single(point.y)
@@ -562,9 +560,8 @@ class TestMakeSolver:
 
     def test_set_valued_b_with_equation_case_rejected(self):
         with pytest.raises(InputError):
-            make_solver("inclusion_ab",
-                        SplittingSpec(a=zero_kind_safe(), b=l1_kind(1.0), lam=1.0),
-                        "halpern", lambda: schedule_stream("halpern_fast", 1.0))
+            fb_residual(SplittingSpec(a=zero_kind_safe(), b=l1_kind(1.0),
+                                      lam=1.0))
 
 
 def zero_kind_safe():
