@@ -18,10 +18,12 @@ from . import diagnostics as dg
 from .errors import InputError
 from .figures import FIGURES, make_figure
 from .instances import DESK_SEED, GENERATORS, start_point
-from .schedules import SCHEDULE_KINDS, SCHEDULES
+from .schedules import SCHEDULE_KINDS, SCHEDULES, constants, schedule_stream
 from .schemes import (
+    CLASSES,
     COMPATIBLE_SCHEDULES,
     SCHEME_KINDS,
+    SCHEMES,
     TraceOpts,
     run,
     solver_for,
@@ -30,11 +32,14 @@ from .traceio import write_trace_csv
 from .verify import SUITES, format_table, run_suites
 
 
-#: the keys each config section may set; anything else is an input error
+#: the keys each config section may set; anything else is an input error.
+#: A kind or generator reads only the keys of its row.
 CONFIG_KEYS = {
     "run": ("scheme", "schedule", "iters", "seed"),
-    "schedule": ("gamma", "omega", "sigma", "rho", "eta", "eta0"),
-    "instance": ("generator", "n", "p", "m", "noise_var", "seed"),
+    "schedule": tuple(dict.fromkeys(
+        key for row in SCHEDULES.values() for key in row.keywords)),
+    "instance": ("generator", *dict.fromkeys(
+        key for row in GENERATORS.values() for key in row.keys)),
     "trace": ("lyapunov", "track_x_residual"),
     "output": ("dir",),
 }
@@ -73,8 +78,8 @@ def _switch(section, key, default):
     return state
 
 
-def _instance_seed(cfg, seed_override=None):
-    """``--seed``, else the ``seed`` of [instance] or [run], else the desk seed.
+def _instance_seed(cfg, seed_override, default):
+    """``--seed``, else the ``seed`` of [instance] or [run], else ``default``.
 
     Both config keys may be given only if they agree.
     """
@@ -85,60 +90,25 @@ def _instance_seed(cfg, seed_override=None):
         raise InputError("[instance] seed and [run] seed disagree")
     if seed_override is not None:
         return seed_override
-    return seeds.pop() if seeds else DESK_SEED
+    return seeds.pop() if seeds else default
 
 
 def _build_instance(cfg, seed_override=None):
     section = cfg["instance"] if cfg.has_section("instance") else {}
-    generator = section.get("generator", "least_squares")
-    if generator not in GENERATORS:
-        raise InputError(f"unknown generator {generator!r}")
-    seed = _instance_seed(cfg, seed_override)
-    if generator == "scalar_identity":
-        return GENERATORS[generator]()
-    if generator == "least_squares":
-        return GENERATORS[generator](_number(section, "n", 200, int),
-                                     _number(section, "p", 100, int), seed,
-                                     _number(section, "noise_var", 0.1))
-    m = _number(section, "m", 200, int)
-    n = _number(section, "n", 150, int)
-    return GENERATORS[generator](m, n, seed)
-
-
-def _constants(cfg):
-    section = cfg["schedule"] if cfg.has_section("schedule") else {}
-    return {key: _number(section, key, None) for key in CONFIG_KEYS["schedule"]
-            if section.get(key, "") != ""}
-
-
-def _potential_fold(scheme, kind, kw, instance):
-    """Fold of the ``lyapunov_main`` column; None when the pair has no form."""
-    L = instance.operator.lipschitz
-    y_star = instance.solution
-    if scheme == "halpern":
-        return dg.AnchoredPotentialFold(L)
-    if y_star is None:
-        return None
-    if scheme == "nesterov" and kind == "nesterov_omega":
-        return dg.omega_potential_fold(kw.get("gamma", 0.9 / L),
-                                       kw.get("omega", 3.0), y_star)
-    if scheme == "nag_eag":
-        return dg.eag_potential_fold(L, y_star)
-    if scheme == "peag" and kind == "peag":
-        return dg.PeagPotentialFold(L, kw.get("sigma", 1.0), y_star)
-    return None
-
-
-def _attach_bound(trace, kind, kw, instance, y0):
-    """Fill the bound column when the schedule has a closed-form bound."""
-    L = instance.operator.lipschitz
-    y_star = instance.solution
-    bound = SCHEDULES[kind].bound
-    if y_star is None or bound is None:
-        return
-    d0 = float(np.linalg.norm(y0 - y_star))
-    trace.bound = dg.bound_series(bound, trace.k, L, d0,
-                                  **{"sigma": 1.0, **kw})
+    name = section.get("generator", "least_squares")
+    if name not in GENERATORS:
+        raise InputError(f"unknown generator {name!r}")
+    keys = GENERATORS[name].keys
+    unread = [key for key in section if key != "generator" and key not in keys]
+    if unread:
+        raise InputError(f"generator {name!r} does not read "
+                         f"{', '.join(unread)} (it reads: "
+                         f"{', '.join(keys) or 'no keys'})")
+    seed = _instance_seed(cfg, seed_override, keys.get("seed"))
+    return GENERATORS[name].build(**{
+        key: seed if key == "seed" else _number(section, key, default,
+                                                type(default))
+        for key, default in keys.items()})
 
 
 def cmd_run(args):
@@ -170,30 +140,44 @@ def cmd_run(args):
     lyap_on = _switch(tsec, "lyapunov", "on")
     track_x = _switch(tsec, "track_x_residual", "off")
     instance = _build_instance(cfg, args.seed)
-    # the anchored and corrected schemes' guarantees assume co-coercivity
-    if scheme in ("halpern", "nesterov") \
-            and instance.operator.cocoercivity_modulus is None:
-        raise InputError(f"scheme {scheme!r} needs a co-coercive operator; "
-                         f"the {instance.meta.get('generator')} operator is "
-                         "not declared co-coercive")
-    kw = _constants(cfg)
-
-    potential = _potential_fold(scheme, kind, kw, instance) if lyap_on \
-        else None
+    op, y_star = instance.operator, instance.solution
+    L = op.lipschitz
+    ssec = cfg["schedule"] if cfg.has_section("schedule") else {}
+    kw = constants(kind, L, **{key: _number(ssec, key, None) for key in ssec
+                               if ssec[key] != ""})
+    schedule_stream(kind, L, **kw)  # its rule checks the constants now
+    row = SCHEMES[scheme]
+    least, modulus = CLASSES[row.operator_class](L, kw), op.comonotone_modulus
+    if modulus is None or modulus < least:
+        raise InputError(f"scheme {scheme!r} needs a {row.operator_class} "
+                         f"operator (co-monotone modulus >= {least:.6g}); "
+                         f"the {instance.meta['generator']} operator "
+                         f"declares {modulus}")
+    potential = dg.POTENTIALS[row.potentials[kind]](L, y_star, kw) \
+        if lyap_on and kind in row.potentials else None
     # the past-extra potential reads G y_k, which only x tracking evaluates
     opts = TraceOpts(track_x_residual=track_x or (
         potential is not None and "g_x" in potential.need))
 
     y0 = start_point(instance)
-    solver = solver_for(instance.operator, scheme, kind, **kw)
+    solver = solver_for(op, scheme, kind, **kw)
     t0 = time.time()
     trace = run(solver, y0, K, opts,
                 observers=() if potential is None else (potential,))
     elapsed = time.time() - t0
     if potential is not None:
         trace.lyapunov["main"] = potential.series()
-    if lyap_on:
-        _attach_bound(trace, kind, kw, instance, y0)
+    notes = []
+    if lyap_on and potential is None:
+        notes.append(f"lyapunov: none, {scheme}/{kind} has no potential "
+                     "form here")
+    bound = SCHEDULES[kind].bound
+    if lyap_on and bound is not None:
+        d0 = float(np.linalg.norm(y0 - y_star))
+        try:
+            trace.bound = dg.bound_series(bound, trace.k, L, d0, **kw)
+        except InputError as exc:  # eag_varying certifies only some eta0
+            notes.append(f"bound: none, {exc}")
 
     # made only now, so that a run refused for its input leaves no directory
     out_dir = args.out or (cfg["output"].get("dir", ".")
@@ -211,14 +195,12 @@ def cmd_run(args):
         f"instance: {instance.meta.get('generator')} "
         f"dims={instance.meta.get('dims')} seed={instance.meta.get('seed')}",
         f"iterations: {len(trace) - 1}",
-        f"L: {instance.l_estimate:.17g}",
+        f"L: {L:.17g}",
         f"final residual: {final:.17g}",
         f"runtime_s: {elapsed:.3f}",
         f"trace: {csv_path}",
+        *notes,
     ]
-    if lyap_on and potential is None:
-        lines.append(f"lyapunov: none, {scheme}/{kind} has no potential form "
-                     "here")
     if trace.error:
         lines.append(f"error: {trace.error}")
     with open(report_path, "w", encoding="utf-8") as fh:

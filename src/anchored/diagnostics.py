@@ -427,6 +427,17 @@ class PeagPotentialFold(Fold):
                               self.sigma, self._y0, self.y_star)
 
 
+#: the fold of each potential kind that a ``schemes.SCHEMES`` row names,
+#: from L, y* and the schedule's resolved constants (``schedules.constants``)
+POTENTIALS = {
+    "anchored": lambda L, y_star, c: AnchoredPotentialFold(L),
+    "omega": lambda L, y_star, c: omega_potential_fold(c["gamma"],
+                                                       c["omega"], y_star),
+    "eag": lambda L, y_star, c: eag_potential_fold(L, y_star),
+    "peag": lambda L, y_star, c: PeagPotentialFold(L, c["sigma"], y_star),
+}
+
+
 class PeagResidualFold(Fold):
     """|G y_k|^2 + 2 L^2 |z_k - y_k|^2 against the past-extra residual bound.
 

@@ -50,11 +50,9 @@ def make_figure(which, scale="small", out_dir=".", seed=DESK_SEED):
     if which == "exam1":
         inst = paper_least_squares(seed) if scale == "paper" \
             else desk_least_squares(seed)
-        L = inst.operator.lipschitz
         specs = [
             ("nesterov_slow", "nesterov", "nesterov_slow", {}),
-            ("nesterov_omega", "nesterov", "nesterov_omega",
-             {"gamma": 0.9 / L, "omega": 3.0}),
+            ("nesterov_omega", "nesterov", "nesterov_omega", {}),
         ]
         title = "accelerated variants, least-squares instance"
     else:

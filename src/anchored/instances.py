@@ -6,6 +6,8 @@ points are drawn from an offset stream, keeping instance data and
 initial iterates independent but jointly reproducible.
 """
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .errors import InputError
@@ -57,7 +59,6 @@ def gen_least_squares(n, p, seed, noise_var=0.1):
     op = least_squares_operator(p_mat, b, seed=seed)
     solution = np.linalg.lstsq(p_mat, b, rcond=None)[0]
     return ProblemInstance(operator=op, solution=solution,
-                           l_estimate=op.lipschitz,
                            meta={"generator": "least_squares", "seed": seed,
                                  "dims": (n, p), "noise_var": noise_var,
                                  "P": p_mat, "b": b})
@@ -80,7 +81,6 @@ def gen_minimax_huber(m, n, seed):
     op = huber_saddle_operator(k_mat, k_norm, k_norm, HUBER_EPS,
                                k_norm=k_norm, seed=seed)
     return ProblemInstance(operator=op, solution=np.zeros(n + m),
-                           l_estimate=op.lipschitz,
                            meta={"generator": "minimax_huber", "seed": seed,
                                  "dims": (m, n), "K": k_mat,
                                  "k_norm": k_norm})
@@ -94,7 +94,6 @@ def gen_bilinear(m, n, seed):
     k_mat = unit_columns(rng.normal_matrix(m, n))
     op = bilinear_saddle_operator(k_mat, seed=seed)
     return ProblemInstance(operator=op, solution=np.zeros(n + m),
-                           l_estimate=op.lipschitz,
                            meta={"generator": "bilinear", "seed": seed,
                                  "dims": (m, n), "K": k_mat})
 
@@ -102,16 +101,26 @@ def gen_bilinear(m, n, seed):
 def gen_scalar_identity():
     """G(y) = y on the line; the worst-case witness instance."""
     return ProblemInstance(operator=identity_operator(1),
-                           solution=np.zeros(1), l_estimate=1.0,
+                           solution=np.zeros(1),
                            meta={"generator": "scalar_identity", "seed": 0,
                                  "dims": (1,)})
 
 
+class Generator(NamedTuple):
+    """A generator and the ``[instance]`` keys it reads, with defaults."""
+
+    build: Callable  # build(**keys) -> ProblemInstance
+    keys: dict
+
+
 GENERATORS = {
-    "least_squares": gen_least_squares,
-    "minimax_huber": gen_minimax_huber,
-    "bilinear": gen_bilinear,
-    "scalar_identity": gen_scalar_identity,
+    "least_squares": Generator(gen_least_squares, {
+        "n": 200, "p": 100, "noise_var": 0.1, "seed": DESK_SEED}),
+    "minimax_huber": Generator(gen_minimax_huber,
+                               {"m": 200, "n": 150, "seed": DESK_SEED}),
+    "bilinear": Generator(gen_bilinear,
+                          {"m": 200, "n": 150, "seed": DESK_SEED}),
+    "scalar_identity": Generator(gen_scalar_identity, {}),
 }
 
 

@@ -31,6 +31,16 @@ class OperatorSpec:
     def __call__(self, y):
         return self.eval(np.asarray(y, dtype=np.float64))
 
+    @property
+    def comonotone_modulus(self):
+        """Largest declared rho of rho-co-monotonicity; None if none is.
+
+        A co-coercivity modulus is one, and a monotone G has rho = 0.
+        """
+        return max((rho for rho in (self.cocoercivity_modulus,
+                    self.comonotonicity_rho, 0.0 if self.monotone else None)
+                    if rho is not None), default=None)
+
 
 @dataclass(frozen=True)
 class ResolventSpec:
@@ -145,7 +155,6 @@ def resolvent_apply(res: ResolventSpec, y):
 class ProblemInstance:
     operator: OperatorSpec
     solution: Optional[np.ndarray]
-    l_estimate: float
     meta: dict = field(default_factory=dict)
 
 

@@ -1,9 +1,10 @@
 """Per-iteration parameter rules for every scheme in the package.
 
 Each schedule kind is one row of :data:`SCHEDULES`: its rule, the
-keywords the rule reads and its closed-form residual bound. A rule
-checks its constants once, when :func:`schedule_stream` builds the
-stream, and then yields :class:`ScheduleParams` with no further checks.
+keywords the rule reads with their defaults, and its closed-form
+residual bound. A rule checks the :func:`constants` of its row once,
+when :func:`schedule_stream` builds the stream, and then yields
+:class:`ScheduleParams` with no further checks.
 """
 
 import math
@@ -32,9 +33,13 @@ class ScheduleParams(NamedTuple):
 class Schedule(NamedTuple):
     """Everything :func:`schedule_stream` knows about one schedule kind."""
 
-    rule: Callable  # rule(L, **keywords) -> iterator of ScheduleParams
-    keywords: tuple  # the schedule keywords the rule reads
+    rule: Callable  # rule(L, **constants) -> iterator of ScheduleParams
+    defaults: dict  # keyword -> its default(L), or None for no default
     bound: Optional[str]  # its diagnostics.BOUNDS kind, if any
+
+    @property
+    def keywords(self):
+        return tuple(self.defaults)
 
 
 def _need(ok, message):
@@ -94,45 +99,43 @@ def _anchored(variant):
 
 def _corrected(variant):
     """nesterov_fast/slow: the transformed anchored rule, for any gamma > 0."""
-    def rule(L, gamma=None):
-        g = 1.0 / L if gamma is None else gamma
-        _need(0.0 < g < math.inf, f"gamma = {g} must be positive and finite")
+    def rule(L, gamma):
+        _need(0.0 < gamma < math.inf,
+              f"gamma = {gamma} must be positive and finite")
         return transformed_nesterov_stream(
-            lambda k: halpern_params(k, L, variant), lambda k: g)
+            lambda k: halpern_params(k, L, variant), lambda k: gamma)
     return rule
 
 
-def _halpern_omega(L, gamma=None, omega=3.0):
+def _halpern_omega(L, gamma, omega):
     """beta = (w+1)/(k+2w+2), eta = gamma (1-beta); gamma < 1/L, omega > 2."""
-    g = 0.9 / L if gamma is None else gamma
-    _need(0.0 < g < 1.0 / L, f"gamma = {g} must lie inside (0, 1/L)")
+    _need(0.0 < gamma < 1.0 / L, f"gamma = {gamma} must lie inside (0, 1/L)")
     _need(2.0 < omega < math.inf, f"omega = {omega} must exceed 2, finite")
     betas = ((omega + 1.0) / (k + 2.0 * omega + 2.0) for k in count())
-    return (ScheduleParams(k, b, g * (1.0 - b), gamma=g)
+    return (ScheduleParams(k, b, gamma * (1.0 - b), gamma=gamma)
             for k, b in enumerate(betas))
 
 
-def _nesterov_omega(L, gamma=None, omega=3.0):
+def _nesterov_omega(L, gamma, omega):
     """Omega family theta = (k+1)/(k+2w+2), nu = (k+w+2)/(k+2w+2), kappa = 0.
 
-    gamma defaults to 0.9/L, and the potential is
-    ``diagnostics.omega_family_coeffs`` with mu = 1. omega > 2 gives the
-    full guarantees; omega >= 1 keeps the rule well defined but offers none.
+    The potential is ``diagnostics.omega_family_coeffs`` with mu = 1.
+    omega > 2 gives the full guarantees; omega >= 1 keeps the rule well
+    defined but offers none.
     """
-    g = 0.9 / L if gamma is None else gamma
-    _need(0.0 < g < math.inf, f"gamma = {g} must be positive and finite")
+    _need(0.0 < gamma < math.inf,
+          f"gamma = {gamma} must be positive and finite")
     _need(1.0 <= omega < math.inf, f"omega = {omega} must be >= 1, finite")
     dens = ((k, k + 2.0 * omega + 2.0) for k in count())
-    return (ScheduleParams(k, gamma=g, theta=(k + 1.0) / d,
+    return (ScheduleParams(k, gamma=gamma, theta=(k + 1.0) / d,
                            nu=(k + omega + 2.0) / d, kappa=0.0)
             for k, d in dens)
 
 
-def _eag_constant(L, eta=None):
-    """Constant EAG step eta = eta_hat in (0, 1/(8L)], default 1/(8L)."""
-    e = 1.0 / (8.0 * L) if eta is None else eta
-    _need(0.0 < e <= 1.0 / (8.0 * L), f"eta = {e} must lie in (0, 1/(8L)]")
-    return (ScheduleParams(k, b, e, e) for k, b in _betas(2))
+def _eag_constant(L, eta):
+    """Constant EAG step eta = eta_hat in (0, 1/(8L)]."""
+    _need(0.0 < eta <= 1.0 / (8.0 * L), f"eta = {eta} must lie in (0, 1/(8L)]")
+    return (ScheduleParams(k, b, eta, eta) for k, b in _betas(2))
 
 
 def _recursion(eta0, update):
@@ -141,7 +144,7 @@ def _recursion(eta0, update):
     return (ScheduleParams(k, b, e, e) for (k, b), e in zip(_betas(2), etas))
 
 
-def _eag_varying(L, eta0=None):
+def _eag_varying(L, eta0):
     """Varying EAG step: eta_0 in (0, 1/L) and, with e = L eta_{k-1},
 
         eta_k = (1 - e^2 / ((1 - e^2) k (k+2))) eta_{k-1}.
@@ -155,7 +158,7 @@ def _eag_varying(L, eta0=None):
     return _recursion(eta0, update)
 
 
-def _peag_legacy(L, eta0=None):
+def _peag_legacy(L, eta0):
     """Legacy past-extra step: eta_0 in (0, 1/(2L)) and, with e = L eta_{k-1},
 
         eta_k = (1 - b^2 - 2 e^2) b' eta_{k-1} / ((1 - 2 e^2)(1 - b) b)
@@ -172,14 +175,14 @@ def _peag_legacy(L, eta0=None):
     return _recursion(eta0, update)
 
 
-def _comono_eag(L, rho=None):
+def _comono_eag(L, rho):
     """Co-monotone EAG: beta = 1/(k+1), eta = 1/L, rho in (-1/(2L), 1/L]."""
     _need(rho is not None and -1.0 / (2.0 * L) < rho <= 1.0 / L,
           f"rho = {rho} must lie in (-1/(2L), 1/L]")
     return (ScheduleParams(k, b, 1.0 / L, rho=rho) for k, b in _betas(1))
 
 
-def _nag_comono(L, rho=None):
+def _nag_comono(L, rho):
     """``comono_eag`` with theta_k = (k-1)/(k+1) and nu_k = k/(k+1).
 
     theta_0 = 0, nu_0 = 1: only nu_0 - theta_0 matters, the histories coincide.
@@ -201,7 +204,7 @@ def _nag_eag(L):
                            nu=(k + 1.0) / (k + 2.0)) for k, b in _betas(2))
 
 
-def _peag(L, sigma=1.0):
+def _peag(L, sigma):
     """Past-extra steps eta = (1-beta)/sqrt(2M), eta_hat = 1/sqrt(2M).
 
     M = L^2 (1 + sigma), for sigma > 0.
@@ -212,7 +215,7 @@ def _peag(L, sigma=1.0):
             for k, b in _betas(2))
 
 
-def _nag_peag(L, sigma=1.0):
+def _nag_peag(L, sigma):
     """The ``peag`` steps with the three-correction coefficients.
 
     Closed forms (independent of sigma): gamma_hat = 2 eta_hat,
@@ -227,41 +230,55 @@ def _nag_peag(L, sigma=1.0):
             for k, p in enumerate(_peag(L, sigma)))
 
 
+_GAMMA = {"gamma": lambda L: 1.0 / L}
+_OMEGA = {"gamma": lambda L: 0.9 / L, "omega": lambda L: 3.0}
+_SIGMA = {"sigma": lambda L: 1.0}
+_ETA = {"eta": lambda L: 1.0 / (8.0 * L)}
+
 #: every named parameter rule, in ``list-schemes`` order. The bound is the
 #: closed-form residual bound that fills the ``bound_value`` column.
 SCHEDULES = {
-    "halpern_fast": Schedule(_anchored("fast"), (), "halpern_fast"),
-    "halpern_slow": Schedule(_anchored("slow"), (), "halpern_slow"),
-    "halpern_omega": Schedule(_halpern_omega, ("gamma", "omega"), None),
-    "nesterov_slow": Schedule(_corrected("slow"), ("gamma",), "halpern_slow"),
-    "nesterov_fast": Schedule(_corrected("fast"), ("gamma",), "halpern_fast"),
-    "nesterov_omega": Schedule(_nesterov_omega, ("gamma", "omega"), None),
-    "eag_constant": Schedule(_eag_constant, ("eta",), None),
-    "eag_varying": Schedule(_eag_varying, ("eta0",), None),
-    "comono_eag": Schedule(_comono_eag, ("rho",), "comono"),
-    "peag": Schedule(_peag, ("sigma",), "peag_probe"),
-    "peag_legacy": Schedule(_peag_legacy, ("eta0",), None),
-    "nag_eag": Schedule(_nag_eag, (), "eag"),
-    "nag_comono": Schedule(_nag_comono, ("rho",), "comono"),
-    "nag_peag": Schedule(_nag_peag, ("sigma",), "peag_probe"),
+    "halpern_fast": Schedule(_anchored("fast"), {}, "halpern_fast"),
+    "halpern_slow": Schedule(_anchored("slow"), {}, "halpern_slow"),
+    "halpern_omega": Schedule(_halpern_omega, _OMEGA, None),
+    "nesterov_slow": Schedule(_corrected("slow"), _GAMMA, "halpern_slow"),
+    "nesterov_fast": Schedule(_corrected("fast"), _GAMMA, "halpern_fast"),
+    "nesterov_omega": Schedule(_nesterov_omega, _OMEGA, None),
+    "eag_constant": Schedule(_eag_constant, _ETA, "eag_constant"),
+    "eag_varying": Schedule(_eag_varying, {"eta0": None}, "eag_varying"),
+    "comono_eag": Schedule(_comono_eag, {"rho": None}, "comono"),
+    "peag": Schedule(_peag, _SIGMA, "peag_probe"),
+    "peag_legacy": Schedule(_peag_legacy, {"eta0": None}, None),
+    "nag_eag": Schedule(_nag_eag, {}, "eag"),
+    "nag_comono": Schedule(_nag_comono, {"rho": None}, "comono"),
+    "nag_peag": Schedule(_nag_peag, _SIGMA, "peag_probe"),
 }
 
 SCHEDULE_KINDS = tuple(SCHEDULES)
 
 
-def schedule_stream(kind, L, **keywords):
-    """Iterator of :class:`ScheduleParams` for k = 0, 1, ... of a named rule.
+def constants(kind, L, **keywords):
+    """The constants of ``kind`` at ``L``: ``keywords``, else row defaults.
 
-    ``keywords`` may set only the keywords of the kind's row; unset ones
-    take the defaults omega = 3, sigma = 1, eta = 1/(8L), gamma = 0.9/L
-    (interior rules) or 1/L (classic ones). Every constant is checked
-    here, once: a NaN or out-of-range value raises :class:`InputError`.
+    ``keywords`` may set only the keywords of the row. ``eta0`` and
+    ``rho`` have no default and stay None; the rule checks every range.
     """
     _need(kind in SCHEDULES, f"unknown schedule kind {kind!r}")
     _need(L is not None and 0.0 < L < math.inf,
           f"schedules need a finite L > 0, got {L}")
     row = SCHEDULES[kind]
-    unread = [key for key in keywords if key not in row.keywords]
+    unread = [key for key in keywords if key not in row.defaults]
     _need(not unread, f"schedule {kind!r} does not read {', '.join(unread)} "
           f"(it reads: {', '.join(row.keywords) or 'no keywords'})")
-    return row.rule(L, **keywords)
+    return {key: default(L) if keywords.get(key) is None and default
+            else keywords.get(key) for key, default in row.defaults.items()}
+
+
+def schedule_stream(kind, L, **keywords):
+    """Iterator of :class:`ScheduleParams` for k = 0, 1, ... of a named rule.
+
+    The rule runs with :func:`constants` and checks every one here, once:
+    a NaN or out-of-range value raises :class:`InputError`.
+    """
+    resolved = constants(kind, L, **keywords)
+    return SCHEDULES[kind].rule(L, **resolved)

@@ -240,26 +240,40 @@ class Scheme(NamedTuple):
     updates: str  # the iterates among x, y and z that the step advances
     evaluates: str  # the points among y and z where the step evaluates G
     schedules: tuple  # the schedule kinds with guarantees for the scheme
+    operator_class: str  # the CLASSES entry its guarantees assume
+    potentials: dict  # schedule kind -> its diagnostics.POTENTIALS kind
 
 
+#: each operator class as the least ``OperatorSpec.comonotone_modulus``
+#: it asks for, from L and the schedule constants
+CLASSES = {
+    "co-coercive": lambda L, constants: 1.0 / L,
+    "monotone": lambda L, constants: 0.0,
+    "rho-co-monotone": lambda L, constants: constants["rho"],
+}
+
+_ANCHORED = ("halpern_fast", "halpern_slow", "halpern_omega")
 SCHEMES = {
-    "halpern": Scheme(halpern_step, ("beta", "eta"), "y", "y",
-                      ("halpern_fast", "halpern_slow", "halpern_omega")),
+    "halpern": Scheme(halpern_step, ("beta", "eta"), "y", "y", _ANCHORED,
+                      "co-coercive", dict.fromkeys(_ANCHORED, "anchored")),
     "nesterov": Scheme(nesterov_step_two_corr, ("gamma", "theta", "nu",
                        "kappa"), "xy", "y",
-                       ("nesterov_slow", "nesterov_fast", "nesterov_omega")),
+                       ("nesterov_slow", "nesterov_fast", "nesterov_omega"),
+                       "co-coercive", {"nesterov_omega": "omega"}),
     "eag": Scheme(eag_step, ("beta", "eta", "eta_hat"), "yz", "yz",
-                  ("eag_constant", "eag_varying", "nag_eag")),
+                  ("eag_constant", "eag_varying", "nag_eag"), "monotone", {}),
     "nag_eag": Scheme(nag_eag_step, ("gamma", "theta", "nu", "eta",
-                      "eta_hat"), "xyz", "yz", ("nag_eag",)),
+                      "eta_hat"), "xyz", "yz", ("nag_eag",), "monotone",
+                      {"nag_eag": "eag"}),
     "comono_eag": Scheme(comono_eag_step, ("beta", "eta", "rho"), "yz", "yz",
-                         ("comono_eag",)),
+                         ("comono_eag",), "rho-co-monotone", {}),
     "nag_comono": Scheme(nag_comono_step, ("beta", "eta", "rho", "theta",
-                         "nu"), "xyz", "yz", ("nag_comono",)),
+                         "nu"), "xyz", "yz", ("nag_comono",),
+                         "rho-co-monotone", {}),
     "peag": Scheme(peag_step, ("beta", "eta", "eta_hat"), "yz", "z",
-                   ("peag", "peag_legacy")),
+                   ("peag", "peag_legacy"), "monotone", {"peag": "peag"}),
     "nag_peag": Scheme(nag_peag_step, ("gamma_hat", "theta", "nu", "kappa",
-                       "zeta"), "xz", "z", ("nag_peag",)),
+                       "zeta"), "xz", "z", ("nag_peag",), "monotone", {}),
 }
 
 SCHEME_KINDS = tuple(SCHEMES)

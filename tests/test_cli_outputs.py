@@ -1,0 +1,113 @@
+"""Byte pins of ``anchored run`` for every scheme/schedule pair.
+
+Each of the 15 pairs runs 60 steps on a small instance at seed 7 with
+the default ``[trace]`` switches, so the potential and bound columns are
+filled where the pair has them. The pins are the sha256 of
+``trace.csv`` and of ``report.txt`` without its ``runtime_s`` and
+``trace:`` lines. The BLAS caveats of ``test_desk_outputs`` apply.
+"""
+
+import hashlib
+
+import pytest
+
+from anchored import instances, schemes
+from anchored.cli import main
+
+K = 60
+LS, HUBER, BILINEAR = (30, 12), (20, 15), (15, 10)
+
+#: (scheme, schedule) -> (sha256 of trace.csv, sha256 of the report). The
+#: two eag_constant/eag_varying trace pins differ from the first recording
+#: only in their bound_value column, which was empty before the two
+#: schedule rows named their bounds.
+PINS = {
+    ("halpern", "halpern_fast"): (
+        "ec0d71b8e27a04fc546dd9508869f51379b652dee34e53e8a8b3ba7395ba6b6d",
+        "2334c00866a2408abb5d7318a34ada32f33b987e7ba8d6f1fa50f7ea40d46516"),
+    ("halpern", "halpern_slow"): (
+        "d79376d84eb4be6d9b7f9f5be50699fec7096d7f772d0571fecfb45d5c4ea415",
+        "58e6083baefcf766d0b88fa6664a4c2405492f87653528d7b2de08d75f97d53a"),
+    ("halpern", "halpern_omega"): (
+        "cb4f4a3eae6000e41e970a6a3d94e2275e6f5a153597b70a0e60bb1f58ccd173",
+        "705584e38fd7a5c10a0090268a6069950b06908875a9f69604abb1a9ae0e9d7f"),
+    ("nesterov", "nesterov_slow"): (
+        "0f6bf3083f3c2930c37647e9937524c3f52da9e6c9604c44585212961d6c91b1",
+        "53774aaf1855feb32d4b52654c3e8f16918cc4b9781d298527cc194e4ff0c6df"),
+    ("nesterov", "nesterov_fast"): (
+        "8f7caa2111d3318dfdba822a8d7461efc364268469d3c5736fca269cc9031d8b",
+        "0174b50ab2712782875c4c3395cd21448b8d7990890abf8d9904e4820e5f6ac7"),
+    ("nesterov", "nesterov_omega"): (
+        "4acc6405afa83d7e159de7f0b9b38c4d0556bbdfab7f786e5f85a3cdc6e8ce9d",
+        "a5d4246d71f16ead3aaa0654f37729b9a8cd205024d3f8bf6059de128d70bec5"),
+    ("eag", "eag_constant"): (
+        "2fc6972282004bb687c38ae7cee5e18c2c5b72b662bafba1dac050f0f2568967",
+        "1476a9eeddae5b0a753e36e587dfabd27464fabc034b8522cde07f98d4b64f6d"),
+    ("eag", "eag_varying"): (
+        "4a12d442d8a5a29d177da11be1dc714c85c2f1384710077583a6ce978fed85ef",
+        "3735c1dcb894d931cc5311ed03faf2cbecf5891ae7675296762dbba246028d20"),
+    ("eag", "nag_eag"): (
+        "778b5eb29019072ea097078dd75a66d50399c55be8c670d36eb186d2ae361493",
+        "e073fbcf2dcaa0ceed5daaaebc0bc480e5b34c1c947d5c9aacc28becc29e58de"),
+    ("nag_eag", "nag_eag"): (
+        "e6e86a3c35e7a8deb65baa2e0d594e1f4b79fc13167593bab86c6f3990e3f638",
+        "a219f257c2ccbe17a55d59c6a6182691d7d202f2a7ea4d77acff2339d254b23a"),
+    ("comono_eag", "comono_eag"): (
+        "41ab66f5d21a4497b4d19bb404d2f8b644608232968919de1c548d798bfdb2f6",
+        "4f7931e1094ac376dd9b8b416f481b609f1d5ff41a53a1fa84b1711adce8f8e9"),
+    ("nag_comono", "nag_comono"): (
+        "bc49ea2ce671cf234eab8b769cf2d794fed8590fa4525e7cb9eb6d4aa8ea9cb1",
+        "ea757d779b549d7fd516af7cef1d1aba5eef32a0705d9f9b22dfe3195acaec24"),
+    ("peag", "peag"): (
+        "ac89d137f8d7e65c02090a7ac0d3879ef6e268b077f04920255ec85e056932bd",
+        "b32012d69e68245611088aa0e27cd58348320aa730b99f680cfa910935f16930"),
+    ("peag", "peag_legacy"): (
+        "e3c68a552d5b5f7f12038ec11da74f66480d0db9ab06636f07c9cdece2cb840e",
+        "0d5b999f6c3b479cf69c81d3ef5ed4deca4911e52d752a8f6a8c2ad1145d0a14"),
+    ("nag_peag", "nag_peag"): (
+        "b191dcd478e4b91eeac0546a3e458c5ff240ba4a704c897448007d27341a1435",
+        "dbd31d988d1116fba515bd79a9a575276902ba084334bc1660888e127e43ef8e"),
+}
+
+
+def _config(scheme, kind):
+    """The config text of one pair's run."""
+    if scheme in ("halpern", "nesterov"):
+        n, p = LS
+        return f"[instance]\ngenerator = least_squares\nn = {n}\np = {p}\n"
+    if "comono" in kind:
+        name, gen, (m, n) = "bilinear", instances.gen_bilinear, BILINEAR
+    else:
+        name, gen, (m, n) = "minimax_huber", instances.gen_minimax_huber, HUBER
+    text = f"[instance]\ngenerator = {name}\nm = {m}\nn = {n}\n"
+    L = gen(m, n, seed=7).operator.lipschitz
+    constant = {"comono_eag": ("rho", -1.0 / (4.0 * L)),
+                "nag_comono": ("rho", -1.0 / (4.0 * L)),
+                "eag_varying": ("eta0", 0.5 / L),
+                "peag_legacy": ("eta0", 0.4 / L)}.get(kind)
+    if constant:
+        text += f"\n[schedule]\n{constant[0]} = {constant[1]:.17g}\n"
+    return text
+
+
+def run_pair(tmp_path, scheme, kind):
+    """The two digests of one pair's run."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\nscheme = {scheme}\nschedule = {kind}\n"
+                   f"iters = {K}\nseed = 7\n\n" + _config(scheme, kind))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    report = [line for line in (out / "report.txt").read_text().splitlines()
+              if not line.startswith(("runtime_s:", "trace:"))]
+    return (hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest(),
+            hashlib.sha256("\n".join(report).encode()).hexdigest())
+
+
+PAIRS = [(s, k) for s, kinds in schemes.COMPATIBLE_SCHEDULES.items()
+         for k in kinds]
+
+
+@pytest.mark.parametrize("scheme,kind", PAIRS,
+                         ids=[f"{s}-{k}" for s, k in PAIRS])
+def test_run_outputs_are_pinned(tmp_path, scheme, kind):
+    assert run_pair(tmp_path, scheme, kind) == PINS[scheme, kind]

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from anchored import cli, verify
-from anchored.cli import _attach_bound, main
+from anchored.cli import main
 from anchored.diagnostics import (
     BOUNDS,
     PeagPotentialFold,
@@ -20,6 +21,7 @@ from anchored.diagnostics import (
 from anchored.errors import InputError
 from anchored.figures import make_figure
 from anchored.instances import (
+    GENERATORS,
     desk_bilinear,
     desk_huber,
     desk_least_squares,
@@ -57,7 +59,7 @@ class TestGenerators:
     def test_least_squares_solution_is_a_zero(self):
         inst = desk_least_squares()
         g = inst.operator(inst.solution)
-        assert np.linalg.norm(g) <= 1e-8 * inst.l_estimate * (
+        assert np.linalg.norm(g) <= 1e-8 * inst.operator.lipschitz * (
             1.0 + np.linalg.norm(inst.solution))
 
     def test_noise_free_square_system_solves_exactly(self):
@@ -68,10 +70,10 @@ class TestGenerators:
         inst = gen_minimax_huber(12, 9, seed=5)
         assert np.all(inst.operator(np.zeros(21)) == 0.0)
 
-    def test_huber_l_estimate_is_twice_coupling_norm(self):
+    def test_huber_lipschitz_is_twice_coupling_norm(self):
         inst = gen_minimax_huber(12, 9, seed=5)
-        assert inst.l_estimate == pytest.approx(2.0 * inst.meta["k_norm"],
-                                                rel=1e-12)
+        assert inst.operator.lipschitz == pytest.approx(
+            2.0 * inst.meta["k_norm"], rel=1e-12)
 
     def test_bilinear_solution_is_zero(self):
         inst = desk_bilinear()
@@ -82,6 +84,14 @@ class TestGenerators:
         b = start_point(desk_least_squares())
         assert np.array_equal(a, b)
         assert start_point(gen_scalar_identity()).tolist() == [1.0]
+
+    def test_rows_declare_the_keys_their_generators_read(self):
+        for name, row in GENERATORS.items():
+            params = inspect.signature(row.build).parameters
+            assert set(params) == set(row.keys), name
+            for key, default in row.keys.items():
+                if params[key].default is not inspect.Parameter.empty:
+                    assert params[key].default == default, (name, key)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(InputError):
@@ -414,15 +424,17 @@ class TestCli:
     def test_run_bad_schedule_constant_exits_two(self, tmp_path, capsys,
                                                  scheme, schedule, key,
                                                  value):
-        generator = "least_squares" if scheme in ("halpern", "nesterov") \
-            else "bilinear" if "comono" in scheme else "minimax_huber"
+        # each generator gets only the keys it reads
+        if scheme in ("halpern", "nesterov"):
+            instance = "generator = least_squares\nn = 8\np = 6\n"
+        else:
+            generator = "bilinear" if "comono" in scheme else "minimax_huber"
+            instance = f"generator = {generator}\nm = 12\nn = 8\n"
         out = tmp_path / "out"
         err = self._exits_two(
             tmp_path, capsys,
             f"[run]\nscheme = {scheme}\nschedule = {schedule}\niters = 5\n\n"
-            f"[schedule]\n{key} = {value}\n\n"
-            f"[instance]\ngenerator = {generator}\nm = 12\nn = 8\n"
-            "p = 6\n", out)
+            f"[schedule]\n{key} = {value}\n\n[instance]\n{instance}", out)
         assert key in err and value in err
         assert not out.exists()
 
@@ -579,6 +591,45 @@ class TestCli:
         assert "eag_constant" in err and "halpern" in err
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("generator,key,value", [
+        ("least_squares", "m", "999"),
+        ("scalar_identity", "n", "500"),
+        ("scalar_identity", "noise_var", "-1"),
+        ("scalar_identity", "seed", "3"),
+        ("bilinear", "noise_var", "0.1"),
+    ])
+    def test_unread_instance_key_exits_two(self, tmp_path, capsys, generator,
+                                           key, value):
+        # each generator reads only the keys of its row; these used to be
+        # ignored
+        err = self._exits_two(
+            tmp_path, capsys,
+            f"[run]\nscheme = eag\nschedule = nag_eag\niters = 5\n\n"
+            f"[instance]\ngenerator = {generator}\n{key} = {value}\n")
+        assert generator in err and key in err
+
+    @pytest.mark.parametrize("scheme,rho,generator", [
+        ("comono_eag", "0.001", "minimax_huber"),
+        ("nag_comono", "0.001", "bilinear"),
+    ])
+    def test_comono_rho_above_the_declared_modulus_exits_two(
+            self, tmp_path, capsys, scheme, rho, generator):
+        # both operators declare rho = 0 at most: monotone, not co-coercive
+        err = self._exits_two(
+            tmp_path, capsys,
+            f"[run]\nscheme = {scheme}\nschedule = {scheme}\niters = 5\n\n"
+            f"[schedule]\nrho = {rho}\n\n"
+            f"[instance]\ngenerator = {generator}\nm = 20\nn = 15\n")
+        assert scheme in err and generator in err and rho in err
+
+    def test_comono_rho_within_a_cocoercive_modulus_runs(self, tmp_path):
+        # a 1/L-co-coercive operator is rho-co-monotone up to rho = 1/L
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nscheme = comono_eag\nschedule = comono_eag\n"
+                       "iters = 5\n\n[schedule]\nrho = 0.5\n\n"
+                       "[instance]\ngenerator = scalar_identity\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
 
 class TestVaryingStepRate:
     def test_certified_limit_is_below_the_computed_stepsizes(self):
@@ -610,7 +661,7 @@ class TestVaryingStepRate:
 
 
 class TestBoundColumn:
-    def test_cli_bound_is_bound_check_theory(self):
+    def test_cli_bound_is_bound_check_theory(self, tmp_path):
         # the CSV bound column and bound_check read one table; comono is
         # compared from k = 1 on, its k = 0 entry is inf
         ls = gen_least_squares(30, 12, seed=7, noise_var=0.1)
@@ -622,21 +673,38 @@ class TestBoundColumn:
             scheme = next(s for s, kinds in COMPATIBLE_SCHEDULES.items()
                           if kind in kinds)
             if kind.startswith(("halpern", "nesterov")):
-                inst, kw = ls, {}
+                inst, kw, keys = ls, {}, "n = 30\np = 12\n"
             elif "comono" in kind:
                 inst, kw = bil, {"rho": -1.0 / (4.0 * bil.operator.lipschitz)}
+                keys = "m = 15\nn = 10\n"
+            elif kind == "eag_varying":
+                inst, kw = hub, {"eta0": 0.5 / hub.operator.lipschitz}
+                keys = "m = 20\nn = 15\n"
             else:
-                inst, kw = hub, {}
+                inst, kw, keys = hub, {}, "m = 20\nn = 15\n"
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text(
+                f"[run]\nscheme = {scheme}\nschedule = {kind}\niters = 40\n"
+                f"\n[instance]\ngenerator = {inst.meta['generator']}\n{keys}"
+                "\n[schedule]\n"
+                + "".join(f"{k} = {v:.17g}\n" for k, v in kw.items()))
+            assert main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / kind)]) == 0
+            csv_path = tmp_path / kind / "trace.csv"
+            column = read_trace_csv(csv_path)["bound_value"]
             op, y0 = inst.operator, start_point(inst)
             trace = run(solver_for(op, scheme, kind, **kw), y0, 40)
-            _attach_bound(trace, kind, kw, inst, y0)
             d0 = float(np.linalg.norm(y0 - inst.solution))
             report = bound_check(trace, bound, op.lipschitz, d0,
-                                 rho=kw.get("rho"), sigma=1.0)
+                                 rho=kw.get("rho"), sigma=1.0,
+                                 eta=1.0 / (8.0 * op.lipschitz),
+                                 eta0=kw.get("eta0"))
             first = 1 if bound == "comono" else 0
-            assert np.array_equal(trace.bound[first:], report.theory), kind
+            assert np.array_equal(column[first:], report.theory), kind
         assert bounded["nag_comono"] == "comono"
         assert bounded["nag_peag"] == "peag_probe"
+        assert bounded["eag_constant"] == "eag_constant"
+        assert bounded["eag_varying"] == "eag_varying"
 
     @staticmethod
     def _unevaluated(schedules):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anchored import diagnostics
 from anchored.errors import InputError
 from anchored.operators import (
     OperatorSpec,
@@ -16,6 +17,7 @@ from anchored.operators import (
 from anchored.residuals import SplittingSpec, fb_residual, tos_residual, yosida
 from anchored.rng import SplitMix64
 from anchored.schemes import (
+    CLASSES,
     COMPATIBLE_SCHEDULES,
     SCHEMES,
     STEPS,
@@ -33,6 +35,7 @@ from anchored.schemes import (
 )
 from anchored.schedules import (
     ScheduleParams,
+    constants,
     schedule_stream,
     transformed_nesterov_stream,
 )
@@ -607,6 +610,32 @@ class TestSchemeTable:
             else:
                 assert points[k].x is points[k].y
             row.step(state, op, next(stream))
+
+    def test_rows_name_classes_and_potentials_that_exist(self):
+        # every potential kind a row names builds its fold from the
+        # schedule's default constants
+        for name, row in SCHEMES.items():
+            assert row.operator_class in CLASSES, name
+            assert set(row.potentials) <= set(row.schedules), name
+            for kind, potential in row.potentials.items():
+                fold = diagnostics.POTENTIALS[potential](
+                    1.0, np.zeros(2), constants(kind, L=1.0))
+                assert isinstance(fold, diagnostics.Fold), (name, kind)
+        named = {kind for row in SCHEMES.values()
+                 for kind in row.potentials.values()}
+        assert named == set(diagnostics.POTENTIALS)
+
+    @pytest.mark.parametrize("op,modulus", [
+        (OperatorSpec(dim=1, eval=None), None),
+        (OperatorSpec(dim=1, eval=None, monotone=True), 0.0),
+        (OperatorSpec(dim=1, eval=None, monotone=True,
+                      comonotonicity_rho=-0.5), 0.0),
+        (OperatorSpec(dim=1, eval=None, comonotonicity_rho=-0.5), -0.5),
+        (OperatorSpec(dim=1, eval=None, monotone=True,
+                      cocoercivity_modulus=0.25), 0.25),
+    ])
+    def test_comonotone_modulus_is_the_largest_declared(self, op, modulus):
+        assert op.comonotone_modulus == modulus
 
     def test_nag_peag_x_is_the_gradient_step_from_z(self):
         # xhat_{k+1} = z_k - gamma_hat G(z_k)
