@@ -33,10 +33,16 @@ HUBER_EPS = 0.05
 
 
 def unit_columns(m):
+    """Divide each column of ``m`` by its norm, in place, and return ``m``.
+
+    The bits are those of ``m / norms``. Callers pass a fresh draw that
+    nothing else holds, so an instance never keeps a second copy.
+    """
     norms = np.linalg.norm(m, axis=0)
     if np.any(norms == 0.0):
         raise InputError("matrix has a zero column")
-    return m / norms
+    m /= norms
+    return m
 
 
 def gen_least_squares(n, p, seed, noise_var=0.1):

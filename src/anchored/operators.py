@@ -214,15 +214,6 @@ def least_squares_operator(p_mat, b, seed=0):
                         cocoercivity_modulus=1.0 / lip, monotone=True)
 
 
-def huber_gradient(t, eps):
-    """Derivative of the Huber loss: t inside (-eps, eps), else eps*sign(t).
-
-    The same bits as ``np.clip(t, -eps, eps)`` (NaN, +-inf and -0.0
-    included) at about half its call overhead.
-    """
-    return np.minimum(np.maximum(t, -eps), eps)
-
-
 def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
     """Saddle operator of the smoothed bilinear game with Huber penalties.
 
@@ -237,9 +228,11 @@ def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
 
     An evaluation scales y by the weights w = (lam, ..., rho_w, ...) and
     clips w*y to [w*-eps, w*eps] in place. That has the bits of
-    ``w * huber_gradient(y, eps)``: rounding is monotone and the weights
-    are positive, so fl(w*clip(t)) = clip(fl(w*t)) against the rounded
-    bounds, for +-0, +-inf, NaN and an overflowing w*t alike. (Only if
+    ``w * huber_gradient(y, eps)``, the reference definition of the
+    Huber derivative in ``tests/test_kernels.py``: rounding is monotone
+    and the weights are positive, so fl(w*clip(t)) = clip(fl(w*t))
+    against the rounded bounds, for +-0, +-inf, NaN and an overflowing
+    w*t alike. (Only if
     w*eps rounds to zero, below 5e-324, can the sign of a zero differ.)
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)

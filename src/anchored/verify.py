@@ -41,6 +41,7 @@ from .residuals import (
     yosida,
 )
 from .rng import SplitMix64
+from .schedules import constants
 # no row uses it; the benchmark's tracer patches it under this name
 from .schedules import transformed_nesterov_stream  # noqa: F401
 from .schemes import RunTrace, TraceOpts, _norm, run, solver_for
@@ -73,10 +74,11 @@ class Check:
 
     ``runs`` lists "scheme/schedule" runs on ``instance`` (two for the
     equivalence rows), each with the schedule keywords ``KWARGS[kw]``
-    and ``K(iters)`` steps. Every run feeds one fold of each
-    :data:`FOLDS` name in ``folds``. ``verdict(case, trace, *folds)``
-    gets the first run's trace (None without runs) and the folds, run
-    by run, and returns ``(ok, detail[, skipped])``.
+    (none: the schedule's defaults) and ``K(iters)`` steps. Every run
+    feeds one fold of each :data:`FOLDS` name in ``folds``.
+    ``verdict(case, trace, *folds)`` gets the first run's trace (None
+    without runs) and the folds, run by run, and returns
+    ``(ok, detail[, skipped])``.
     """
 
     suite: str
@@ -101,12 +103,11 @@ class Case(NamedTuple):
     d0: float
 
 
-#: schedule keywords by name, from the instance's L
+#: schedule keywords by name, from the instance's L; the defaults of
+#: ``schedules.SCHEDULES`` are not restated here
 KWARGS = {
-    "omega": lambda L: {"gamma": 0.9 / L, "omega": 3.0},
     "comono": lambda L: {"rho": -1.0 / (4.0 * L)},
     "sigma=2": lambda L: {"sigma": 2.0},
-    "eta=1/8L": lambda L: {"eta": 1.0 / (8.0 * L)},
     "eta0=0.5/L": lambda L: {"eta0": 0.5 / L},
     "eta0=0.4/L": lambda L: {"eta0": 0.4 / L},
 }
@@ -117,18 +118,25 @@ FOLDS = {
     "record": lambda c: dg.RecordFold(),
     "anchored": lambda c: dg.AnchoredPotentialFold(c.L),
     "omega": lambda c: dg.omega_potential_fold(
-        y_star=c.y_star, **KWARGS["omega"](c.L)),
+        y_star=c.y_star, **constants("nesterov_omega", c.L)),
     "anchor distance": lambda c: dg.MapFold(
         lambda s: _norm(s.x - c.y_star) ** 2),
-    "budgets": lambda c: dg.SummabilityFold(L=c.L, **KWARGS["omega"](c.L)),
+    "budgets": lambda c: dg.SummabilityFold(
+        L=c.L, **constants("nesterov_omega", c.L)),
     "coupling": lambda c: dg.CouplingIdentityFold(c.L, c.y_star),
     "eag": lambda c: dg.eag_potential_fold(c.L, c.y_star),
     "|G y|^2": lambda c: dg.MapFold(lambda s: float(s.g_y @ s.g_y)),
     "peag": lambda c: dg.PeagPotentialFold(c.L, 2.0, c.y_star),
     "gaps": lambda c: dg.PeagGapFold(c.L, 2.0),
     "differences": lambda c: dg.ResidualDifferenceFold(c.L, c.d0),
-    "peag residual": lambda c: dg.PeagResidualFold(c.L, c.d0, sigma=1.0),
+    "peag residual": lambda c: dg.PeagResidualFold(c.L, c.d0,
+                                                   **constants("peag", c.L)),
 }
+
+
+def _keywords(kw, L):
+    """The schedule keywords ``KWARGS[kw]`` at ``L``; none without ``kw``."""
+    return KWARGS[kw](L) if kw else {}
 
 
 def proximal_point_operator(k_mat, L):
@@ -166,12 +174,18 @@ class Plan:
     horizon, the row runs again on its own, so every verdict is the one
     its own run would give. A row whose run ended in an error fails.
 
-    Memory is bounded by the rows in flight, not by the table: each run
-    and each fold is dropped once the last row of ``rows`` that reads it
+    Memory is bounded by the rows in flight, not by the table: each run,
+    fold and case is dropped once the last row of ``rows`` that reads it
     has its verdict, so the equivalence recordings (the y and z iterates of
     every index) are held one row at a time. The tracemalloc peak of
     ``equivalence_suite("small")`` is 7.9 MB, against 27 MB when every
-    recording lived until the table was done.
+    recording lived until the table was done. A case is an instance, its
+    start point and its derived operators; ``prox bilinear`` is built from
+    ``bilinear``, which stays until the last row of either. A suite lists
+    its rows case by case, so ``lemmas_suite("paper")`` frees the
+    500x1000 least-squares instance before it builds the 1000x750 Huber
+    one: its peak resident set is 56.3 MB, against 65.9 MB with both
+    held (2 cores, OpenBLAS with 2 threads).
     """
 
     def __init__(self, rows, scale="small"):
@@ -179,8 +193,12 @@ class Plan:
         self.iters = 5000 if scale == "paper" else 2000
         self._cases, self._traces, self._folds = {}, {}, {}
         self._users = defaultdict(list)  # run key -> [(row, K)]
-        self._last = {}  # run key, or (run key, K, fold) -> its last row
+        # case label, run key, or (run key, K, fold) -> its last row
+        self._last = {}
         for row in self.rows:
+            self._last[row.instance] = row
+            if row.instance == "prox bilinear":
+                self._last["bilinear"] = row
             K = row.K(self.iters)
             for name in row.runs.split():
                 key = (row.instance, name, row.kw)
@@ -211,8 +229,7 @@ class Plan:
         label, name, kw = key
         case = self.case(label)
         scheme, schedule = name.split("/")
-        solver = solver_for(case.op, scheme, schedule,
-                            **(KWARGS[kw](case.L) if kw else {}))
+        solver = solver_for(case.op, scheme, schedule, **_keywords(kw, case.L))
         opts = TraceOpts(track_x_residual=x_residual)
         return run(solver, case.y0, K, opts, observers=observers)
 
@@ -251,8 +268,8 @@ class Plan:
                                   *(fold for _, folds in fed for fold in folds))
         for key, last in self._last.items():
             if last is row:
-                self._traces.pop(key, None)
-                self._folds.pop(key, None)
+                for held in (self._cases, self._traces, self._folds):
+                    held.pop(key, None)
         return CheckResult(row.suite, row.name, *verdict,
                            seconds=time.perf_counter() - t0)
 
@@ -280,11 +297,12 @@ def _decrease(name, start=0):
         dg.decrease_report(fold.series()[start:], name))
 
 
-def _bound(kind, kw=None, sigma=None):
-    """The trace's residual column against a closed-form bound."""
+def _bound(kind, kw=None):
+    """The trace's residual column against a closed-form bound, at the
+    resolved constants of the run's schedule."""
     return lambda case, trace: _report(dg.bound_check(
-        trace, kind, case.L, case.d0, sigma=sigma,
-        **(KWARGS[kw](case.L) if kw else {})))
+        trace, kind, case.L, case.d0, **constants(
+            trace.meta["schedule"], case.L, **_keywords(kw, case.L))))
 
 
 def _slope(column):
@@ -296,15 +314,15 @@ def _slope(column):
     return verdict
 
 
-def _rate(kind, kw):
+def _rate(kind, kw=None):
     """An extra-gradient rate-constant row; the varying step also prints
     the certified limit stepsize and the largest observed/bound ratio."""
     def verdict(case, trace):
-        constants = KWARGS[kw](case.L)
-        rep = dg.bound_check(trace, kind, case.L, case.d0, **constants)
+        resolved = constants(kind, case.L, **_keywords(kw, case.L))
+        rep = dg.bound_check(trace, kind, case.L, case.d0, **resolved)
         detail = f"violations={rep.violations}"
-        if "eta0" in constants:
-            eta_star = dg.eag_varying_limit_lower_bound(constants["eta0"],
+        if "eta0" in resolved:
+            eta_star = dg.eag_varying_limit_lower_bound(resolved["eta0"],
                                                         case.L)
             detail += (f" eta*L>={eta_star * case.L:.4f} worst_ratio="
                        f"{np.max(rep.observed / rep.theory):.3f}")
@@ -377,11 +395,13 @@ _ANCHORED = "halpern/halpern_fast nesterov/nesterov_fast"
 _EAG = "eag/nag_eag nag_eag/nag_eag"
 _PEAG = "peag/peag nag_peag/nag_peag"
 _COMONO = "comono_eag/comono_eag nag_comono/nag_comono"
-_OMEGA = dict(runs="nesterov/nesterov_omega", kw="omega")
+_OMEGA = dict(runs="nesterov/nesterov_omega")
 _PEAG_2 = dict(runs="peag/peag", kw="sigma=2", x_residual=True)
 _BILINEAR = dict(kw="comono", K=lambda iters: max(iters, 3000))
 
-#: the verify table, in output order. The anchored equivalence rows need
+#: the verify table, in output order. Each suite lists its rows case by
+#: case ("prox bilinear" with "bilinear"), so that a plan of one suite
+#: holds one instance at a time. The anchored equivalence rows need
 #: a co-coercive operator, so the second runs on the proximal-point
 #: operator of the bilinear instance, not on the merely monotone Huber
 #: operator (where the fast rule diverges). The extra-gradient potential
@@ -417,6 +437,15 @@ CHECKS = (
               coupling.max_deviation() <= 1e-10,
               f"max_dev={coupling.max_deviation():.2e}"),
           ("coupling",), K=lambda iters: min(iters, 500)),
+    Check("lemmas", "forward-backward residual co-coercive (1000 pairs)", "ls",
+          "", _cocoercive(lambda b, lam, L: fb_residual(SplittingSpec(
+              a=l1_kind(0.1), b=b, lam=lam, l_of_b_or_c=L)), seed=11)),
+    Check("lemmas", "three-operator residual co-coercive (1000 pairs)", "ls",
+          "", _cocoercive(lambda c, lam, L: tos_residual(SplittingSpec(
+              a=l1_kind(0.1), b=box_kind(-1.0, 1.0), lam=lam, c=c,
+              l_of_b_or_c=L)), seed=13)),
+    Check("lemmas", "residual change-of-variable agreement", "ls", "",
+          _change_of_variable),
     Check("lemmas", "extra-gradient potential nonincreasing (k>=1) [huber]",
           "huber", "nag_eag/nag_eag", _decrease("eag_potential", start=1),
           ("eag",)),
@@ -429,15 +458,6 @@ CHECKS = (
     Check("lemmas", "past-extra weighted gap budget [huber, sigma=2]",
           "huber", verdict=lambda case, trace, e, gaps: _report(
               gaps.report(e.series()[0])), folds=("peag", "gaps"), **_PEAG_2),
-    Check("lemmas", "forward-backward residual co-coercive (1000 pairs)", "ls",
-          "", _cocoercive(lambda b, lam, L: fb_residual(SplittingSpec(
-              a=l1_kind(0.1), b=b, lam=lam, l_of_b_or_c=L)), seed=11)),
-    Check("lemmas", "three-operator residual co-coercive (1000 pairs)", "ls",
-          "", _cocoercive(lambda c, lam, L: tos_residual(SplittingSpec(
-              a=l1_kind(0.1), b=box_kind(-1.0, 1.0), lam=lam, c=c,
-              l_of_b_or_c=L)), seed=13)),
-    Check("lemmas", "residual change-of-variable agreement", "ls", "",
-          _change_of_variable),
 
     Check("bounds", "anchored fast residual bound [ls]", "ls",
           "halpern/halpern_fast", _bound("halpern_fast")),
@@ -457,8 +477,7 @@ CHECKS = (
     Check("bounds", "extra-gradient residual bound [huber]", "huber",
           "nag_eag/nag_eag", _bound("eag")),
     Check("bounds", "constant-step extra-gradient rate constant [huber]",
-          "huber", "eag/eag_constant", _rate("eag_constant", "eta=1/8L"),
-          kw="eta=1/8L"),
+          "huber", "eag/eag_constant", _rate("eag_constant")),
     Check("bounds", "varying-step extra-gradient rate constant [huber]",
           "huber", "eag/eag_varying", _rate("eag_varying", "eta0=0.5/L"),
           kw="eta0=0.5/L"),
@@ -466,9 +485,9 @@ CHECKS = (
           lambda case, trace, residual: _report(residual.report()),
           ("peag residual",), x_residual=True),
     Check("bounds", "past-extra probe bound [huber]", "huber", "peag/peag",
-          _bound("peag_probe", sigma=1.0), x_residual=True),
+          _bound("peag_probe"), x_residual=True),
     Check("bounds", "three-correction probe bound [huber]", "huber",
-          "nag_peag/nag_peag", _bound("peag_probe", sigma=1.0)),
+          "nag_peag/nag_peag", _bound("peag_probe")),
     Check("bounds", "legacy past-extra residual slope [huber]", "huber",
           "peag/peag_legacy", _slope("norm_g_z"), kw="eta0=0.4/L"),
     Check("bounds", "co-monotone residual bound [bilinear]", "bilinear",

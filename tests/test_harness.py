@@ -30,8 +30,10 @@ from anchored.instances import (
     gen_minimax_huber,
     gen_scalar_identity,
     start_point,
+    unit_columns,
 )
 from anchored.operators import counted
+from anchored.rng import SplitMix64
 from anchored.schedules import SCHEDULES
 from anchored.schemes import (
     COMPATIBLE_SCHEDULES,
@@ -84,6 +86,15 @@ class TestGenerators:
         b = start_point(desk_least_squares())
         assert np.array_equal(a, b)
         assert start_point(gen_scalar_identity()).tolist() == [1.0]
+
+    def test_unit_columns_divides_in_place(self):
+        m = SplitMix64(3).normal_matrix(9, 5)
+        copy = m.copy()
+        assert unit_columns(m) is m
+        assert m.tobytes() == (copy / np.linalg.norm(copy, axis=0)).tobytes()
+        m[:, 2] = 0.0
+        with pytest.raises(InputError):
+            unit_columns(m)
 
     def test_rows_declare_the_keys_their_generators_read(self):
         for name, row in GENERATORS.items():

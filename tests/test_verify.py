@@ -138,6 +138,27 @@ def test_plan_frees_each_run_and_fold_after_its_last_row():
             # no later row reads a recording
             assert all(name != "record" for _, _, name in plan._folds)
     assert plan._traces == {} and plan._folds == {}
+    assert plan._cases == {}
+
+
+def test_small_lemmas_plan_never_holds_two_instances():
+    plan = verify.Plan([r for r in verify.CHECKS if r.suite == "lemmas"])
+    held = []
+    for check in plan.rows:
+        assert plan.result(check).ok
+        held.append(set(plan._cases))
+    assert not any({"ls", "huber"} <= cases for cases in held)
+    assert {"ls"} in held and {"huber"} in held
+
+
+def test_each_suite_lists_its_rows_case_by_case():
+    # a case that comes back after another would keep both alive between
+    for suite in verify.SUITES[:-1]:
+        labels = [r.instance.replace("prox bilinear", "bilinear")
+                  for r in verify.CHECKS if r.suite == suite]
+        blocks = [label for i, label in enumerate(labels)
+                  if i == 0 or label != labels[i - 1]]
+        assert len(blocks) == len(set(blocks)), (suite, blocks)
 
 
 def test_small_equivalence_suite_holds_recordings_one_row_at_a_time():

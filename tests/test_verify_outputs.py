@@ -15,7 +15,7 @@ import hashlib
 
 from anchored.verify import format_table, run_suites
 
-DIGEST = "2a35ab1fe5ef9bd9433be6890b242d8d26080c4ebaf886ae7e75038ab3615cd7"
+DIGEST = "ba17f9ba56fb0e29eb9ca3529d263972af00c66dcf7817b1662fec534ad959cd"
 
 
 def test_small_verify_table_is_byte_identical():
