@@ -18,7 +18,7 @@ from . import diagnostics as dg
 from .errors import InputError
 from .figures import FIGURES, make_figure
 from .instances import DESK_SEED, GENERATORS, start_point
-from .schedules import SCHEDULE_KINDS, SCHEDULES, constants, schedule_stream
+from .schedules import SCHEDULE_KINDS, SCHEDULES
 from .schemes import (
     CLASSES,
     COMPATIBLE_SCHEDULES,
@@ -143,9 +143,10 @@ def cmd_run(args):
     op, y_star = instance.operator, instance.solution
     L = op.lipschitz
     ssec = cfg["schedule"] if cfg.has_section("schedule") else {}
-    kw = constants(kind, L, **{key: _number(ssec, key, None) for key in ssec
-                               if ssec[key] != ""})
-    schedule_stream(kind, L, **kw)  # its rule checks the constants now
+    solver = solver_for(op, scheme, kind, **{
+        key: _number(ssec, key, None) for key in ssec if ssec[key] != ""})
+    solver.schedule_factory()  # its rule checks the constants now
+    kw = solver.meta["constants"]
     row = SCHEMES[scheme]
     least, modulus = CLASSES[row.operator_class](L, kw), op.comonotone_modulus
     if modulus is None or modulus < least:
@@ -160,7 +161,6 @@ def cmd_run(args):
         potential is not None and "g_x" in potential.need))
 
     y0 = start_point(instance)
-    solver = solver_for(op, scheme, kind, **kw)
     t0 = time.time()
     trace = run(solver, y0, K, opts,
                 observers=() if potential is None else (potential,))

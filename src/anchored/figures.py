@@ -31,14 +31,13 @@ def _write_curve_csv(path, ks, values):
 
 
 def _curves(instance, specs, K):
-    opts = TraceOpts(track_x_residual=True, final_residual=True)
+    """(schedule kind, k, relative x residual) of each (scheme, kind) run."""
+    opts = TraceOpts(track_x_residual=True)
     y0 = start_point(instance)
     out = []
-    for label, scheme, kind, kw in specs:
-        solver = solver_for(instance.operator, scheme, kind, **kw)
-        trace = run(solver, y0, K, opts)
-        rel = trace.norm_g_x / trace.norm_g_x[0]
-        out.append((label, trace.k, rel))
+    for scheme, kind in specs:
+        trace = run(solver_for(instance.operator, scheme, kind), y0, K, opts)
+        out.append((kind, trace.k, trace.norm_g_x / trace.norm_g_x[0]))
     return out
 
 
@@ -50,17 +49,11 @@ def make_figure(which, scale="small", out_dir=".", seed=DESK_SEED):
     if which == "exam1":
         inst = paper_least_squares(seed) if scale == "paper" \
             else desk_least_squares(seed)
-        specs = [
-            ("nesterov_slow", "nesterov", "nesterov_slow", {}),
-            ("nesterov_omega", "nesterov", "nesterov_omega", {}),
-        ]
+        specs = [("nesterov", "nesterov_slow"), ("nesterov", "nesterov_omega")]
         title = "accelerated variants, least-squares instance"
     else:
         inst = paper_huber(seed) if scale == "paper" else desk_huber(seed)
-        specs = [
-            ("nag_eag", "nag_eag", "nag_eag", {}),
-            ("nag_peag", "nag_peag", "nag_peag", {}),
-        ]
+        specs = [("nag_eag", "nag_eag"), ("nag_peag", "nag_peag")]
         title = "corrected extra-gradient variants, minimax instance"
 
     curves = _curves(inst, specs, K)

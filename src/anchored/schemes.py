@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .operators import OperatorSpec
-from .schedules import schedule_stream
+from .schedules import constants, schedule_stream
 
 DIVERGENCE_LIMIT = 1e30
 
@@ -475,17 +475,20 @@ def run(solver, y0, K, trace_opts=None, observers=()):
                     error=error)
 
 
-def solver_for(op, scheme_kind, schedule_kind, meta=None, **schedule_kw):
+def solver_for(op, scheme_kind, schedule_kind, **schedule_kw):
     """A solver of ``op`` with a named schedule.
 
     A residual operator (``residuals.yosida``, ``fb_residual`` or
-    ``tos_residual``) goes in as ``op`` like any other.
+    ``tos_residual``) goes in as ``op`` like any other. The schedule's
+    constants are resolved once, here, and kept as ``meta["constants"]``,
+    which every trace of the solver carries; the rule checks their ranges
+    when ``schedule_factory`` builds a stream.
     """
     if scheme_kind not in SCHEMES:
         raise InputError(f"unknown scheme kind {scheme_kind!r}")
     lip = schedule_kw.pop("L", op.lipschitz)
-    factory = lambda: schedule_stream(schedule_kind, lip, **schedule_kw)
-    md = {"schedule": schedule_kind, "L": lip}
-    md.update(meta or {})
+    resolved = constants(schedule_kind, lip, **schedule_kw)
+    factory = lambda: schedule_stream(schedule_kind, lip, **resolved)
     return Solver(scheme=scheme_kind, operator=op, schedule_factory=factory,
-                  meta=md)
+                  meta={"schedule": schedule_kind, "L": lip,
+                        "constants": resolved})

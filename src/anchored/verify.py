@@ -41,10 +41,10 @@ from .residuals import (
     yosida,
 )
 from .rng import SplitMix64
-from .schedules import constants
+from .schedules import SCHEDULES
 # no row uses it; the benchmark's tracer patches it under this name
 from .schedules import transformed_nesterov_stream  # noqa: F401
-from .schemes import RunTrace, TraceOpts, _norm, run, solver_for
+from .schemes import SCHEMES, RunTrace, TraceOpts, _norm, run, solver_for
 
 SUITES = ("equivalence", "lemmas", "bounds", "all")
 EQUIV_TOL = 1e-8
@@ -70,15 +70,16 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Check:
-    """One row of the verify table.
+    """One row of the verify table: its runs, folds and verdict.
 
     ``runs`` lists "scheme/schedule" runs on ``instance`` (two for the
     equivalence rows), each with the schedule keywords ``KWARGS[kw]``
     (none: the schedule's defaults) and ``K(iters)`` steps. Every run
-    feeds one fold of each :data:`FOLDS` name in ``folds``.
-    ``verdict(case, trace, *folds)`` gets the first run's trace (None
-    without runs) and the folds, run by run, and returns
-    ``(ok, detail[, skipped])``.
+    feeds one fold of each :data:`FOLDS` name in ``folds``, and tracks
+    the x residual when a fold reads ``g_x``. ``verdict(case, trace,
+    *folds)`` gets the first run's trace (None without runs) and the
+    folds, run by run, and returns ``(ok, detail[, skipped])``; the
+    constants a run used are in ``trace.meta["constants"]``.
     """
 
     suite: str
@@ -89,7 +90,6 @@ class Check:
     folds: tuple = ()
     kw: Optional[str] = None
     K: Callable = lambda iters: iters
-    x_residual: bool = False
 
 
 class Case(NamedTuple):
@@ -106,37 +106,30 @@ class Case(NamedTuple):
 #: schedule keywords by name, from the instance's L; the defaults of
 #: ``schedules.SCHEDULES`` are not restated here
 KWARGS = {
-    "comono": lambda L: {"rho": -1.0 / (4.0 * L)},
+    "rho=-1/4L": lambda L: {"rho": -1.0 / (4.0 * L)},
     "sigma=2": lambda L: {"sigma": 2.0},
     "eta0=0.5/L": lambda L: {"eta0": 0.5 / L},
     "eta0=0.4/L": lambda L: {"eta0": 0.4 / L},
 }
 
-#: fold builders by name, from the row's case; rows on one run and
-#: horizon that name the same builder share its fold
+#: fold builders by name, from the row's case and the run's solver, whose
+#: ``meta["constants"]`` are the schedule constants the run uses; rows on
+#: one run and horizon that name the same builder share its fold. The
+#: potential is the one ``schemes.SCHEMES`` names for the run's schedule.
 FOLDS = {
-    "record": lambda c: dg.RecordFold(),
-    "anchored": lambda c: dg.AnchoredPotentialFold(c.L),
-    "omega": lambda c: dg.omega_potential_fold(
-        y_star=c.y_star, **constants("nesterov_omega", c.L)),
-    "anchor distance": lambda c: dg.MapFold(
-        lambda s: _norm(s.x - c.y_star) ** 2),
-    "budgets": lambda c: dg.SummabilityFold(
-        L=c.L, **constants("nesterov_omega", c.L)),
-    "coupling": lambda c: dg.CouplingIdentityFold(c.L, c.y_star),
-    "eag": lambda c: dg.eag_potential_fold(c.L, c.y_star),
-    "|G y|^2": lambda c: dg.MapFold(lambda s: float(s.g_y @ s.g_y)),
-    "peag": lambda c: dg.PeagPotentialFold(c.L, 2.0, c.y_star),
-    "gaps": lambda c: dg.PeagGapFold(c.L, 2.0),
-    "differences": lambda c: dg.ResidualDifferenceFold(c.L, c.d0),
-    "peag residual": lambda c: dg.PeagResidualFold(c.L, c.d0,
-                                                   **constants("peag", c.L)),
+    "record": lambda c, s: dg.RecordFold(),
+    "potential": lambda c, s: dg.POTENTIALS[SCHEMES[s.scheme].potentials[
+        s.meta["schedule"]]](c.L, c.y_star, s.meta["constants"]),
+    "anchor distance": lambda c, s: dg.MapFold(
+        lambda p: _norm(p.x - c.y_star) ** 2),
+    "budgets": lambda c, s: dg.SummabilityFold(L=c.L, **s.meta["constants"]),
+    "coupling": lambda c, s: dg.CouplingIdentityFold(c.L, c.y_star),
+    "|G y|^2": lambda c, s: dg.MapFold(lambda p: float(p.g_y @ p.g_y)),
+    "gaps": lambda c, s: dg.PeagGapFold(c.L, s.meta["constants"]["sigma"]),
+    "differences": lambda c, s: dg.ResidualDifferenceFold(c.L, c.d0),
+    "peag residual": lambda c, s: dg.PeagResidualFold(
+        c.L, c.d0, **s.meta["constants"]),
 }
-
-
-def _keywords(kw, L):
-    """The schedule keywords ``KWARGS[kw]`` at ``L``; none without ``kw``."""
-    return KWARGS[kw](L) if kw else {}
 
 
 def proximal_point_operator(k_mat, L):
@@ -170,9 +163,12 @@ class Plan:
     made when the first row that needs it is evaluated, at the longest
     horizon among its rows and with all their folds, so its time is
     charged to that row; a row with a shorter horizon sees points 0..K.
-    If a shared run stops with a numeric error at or before a row's
-    horizon, the row runs again on its own, so every verdict is the one
-    its own run would give. A row whose run ended in an error fails.
+    A run's folds are built from its solver, whose ``meta["constants"]``
+    are the constants it runs at, and it tracks the x residual when one
+    of them reads ``g_x``. If a shared run stops with a numeric error at
+    or before a row's horizon, the row runs again on its own, so every
+    verdict is the one its own run would give. A row whose run ended in
+    an error fails.
 
     Memory is bounded by the rows in flight, not by the table: each run,
     fold and case is dropped once the last row of ``rows`` that reads it
@@ -225,34 +221,42 @@ class Plan:
         self._cases[label] = case
         return case
 
-    def _run(self, key, K, x_residual, observers):
+    def _solver(self, key):
         label, name, kw = key
         case = self.case(label)
-        scheme, schedule = name.split("/")
-        solver = solver_for(case.op, scheme, schedule, **_keywords(kw, case.L))
-        opts = TraceOpts(track_x_residual=x_residual)
+        return solver_for(case.op, *name.split("/"),
+                          **(KWARGS[kw](case.L) if kw else {}))
+
+    def _run(self, solver, case, K, folds, observers):
+        """A run of ``solver``, tracking the x residual if a fold reads it."""
+        opts = TraceOpts(track_x_residual=any("g_x" in f.need for f in folds))
         return run(solver, case.y0, K, opts, observers=observers)
 
     def _fed(self, row, key):
         """The row's view of one run: its trace and its folds."""
-        K, users = row.K(self.iters), self._users[key]
-        shared = (max(k for _, k in users), any(r.x_residual for r, _ in users))
+        K, case = row.K(self.iters), self.case(row.instance)
         if key not in self._traces:
-            observers = []
+            users = self._users[key]
+            solver, horizon = self._solver(key), max(k for _, k in users)
+            folds, observers = [], []
             for user, k in users:
                 for name in user.folds:
                     if (key, k, name) not in self._folds:
-                        fold = FOLDS[name](self.case(row.instance))
+                        fold = FOLDS[name](case, solver)
                         self._folds[key, k, name] = fold
-                        observers.append(fold if k == shared[0] else (
+                        folds.append(fold)
+                        observers.append(fold if k == horizon else (
                             lambda p, fold=fold, k=k: p.k <= k and fold(p)))
-            self._traces[key] = self._run(key, *shared, observers)
+            self._traces[key] = self._run(solver, case, horizon, folds,
+                                          observers)
         trace = self._traces[key]
         if len(trace) - 1 > K:
             trace = _prefix(trace, K)
-        elif trace.error is not None and shared != (K, row.x_residual):
-            folds = [FOLDS[name](self.case(row.instance)) for name in row.folds]
-            return self._run(key, K, row.x_residual, folds), folds
+        elif trace.error is not None and trace.meta["K"] != K:
+            # a longer shared run stopped by step K; the row's own may not
+            solver = self._solver(key)
+            folds = [FOLDS[name](case, solver) for name in row.folds]
+            return self._run(solver, case, K, folds, folds), folds
         return trace, [self._folds[key, K, name] for name in row.folds]
 
     def result(self, row):
@@ -297,12 +301,14 @@ def _decrease(name, start=0):
         dg.decrease_report(fold.series()[start:], name))
 
 
-def _bound(kind, kw=None):
-    """The trace's residual column against a closed-form bound, at the
-    resolved constants of the run's schedule."""
-    return lambda case, trace: _report(dg.bound_check(
-        trace, kind, case.L, case.d0, **constants(
-            trace.meta["schedule"], case.L, **_keywords(kw, case.L))))
+def _bound_report(case, trace):
+    """The run's schedule bound on its trace, at the constants it used."""
+    return dg.bound_check(trace, SCHEDULES[trace.meta["schedule"]].bound,
+                          case.L, case.d0, **trace.meta["constants"])
+
+
+def _bound(case, trace):
+    return _report(_bound_report(case, trace))
 
 
 def _slope(column):
@@ -314,20 +320,17 @@ def _slope(column):
     return verdict
 
 
-def _rate(kind, kw=None):
+def _rate(case, trace):
     """An extra-gradient rate-constant row; the varying step also prints
     the certified limit stepsize and the largest observed/bound ratio."""
-    def verdict(case, trace):
-        resolved = constants(kind, case.L, **_keywords(kw, case.L))
-        rep = dg.bound_check(trace, kind, case.L, case.d0, **resolved)
-        detail = f"violations={rep.violations}"
-        if "eta0" in resolved:
-            eta_star = dg.eag_varying_limit_lower_bound(resolved["eta0"],
-                                                        case.L)
-            detail += (f" eta*L>={eta_star * case.L:.4f} worst_ratio="
-                       f"{np.max(rep.observed / rep.theory):.3f}")
-        return rep.ok, detail
-    return verdict
+    rep = _bound_report(case, trace)
+    detail = f"violations={rep.violations}"
+    resolved = trace.meta["constants"]
+    if "eta0" in resolved:
+        eta_star = dg.eag_varying_limit_lower_bound(resolved["eta0"], case.L)
+        detail += (f" eta*L>={eta_star * case.L:.4f} worst_ratio="
+                   f"{np.max(rep.observed / rep.theory):.3f}")
+    return rep.ok, detail
 
 
 def _trend(case, trace):
@@ -396,8 +399,8 @@ _EAG = "eag/nag_eag nag_eag/nag_eag"
 _PEAG = "peag/peag nag_peag/nag_peag"
 _COMONO = "comono_eag/comono_eag nag_comono/nag_comono"
 _OMEGA = dict(runs="nesterov/nesterov_omega")
-_PEAG_2 = dict(runs="peag/peag", kw="sigma=2", x_residual=True)
-_BILINEAR = dict(kw="comono", K=lambda iters: max(iters, 3000))
+_PEAG_2 = dict(runs="peag/peag", kw="sigma=2")
+_BILINEAR = dict(kw="rho=-1/4L", K=lambda iters: max(iters, 3000))
 
 #: the verify table, in output order. Each suite lists its rows case by
 #: case ("prox bilinear" with "bilinear"), so that a plan of one suite
@@ -413,23 +416,24 @@ CHECKS = (
     _twins("halpern<->two-corr nesterov", "ls", _ANCHORED, "y"),
     _twins("eag<->nag_eag", "ls", _EAG, "yz"),
     _twins("peag<->nag_peag", "ls", _PEAG, "z"),
-    _twins("comono_eag<->nag_comono", "ls", _COMONO, "yz", "comono"),
+    _twins("comono_eag<->nag_comono", "ls", _COMONO, "yz", "rho=-1/4L"),
     _twins("halpern<->two-corr nesterov", "prox bilinear", _ANCHORED, "y"),
     _twins("eag<->nag_eag", "huber", _EAG, "yz"),
     _twins("peag<->nag_peag", "huber", _PEAG, "z"),
-    _twins("comono_eag<->nag_comono", "huber", _COMONO, "yz", "comono"),
+    _twins("comono_eag<->nag_comono", "huber", _COMONO, "yz", "rho=-1/4L"),
 
     Check("lemmas", "anchored potential nonincreasing [ls, fast]", "ls",
           "halpern/halpern_fast", _decrease("anchored_potential"),
-          ("anchored",)),
+          ("potential",)),
     Check("lemmas", "corrected potential nonincreasing [ls, omega]", "ls",
-          verdict=_decrease("corrected_potential"), folds=("omega",), **_OMEGA),
+          verdict=_decrease("corrected_potential"), folds=("potential",),
+          **_OMEGA),
     Check("lemmas", "corrected potential above anchor distance", "ls",
           verdict=lambda case, trace, v, dist: (bool(np.all(
               v.series() >= dist.series() - 1e-10)),),
-          folds=("omega", "anchor distance"), **_OMEGA),
+          folds=("potential", "anchor distance"), **_OMEGA),
     *(Check("lemmas", f"budget {name} [ls]", "ls", verdict=_budget(name),
-            folds=("omega", "budgets"), **_OMEGA)
+            folds=("potential", "budgets"), **_OMEGA)
       for name in ("anchor_distance_budget", "residual_budget",
                    "residual_difference_budget", "correction_budget")),
     Check("lemmas", "potential coupling identity [ls]", "ls",
@@ -448,53 +452,52 @@ CHECKS = (
           _change_of_variable),
     Check("lemmas", "extra-gradient potential nonincreasing (k>=1) [huber]",
           "huber", "nag_eag/nag_eag", _decrease("eag_potential", start=1),
-          ("eag",)),
+          ("potential",)),
     Check("lemmas", "extra-gradient potential above weighted residual",
           "huber", "nag_eag/nag_eag", _above_weighted_residual,
-          ("eag", "|G y|^2")),
+          ("potential", "|G y|^2")),
     Check("lemmas", "past-extra potential nonincreasing [huber, sigma=2]",
-          "huber", verdict=_decrease("peag_potential"), folds=("peag",),
+          "huber", verdict=_decrease("peag_potential"), folds=("potential",),
           **_PEAG_2),
     Check("lemmas", "past-extra weighted gap budget [huber, sigma=2]",
           "huber", verdict=lambda case, trace, e, gaps: _report(
-              gaps.report(e.series()[0])), folds=("peag", "gaps"), **_PEAG_2),
+              gaps.report(e.series()[0])), folds=("potential", "gaps"),
+          **_PEAG_2),
 
     Check("bounds", "anchored fast residual bound [ls]", "ls",
-          "halpern/halpern_fast", _bound("halpern_fast")),
+          "halpern/halpern_fast", _bound),
     Check("bounds", "anchored slow residual bound [ls]", "ls",
-          "halpern/halpern_slow", _bound("halpern_slow")),
+          "halpern/halpern_slow", _bound),
     Check("bounds", "residual difference budget [ls, slow]", "ls",
           "halpern/halpern_slow", lambda case, trace, differences: _report(
               differences.report()), ("differences",)),
     Check("bounds", "corrected slow residual bound [ls]", "ls",
-          "nesterov/nesterov_slow", _bound("halpern_slow")),
+          "nesterov/nesterov_slow", _bound),
     Check("bounds", "corrected fast residual bound [ls]", "ls",
-          "nesterov/nesterov_fast", _bound("halpern_fast")),
+          "nesterov/nesterov_fast", _bound),
     Check("bounds", "omega family vanishing-rate trend [ls]", "ls",
           verdict=_trend, **_OMEGA),
     Check("bounds", "anchored omega residual slope [ls]", "ls",
           "halpern/halpern_omega", _slope("norm_g_y")),
     Check("bounds", "extra-gradient residual bound [huber]", "huber",
-          "nag_eag/nag_eag", _bound("eag")),
+          "nag_eag/nag_eag", _bound),
     Check("bounds", "constant-step extra-gradient rate constant [huber]",
-          "huber", "eag/eag_constant", _rate("eag_constant")),
+          "huber", "eag/eag_constant", _rate),
     Check("bounds", "varying-step extra-gradient rate constant [huber]",
-          "huber", "eag/eag_varying", _rate("eag_varying", "eta0=0.5/L"),
-          kw="eta0=0.5/L"),
+          "huber", "eag/eag_varying", _rate, kw="eta0=0.5/L"),
     Check("bounds", "past-extra residual bound [huber]", "huber", "peag/peag",
           lambda case, trace, residual: _report(residual.report()),
-          ("peag residual",), x_residual=True),
+          ("peag residual",)),
     Check("bounds", "past-extra probe bound [huber]", "huber", "peag/peag",
-          _bound("peag_probe"), x_residual=True),
+          _bound),
     Check("bounds", "three-correction probe bound [huber]", "huber",
-          "nag_peag/nag_peag", _bound("peag_probe")),
+          "nag_peag/nag_peag", _bound),
     Check("bounds", "legacy past-extra residual slope [huber]", "huber",
           "peag/peag_legacy", _slope("norm_g_z"), kw="eta0=0.4/L"),
     Check("bounds", "co-monotone residual bound [bilinear]", "bilinear",
-          "comono_eag/comono_eag", _bound("comono", "comono"), **_BILINEAR),
+          "comono_eag/comono_eag", _bound, **_BILINEAR),
     Check("bounds", "corrected co-monotone residual bound [bilinear]",
-          "bilinear", "nag_comono/nag_comono", _bound("comono", "comono"),
-          **_BILINEAR),
+          "bilinear", "nag_comono/nag_comono", _bound, **_BILINEAR),
 )
 
 

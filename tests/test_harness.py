@@ -663,7 +663,7 @@ class TestVaryingStepRate:
         trace = run(solver_for(hub.operator, "eag", "eag_varying", eta0=eta0),
                     y0, 2000)
         case = verify.Case(hub.operator, y0, hub.solution, hub.meta, L, d0)
-        ok, detail = verify._rate("eag_varying", "eta0=0.5/L")(case, trace)
+        ok, detail = verify._rate(case, trace)
         assert ok
         assert "worst_ratio=0.304" in detail
         # negative control: a bound four times too small must fail

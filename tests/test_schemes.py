@@ -561,6 +561,22 @@ class TestMakeSolver:
             dev = np.linalg.norm(tos_op(u) - point.g_y)
             assert dev <= 1e-8 * (1.0 + np.linalg.norm(point.g_y))
 
+    @pytest.mark.parametrize("scheme,kind", [
+        (scheme, kind) for scheme, kinds in COMPATIBLE_SCHEDULES.items()
+        for kind in kinds])
+    def test_solver_and_trace_carry_the_resolved_constants(self, scheme,
+                                                           kind):
+        # keywords without a default get a value in range; sigma = 2 is
+        # a non-default the meta must keep
+        kw = {"eag_varying": {"eta0": 0.5}, "peag_legacy": {"eta0": 0.4},
+              "comono_eag": {"rho": -0.1}, "nag_comono": {"rho": -0.1},
+              "peag": {"sigma": 2.0}}.get(kind, {})
+        expect = constants(kind, 1.0, **kw)
+        solver = solver_for(identity_operator(2), scheme, kind, L=1.0, **kw)
+        assert solver.meta["constants"] == expect
+        trace = run(solver, np.array([1.0, 2.0]), 3)
+        assert trace.meta["constants"] == expect
+
     def test_set_valued_b_with_equation_case_rejected(self):
         with pytest.raises(InputError):
             fb_residual(SplittingSpec(a=zero_kind_safe(), b=l1_kind(1.0),

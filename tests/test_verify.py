@@ -119,6 +119,35 @@ def test_shorter_row_reads_the_prefix_of_a_longer_run(monkeypatch):
     assert shared[0].row() == alone[0].row()
 
 
+def test_potential_and_gap_folds_take_sigma_from_the_run(monkeypatch):
+    # a changed keyword reaches the folds of the rows that name it
+    monkeypatch.setitem(verify.KWARGS, "sigma=2", lambda L: {"sigma": 3.0})
+    rows = [r for r in verify.CHECKS if r.kw == "sigma=2"]
+    assert [r.folds for r in rows] == [("potential",), ("potential", "gaps")]
+    seen = []
+    real = verify.run
+
+    def recording_run(solver, y0, K, trace_opts=None, observers=()):
+        seen.append((solver.meta["constants"],
+                     [(type(fold).__name__, fold.sigma) for fold in observers]))
+        return real(solver, y0, K, trace_opts, observers)
+
+    monkeypatch.setattr(verify, "run", recording_run)
+    verify.run_checks(rows)
+    assert seen == [({"sigma": 3.0}, [("PeagPotentialFold", 3.0),
+                                      ("PeagGapFold", 3.0)])]
+
+
+def test_rate_row_prints_the_limit_stepsize_of_its_run():
+    check = verify.Check("bounds", "varying-step rate at 0.4/L", "huber",
+                         "eag/eag_varying", verify._rate, kw="eta0=0.4/L")
+    [result] = verify.run_checks([check])
+    L = desk_huber().operator.lipschitz
+    eta_star = verify.dg.eag_varying_limit_lower_bound(0.4 / L, L)
+    assert f" eta*L>={eta_star * L:.4f} " in result.detail
+    assert " eta*L>=0.3863 " not in result.detail  # the value at 0.5/L
+
+
 def test_verify_json_rows(capsys):
     assert main(["verify", "--suite", "equivalence", "--json"]) == 0
     lines = capsys.readouterr().out.splitlines()
