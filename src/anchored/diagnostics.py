@@ -10,13 +10,13 @@ pointwise. Decrease checks use a relative slack
 magnitude along a run.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DataError, InputError
+from .schedules import peag_root
 from .schemes import _norm
 
 DECREASE_SLACK = 1e-10
@@ -93,6 +93,14 @@ def _compare(name, observed, theory, ks=None):
                        first_violation=first)
 
 
+def _skipped(name, theory, note):
+    """A budget that is not asserted, with ``note`` saying why."""
+    return BoundReport(name=name, theory=theory,
+                       observed=np.zeros(len(theory)), violations=0,
+                       worst_excess=0.0, first_violation=None, skipped=True,
+                       note=note)
+
+
 # ---------------------------------------------------------------------------
 # potential functions
 
@@ -132,7 +140,7 @@ def peag_potential(g_y, y, z, k, L, sigma, y0, y_star):
     """
     if g_y is None:
         raise DataError("need the operator value at y_k")
-    root = math.sqrt(2.0 * L * L * (1.0 + sigma))
+    root = peag_root(L, sigma)
     b_k = k + 1.0
     a_k = (k + 1.0) ** 2 / (2.0 * root)
     c_k = L * L * (k + 1.0) ** 2 / (2.0 * root)
@@ -348,27 +356,24 @@ class SummabilityFold(Fold):
         dx, g_norm, dg, corr = np.array(self.terms).reshape(n, 4).T
         t = np.array([(k + 2.0 * omega + 1.0) / omega for k in range(n)])
         budget = np.full(n, float(v0))
-        reports = []
 
-        def add(name, coeff_terms, positive):
-            if not positive:
-                reports.append(BoundReport(
-                    name=name, theory=budget, observed=np.zeros(n),
-                    violations=0, worst_excess=0.0, first_violation=None,
-                    skipped=True,
-                    note="nonpositive coefficient, budget not asserted"))
-                return
-            reports.append(_compare(name, np.cumsum(coeff_terms), budget))
+        def report(name, coeff_terms, positive):
+            if positive:
+                return _compare(name, np.cumsum(coeff_terms), budget)
+            return _skipped(name, budget,
+                            "nonpositive coefficient, budget not asserted")
 
-        add("anchor_distance_budget", (2.0 * t - 2.0) * dx ** 2, True)
-        add("residual_budget",
-            (gamma * (omega - 1.0) / (L * omega)) * g_norm ** 2, omega > 1.0)
-        add("residual_difference_budget",
-            (2.0 * gamma * (1.0 - L * gamma) / L) * t * (t - 1.0) * dg ** 2,
-            1.0 - L * gamma > 0.0)
-        add("correction_budget", gamma * gamma * t * (t - 1.0) * corr ** 2,
-            True)
-        return reports
+        return [
+            report("anchor_distance_budget", (2.0 * t - 2.0) * dx ** 2, True),
+            report("residual_budget",
+                   (gamma * (omega - 1.0) / (L * omega)) * g_norm ** 2,
+                   omega > 1.0),
+            report("residual_difference_budget",
+                   (2.0 * gamma * (1.0 - L * gamma) / L) * t * (t - 1.0)
+                   * dg ** 2, 1.0 - L * gamma > 0.0),
+            report("correction_budget",
+                   gamma * gamma * t * (t - 1.0) * corr ** 2, True),
+        ]
 
 
 class PeagGapFold(Fold):
@@ -393,13 +398,10 @@ class PeagGapFold(Fold):
     def report(self, e0):
         n = len(self.terms)
         if self.sigma <= 1.0:
-            return BoundReport(name="probe_gap_budget", theory=np.full(n, e0),
-                               observed=np.zeros(n), violations=0,
-                               worst_excess=0.0, first_violation=None,
-                               skipped=True,
-                               note="sigma <= 1, weight nonpositive")
+            return _skipped("probe_gap_budget", np.full(n, e0),
+                            "sigma <= 1, weight nonpositive")
         L = self.L
-        root = math.sqrt(2.0 * L * L * (1.0 + self.sigma))
+        root = peag_root(L, self.sigma)
         w = L * L * (self.sigma - 1.0) / (2.0 * root)
         ks = np.arange(n, dtype=float)
         terms = w * (ks + 1.0) * (ks + 2.0) * np.array(self.terms)

@@ -1,10 +1,10 @@
 """Operator and resolvent abstractions plus the concrete operator catalog.
 
 An :class:`OperatorSpec` is a single-valued map ``y -> Gy`` with declared
-regularity metadata (Lipschitz constant, co-coercivity modulus,
-co-monotonicity modulus). Metadata is declarative: nothing is inferred
-at construction, and the sampled inequality checks live in a separate
-verification call so that schemes never pay the sampling cost.
+regularity metadata: a Lipschitz constant and one co-monotonicity
+modulus. Metadata is declarative: nothing is inferred at construction,
+and the sampled inequality checks live in a separate verification call
+so that schemes never pay the sampling cost.
 
 Specs are immutable after construction and safe for concurrent
 read-only evaluation.
@@ -21,25 +21,21 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class OperatorSpec:
+    """A map G with its declared regularity.
+
+    ``comonotone_modulus`` is the rho for which G declares itself
+    rho-co-monotone, <Gx - Gy, x - y> >= rho |Gx - Gy|^2: 1/L for a
+    1/L-co-coercive G, 0 for a monotone one, negative for a co-monotone
+    one, and None for no claim. One number orders the three classes.
+    """
+
     dim: Optional[int]
     eval: Callable[[np.ndarray], np.ndarray]
     lipschitz: Optional[float] = None
-    cocoercivity_modulus: Optional[float] = None
-    comonotonicity_rho: Optional[float] = None
-    monotone: bool = False
+    comonotone_modulus: Optional[float] = None
 
     def __call__(self, y):
         return self.eval(np.asarray(y, dtype=np.float64))
-
-    @property
-    def comonotone_modulus(self):
-        """Largest declared rho of rho-co-monotonicity; None if none is.
-
-        A co-coercivity modulus is one, and a monotone G has rho = 0.
-        """
-        return max((rho for rho in (self.cocoercivity_modulus,
-                    self.comonotonicity_rho, 0.0 if self.monotone else None)
-                    if rho is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,7 @@ def spectral_norm(m, tol=1e-10, max_iter=10_000, seed=0):
 def least_squares_operator(p_mat, b, seed=0):
     """Normal-equation residual map G(y) = P^T (P y - b).
 
-    G is co-coercive with constant ``norm(P^T P)`` estimated by
+    G is 1/L-co-coercive with L = ``norm(P^T P)`` estimated by
     :func:`spectral_norm`.
     """
     p_mat, b = _least_squares_data(p_mat, b)
@@ -211,7 +207,7 @@ def least_squares_operator(p_mat, b, seed=0):
         return p_t.dot(r)
 
     return OperatorSpec(dim=p_mat.shape[1], eval=apply, lipschitz=lip,
-                        cocoercivity_modulus=1.0 / lip, monotone=True)
+                        comonotone_modulus=1.0 / lip)
 
 
 def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
@@ -255,7 +251,8 @@ def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
         out[n:] -= k_mat.dot(y[:n])
         return out
 
-    return OperatorSpec(dim=n + m, eval=apply, lipschitz=lip, monotone=True)
+    return OperatorSpec(dim=n + m, eval=apply, lipschitz=lip,
+                        comonotone_modulus=0.0)
 
 
 def bilinear_saddle_operator(k_mat, k_norm=None, seed=0):
@@ -280,7 +277,7 @@ def bilinear_saddle_operator(k_mat, k_norm=None, seed=0):
         return out
 
     return OperatorSpec(dim=n + m, eval=apply, lipschitz=k_norm,
-                        monotone=True, comonotonicity_rho=0.0)
+                        comonotone_modulus=0.0)
 
 
 def from_nonexpansive(t_map, dim):
@@ -293,13 +290,13 @@ def from_nonexpansive(t_map, dim):
         return y - np.asarray(t_map(y), dtype=np.float64)
 
     return OperatorSpec(dim=dim, eval=apply, lipschitz=2.0,
-                        cocoercivity_modulus=0.5, monotone=True)
+                        comonotone_modulus=0.5)
 
 
 def identity_operator(dim=1):
     """G(y) = y; 1-co-coercive with L = 1. The smallest test fixture."""
     return OperatorSpec(dim=dim, eval=lambda y: y.copy(), lipschitz=1.0,
-                        cocoercivity_modulus=1.0, monotone=True)
+                        comonotone_modulus=1.0)
 
 
 def sampled_differences(op: OperatorSpec, n_pairs, seed=0, scale=1.0, dim=None):
@@ -322,34 +319,24 @@ def check_regularity(op: OperatorSpec, n_pairs=1000, seed=0, scale=1.0):
     """Sample pairs and count violations of the declared inequalities.
 
     Pairs are componentwise uniform on [-scale, scale]^dim. Returns a
-    dict with a violation count per declared property; the slack terms
-    match the declared tolerances (1e-12 relative for Lipschitz, 1e-10
-    absolute-relative for the inner-product inequalities).
+    dict with a violation count per declared property: "lipschitz",
+    |Gx - Gy| <= L |x - y| with 1e-12 relative slack, and "comonotone",
+    <Gx - Gy, x - y> >= rho |Gx - Gy|^2 with 1e-10 absolute-relative
+    slack.
     """
+    lip, rho = op.lipschitz, op.comonotone_modulus
     out = {}
-    lip_bad = coco_bad = comono_bad = mono_bad = 0
+    if lip is not None:
+        out["lipschitz"] = 0
+    if rho is not None:
+        out["comonotone"] = 0
     for dx, dg in sampled_differences(op, n_pairs, seed, scale):
-        ip = float(dg @ dx)
         ng2 = float(dg @ dg)
-        if op.lipschitz is not None:
-            if np.sqrt(ng2) > op.lipschitz * (1.0 + 1e-12) * np.linalg.norm(dx):
-                lip_bad += 1
-        if op.cocoercivity_modulus is not None:
-            if ip < op.cocoercivity_modulus * ng2 - 1e-10 * (1.0 + ng2):
-                coco_bad += 1
-        if op.comonotonicity_rho is not None:
-            if ip < op.comonotonicity_rho * ng2 - 1e-10 * (1.0 + ng2):
-                comono_bad += 1
-        if op.monotone and ip < -1e-10 * (1.0 + ng2):
-            mono_bad += 1
-    if op.lipschitz is not None:
-        out["lipschitz"] = lip_bad
-    if op.cocoercivity_modulus is not None:
-        out["cocoercive"] = coco_bad
-    if op.comonotonicity_rho is not None:
-        out["comonotone"] = comono_bad
-    if op.monotone:
-        out["monotone"] = mono_bad
+        if lip is not None and \
+                np.sqrt(ng2) > lip * (1.0 + 1e-12) * np.linalg.norm(dx):
+            out["lipschitz"] += 1
+        if rho is not None and float(dg @ dx) < rho * ng2 - 1e-10 * (1.0 + ng2):
+            out["comonotone"] += 1
     return out
 
 

@@ -2,13 +2,15 @@
 
 Each builder returns an :class:`OperatorSpec` whose zero set coincides
 with the solution set of the underlying inclusion, so the anchored
-schemes apply unchanged. Co-coercivity moduli are attached only when
-the stepsize window 0 < lam < 4/L makes them valid; otherwise the
-operator is built without a modulus and a warning is emitted.
+schemes apply unchanged. A residual's co-coercivity modulus is
+lam (4 - lam L) / 4, with L = 1/rho read from the declared
+``comonotone_modulus`` rho of its single-valued forward part. A
+forward part that declares no positive rho, or a lam outside the window
+(0, 4/L), is an :class:`InputError`: no residual is built without its
+modulus.
 """
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -27,17 +29,16 @@ class SplittingSpec:
     """Data of the inclusion 0 in A y + B y + C y.
 
     ``a`` and set-valued ``b`` are resolvent kinds (their lam field is
-    ignored; ``lam`` here is attached when the residual is built).
-    ``l_of_b_or_c`` is the co-coercivity constant of the single-valued
-    forward part (B for the two-operator residual, C for the
-    three-operator one); it bounds the admissible lam from above by 4/L.
+    ignored; ``lam`` here is attached when the residual is built). The
+    single-valued forward part (B for the two-operator residual, C for
+    the three-operator one) declares its own co-coercivity as its
+    ``comonotone_modulus``.
     """
 
     a: ResolventSpec
     b: Union[OperatorSpec, ResolventSpec, None]
     lam: float
     c: Optional[OperatorSpec] = None
-    l_of_b_or_c: float = 0.0
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -51,7 +52,22 @@ def default_lambda(l_const):
     return 2.0 / l_const
 
 
-def _modulus(lam, l_const):
+def _modulus(lam, forward):
+    """lam (4 - lam L) / 4, L = 1/rho of the forward part; lam without one.
+
+    With no forward part (L = 0) the modulus follows from the firm
+    nonexpansiveness of the two resolvents.
+    """
+    if forward is None:
+        return lam
+    rho = forward.comonotone_modulus
+    if rho is None or not rho > 0.0:
+        raise InputError(f"the forward operator declares co-monotone modulus "
+                         f"{rho}; a residual needs a positive one")
+    l_const = 1.0 / rho
+    if not lam < 4.0 / l_const:
+        raise InputError(f"lam = {lam} outside the window (0, 4/L) = "
+                         f"(0, {4.0 / l_const:.6g})")
     return lam * (4.0 - lam * l_const) / 4.0
 
 
@@ -73,43 +89,26 @@ def yosida(a_kind: ResolventSpec, lam, dim=None) -> OperatorSpec:
         return (y - resolvent_apply(res, y)) / lam
 
     return OperatorSpec(dim=dim, eval=apply, lipschitz=1.0 / lam,
-                        cocoercivity_modulus=float(lam), monotone=True)
+                        comonotone_modulus=float(lam))
 
 
 def fb_residual(spec: SplittingSpec) -> OperatorSpec:
     """Forward-backward residual (y - J_{lam A}(y - lam B y)) / lam.
 
-    Requires a single-valued B; a set-valued kind must go through
-    :func:`tos_residual` instead.
+    The three-operator residual with a zero set-valued part and B as its
+    forward part. Requires a single-valued B; a set-valued kind must go
+    through :func:`tos_residual` instead.
     """
     if not isinstance(spec.b, OperatorSpec):
         raise InputError("forward-backward residual needs a single-valued B")
-    lam, b_op = spec.lam, spec.b
-    res_a = spec.a.with_lambda(lam)
-    l_const = spec.l_of_b_or_c
-
-    modulus = None
-    if l_const > 0 and 0.0 < lam < 4.0 / l_const:
-        modulus = _modulus(lam, l_const)
-    elif l_const > 0:
-        warnings.warn("lam outside (0, 4/L): residual built without a "
-                      "co-coercivity modulus")
-
-    def apply(y):
-        return (y - resolvent_apply(res_a, y - lam * b_op(y))) / lam
-
-    return OperatorSpec(dim=b_op.dim, eval=apply,
-                        lipschitz=None if modulus is None else 1.0 / modulus,
-                        cocoercivity_modulus=modulus, monotone=True)
+    return tos_residual(replace(spec, b=None, c=spec.b))
 
 
 def tos_residual(spec: SplittingSpec) -> OperatorSpec:
     """Three-operator residual (J_{lam B}u - J_{lam A}(2 J_{lam B}u - u - lam C J_{lam B}u)) / lam.
 
     Handles set-valued B (given as a resolvent kind) and an optional
-    co-coercive C. With C absent the modulus reduces to lam itself,
-    which follows from firm nonexpansiveness of the two resolvents
-    rather than from a stated constant.
+    co-coercive C. With C absent the modulus is lam itself.
     """
     lam = spec.lam
     res_a = spec.a.with_lambda(lam)
@@ -118,14 +117,7 @@ def tos_residual(spec: SplittingSpec) -> OperatorSpec:
                          "resolvent kind here")
     res_b = (spec.b if spec.b is not None else ResolventSpec("zero")).with_lambda(lam)
     c_op = spec.c
-    l_const = spec.l_of_b_or_c if c_op is not None else 0.0
-
-    modulus = None
-    if 0.0 < lam and (l_const == 0.0 or lam < 4.0 / l_const):
-        modulus = _modulus(lam, l_const)
-    else:
-        warnings.warn("lam outside (0, 4/L): residual built without a "
-                      "co-coercivity modulus")
+    modulus = _modulus(lam, c_op)
 
     def apply(u):
         z = resolvent_apply(res_b, u)
@@ -134,11 +126,10 @@ def tos_residual(spec: SplittingSpec) -> OperatorSpec:
             inner = inner - lam * c_op(z)
         return (z - resolvent_apply(res_a, inner)) / lam
 
-    dim = spec.c.dim if spec.c is not None else (
-        _kind_dim(spec.a) or (_kind_dim(res_b) if spec.b is not None else None))
-    return OperatorSpec(dim=dim, eval=apply,
-                        lipschitz=None if modulus is None else 1.0 / modulus,
-                        cocoercivity_modulus=modulus, monotone=True)
+    dim = c_op.dim if c_op is not None else (
+        _kind_dim(spec.a) or _kind_dim(res_b))
+    return OperatorSpec(dim=dim, eval=apply, lipschitz=1.0 / modulus,
+                        comonotone_modulus=modulus)
 
 
 def cocoercivity_report(op, modulus, n_pairs, seed=0, dim=None, scale=1.0):

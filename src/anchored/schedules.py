@@ -204,13 +204,18 @@ def _nag_eag(L):
                            nu=(k + 1.0) / (k + 2.0)) for k, b in _betas(2))
 
 
+def peag_root(L, sigma):
+    """The past-extra constant sqrt(2M), M = L^2 (1 + sigma)."""
+    return math.sqrt(2.0 * L * L * (1.0 + sigma))
+
+
 def _peag(L, sigma):
     """Past-extra steps eta = (1-beta)/sqrt(2M), eta_hat = 1/sqrt(2M).
 
     M = L^2 (1 + sigma), for sigma > 0.
     """
     _need(0.0 < sigma < math.inf, f"sigma = {sigma} must be positive, finite")
-    root = math.sqrt(2.0 * L * L * (1.0 + sigma))
+    root = peag_root(L, sigma)
     return (ScheduleParams(k, b, (1.0 - b) / root, 1.0 / root)
             for k, b in _betas(2))
 

@@ -354,10 +354,13 @@ def _above_weighted_residual(case, trace, potential, g_sq):
 
 
 def _cocoercive(residual, seed):
-    """Sampled co-coercivity (1000 pairs) of a residual built on the operator."""
+    """Sampled co-coercivity (1000 pairs) of a residual built on the operator.
+
+    The residual's modulus comes from the operator's own declared one.
+    """
     def verdict(case, trace):
-        op = residual(case.op, default_lambda(case.L), case.L)
-        rep = cocoercivity_report(op, op.cocoercivity_modulus, 1000,
+        op = residual(case.op, default_lambda(case.L))
+        rep = cocoercivity_report(op, op.comonotone_modulus, 1000,
                                   seed=seed, dim=case.op.dim)
         return rep["violations"] == 0, f"worst_margin={rep['worst_margin']:.2e}"
     return verdict
@@ -370,8 +373,7 @@ def _change_of_variable(case, trace):
     the one, the least-squares resolvent in the other.
     """
     op, lam = case.op, default_lambda(case.L)
-    fb2 = fb_residual(SplittingSpec(a=l1_kind(0.1), b=op, lam=lam,
-                                    l_of_b_or_c=case.L))
+    fb2 = fb_residual(SplittingSpec(a=l1_kind(0.1), b=op, lam=lam))
     tos2 = tos_residual(SplittingSpec(
         a=l1_kind(0.1), b=least_squares_kind(case.meta["P"], case.meta["b"]),
         lam=lam))
@@ -442,12 +444,12 @@ CHECKS = (
               f"max_dev={coupling.max_deviation():.2e}"),
           ("coupling",), K=lambda iters: min(iters, 500)),
     Check("lemmas", "forward-backward residual co-coercive (1000 pairs)", "ls",
-          "", _cocoercive(lambda b, lam, L: fb_residual(SplittingSpec(
-              a=l1_kind(0.1), b=b, lam=lam, l_of_b_or_c=L)), seed=11)),
+          "", _cocoercive(lambda b, lam: fb_residual(SplittingSpec(
+              a=l1_kind(0.1), b=b, lam=lam)), seed=11)),
     Check("lemmas", "three-operator residual co-coercive (1000 pairs)", "ls",
-          "", _cocoercive(lambda c, lam, L: tos_residual(SplittingSpec(
-              a=l1_kind(0.1), b=box_kind(-1.0, 1.0), lam=lam, c=c,
-              l_of_b_or_c=L)), seed=13)),
+          "", _cocoercive(lambda c, lam: tos_residual(SplittingSpec(
+              a=l1_kind(0.1), b=box_kind(-1.0, 1.0), lam=lam, c=c)),
+              seed=13)),
     Check("lemmas", "residual change-of-variable agreement", "ls", "",
           _change_of_variable),
     Check("lemmas", "extra-gradient potential nonincreasing (k>=1) [huber]",

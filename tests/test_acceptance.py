@@ -195,15 +195,14 @@ def test_criterion_8_residual_operator_properties(ls_desk):
     lam = default_lambda(L)
     modulus = lam * (4.0 - lam * L) / 4.0
     with criterion(8, "residual co-coercivity and change of variable"):
-        fb = fb_residual(SplittingSpec(a=l1_kind(0.1), b=op, lam=lam,
-                                       l_of_b_or_c=L))
-        assert fb.cocoercivity_modulus == pytest.approx(modulus)
+        fb = fb_residual(SplittingSpec(a=l1_kind(0.1), b=op, lam=lam))
+        assert fb.comonotone_modulus == pytest.approx(modulus)
         rep = cocoercivity_report(fb, modulus, 1000, seed=11, dim=op.dim)
         assert rep["violations"] == 0
 
         tos = tos_residual(SplittingSpec(a=l1_kind(0.1),
                                          b=box_kind(-1.0, 1.0), lam=lam,
-                                         c=op, l_of_b_or_c=L))
+                                         c=op))
         rep = cocoercivity_report(tos, modulus, 1000, seed=13, dim=op.dim)
         assert rep["violations"] == 0
 
@@ -212,10 +211,8 @@ def test_criterion_8_residual_operator_properties(ls_desk):
         m_sym = p_mat.T @ p_mat
         shift = -p_mat.T @ b_vec
         b_single = OperatorSpec(dim=op.dim, eval=lambda y: m_sym @ y + shift,
-                                lipschitz=L, cocoercivity_modulus=1.0 / L,
-                                monotone=True)
-        fb2 = fb_residual(SplittingSpec(a=l1_kind(0.1), b=b_single, lam=lam,
-                                        l_of_b_or_c=L))
+                                lipschitz=L, comonotone_modulus=1.0 / L)
+        fb2 = fb_residual(SplittingSpec(a=l1_kind(0.1), b=b_single, lam=lam))
         tos2 = tos_residual(SplittingSpec(a=l1_kind(0.1),
                                           b=affine_kind(m_sym, shift), lam=lam))
         rng = SplitMix64(17)

@@ -105,7 +105,7 @@ class TestLeastSquares:
         p = unit_columns(SplitMix64(3).normal_matrix(12, 6))
         op = least_squares_operator(p, np.zeros(12))
         report = check_regularity(op, n_pairs=1000, seed=9)
-        assert report["cocoercive"] == 0
+        assert report["comonotone"] == 0
         assert report["lipschitz"] == 0
 
 
@@ -129,7 +129,7 @@ class TestHuberSaddle:
         op = huber_saddle_operator(k, 0.9, 1.1, 0.05)
         report = check_regularity(op, n_pairs=1000, seed=2)
         assert report["lipschitz"] == 0
-        assert report["monotone"] == 0
+        assert report["comonotone"] == 0
 
 
 class TestResolvents:
@@ -262,7 +262,7 @@ class TestFromNonexpansive:
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         op = from_nonexpansive(lambda y: rot @ y, 2)
         report = check_regularity(op, n_pairs=100, seed=5)
-        assert report["cocoercive"] == 0
+        assert report["comonotone"] == 0
 
 
 class TestBilinearSaddle:
@@ -288,6 +288,6 @@ class TestCountingWrapper:
 
 def test_modulus_too_large_is_detected():
     op = identity_operator(2)
-    too_strong = OperatorSpec(dim=2, eval=op.eval, cocoercivity_modulus=2.0)
+    too_strong = OperatorSpec(dim=2, eval=op.eval, comonotone_modulus=2.0)
     report = check_regularity(too_strong, n_pairs=100, seed=0)
-    assert report["cocoercive"] > 0
+    assert report["comonotone"] > 0

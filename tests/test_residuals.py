@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,14 +68,14 @@ class TestYosida:
 class TestForwardBackwardResidual:
     def test_zero_a_reduces_to_b(self):
         b = desk_ls_operator()
-        spec = SplittingSpec(a=zero_kind(), b=b, lam=1.0,
-                             l_of_b_or_c=b.lipschitz)
-        g = fb_residual(spec)
+        g = fb_residual(SplittingSpec(a=zero_kind(), b=b, lam=1.0))
         y = SplitMix64(5).normal(b.dim)
         assert np.allclose(g(y), b(y), rtol=1e-13, atol=1e-14)
 
     def test_zero_b_reduces_to_yosida(self):
-        zero_b = OperatorSpec(dim=2, eval=lambda y: np.zeros_like(y), monotone=True)
+        # the zero map is co-coercive with every modulus; it declares one
+        zero_b = OperatorSpec(dim=2, eval=lambda y: np.zeros_like(y),
+                              comonotone_modulus=1.0)
         spec = SplittingSpec(a=l1_kind(1.0), b=zero_b, lam=0.8)
         g = fb_residual(spec)
         yos = yosida(l1_kind(1.0), 0.8, dim=2)
@@ -82,8 +84,8 @@ class TestForwardBackwardResidual:
 
     def test_scalar_box_hand_value(self):
         b = OperatorSpec(dim=1, eval=lambda y: y - 0.5, lipschitz=1.0,
-                         cocoercivity_modulus=1.0, monotone=True)
-        spec = SplittingSpec(a=box_kind(0.0, 1.0), b=b, lam=1.0, l_of_b_or_c=1.0)
+                         comonotone_modulus=1.0)
+        spec = SplittingSpec(a=box_kind(0.0, 1.0), b=b, lam=1.0)
         g = fb_residual(spec)
         assert g(np.array([2.0]))[0] == pytest.approx(1.5)
 
@@ -93,18 +95,33 @@ class TestForwardBackwardResidual:
 
     def test_out_of_window_lambda_flags(self):
         b = desk_ls_operator()
-        spec = SplittingSpec(a=zero_kind(), b=b, lam=8.0 / b.lipschitz,
-                             l_of_b_or_c=b.lipschitz)
-        with pytest.warns(UserWarning):
-            g = fb_residual(spec)
-        assert g.cocoercivity_modulus is None
+        spec = SplittingSpec(a=zero_kind(), b=b, lam=8.0 / b.lipschitz)
+        with pytest.raises(InputError, match="outside the window"):
+            fb_residual(spec)
+
+    def test_modulus_from_the_forward_operators_own(self):
+        b = OperatorSpec(dim=1, eval=lambda y: 4.0 * y, lipschitz=4.0,
+                         comonotone_modulus=0.25)
+        g = fb_residual(SplittingSpec(a=l1_kind(1.0), b=b, lam=0.5))
+        assert g.comonotone_modulus == 0.5 * (4.0 - 0.5 * 4.0) / 4.0
+        assert g.lipschitz == 1.0 / g.comonotone_modulus
+
+    def test_matches_the_forward_backward_formula_bitwise(self):
+        b = desk_ls_operator()
+        lam = default_lambda(b.lipschitz)
+        g = fb_residual(SplittingSpec(a=l1_kind(0.1), b=b, lam=lam))
+        res = l1_kind(0.1).with_lambda(lam)
+        rng = SplitMix64(19)
+        for _ in range(200):
+            y = rng.uniform_symmetric(b.dim)
+            expect = (y - resolvent_apply(res, y - lam * b(y))) / lam
+            assert np.array_equal(g(y), expect)
 
     def test_transported_cocoercivity_inequality_sampled(self):
         # <Gx-Gy, x-y+lam(Bx-By)> >= lam|Gx-Gy|^2 + <Bx-By, x-y>
         b = desk_ls_operator()
         lam = default_lambda(b.lipschitz)
-        spec = SplittingSpec(a=l1_kind(0.1), b=b, lam=lam, l_of_b_or_c=b.lipschitz)
-        g = fb_residual(spec)
+        g = fb_residual(SplittingSpec(a=l1_kind(0.1), b=b, lam=lam))
         rng = SplitMix64(17)
         for _ in range(1000):
             x = rng.uniform_symmetric(b.dim)
@@ -118,17 +135,16 @@ class TestForwardBackwardResidual:
     def test_modulus_sampled(self):
         b = desk_ls_operator()
         lam = default_lambda(b.lipschitz)
-        spec = SplittingSpec(a=l1_kind(0.1), b=b, lam=lam, l_of_b_or_c=b.lipschitz)
-        g = fb_residual(spec)
-        report = cocoercivity_report(g, g.cocoercivity_modulus, 1000, seed=23, dim=b.dim)
+        g = fb_residual(SplittingSpec(a=l1_kind(0.1), b=b, lam=lam))
+        report = cocoercivity_report(g, g.comonotone_modulus, 1000, seed=23, dim=b.dim)
         assert report["violations"] == 0
 
     def test_zero_at_solution(self):
         # solve 0 in A y + B y with A = l1 weight w, B y = y - t:
         # y* = t - w for t > w (subgradient is +1 there)
         b = OperatorSpec(dim=1, eval=lambda y: y - 3.0, lipschitz=1.0,
-                         cocoercivity_modulus=1.0, monotone=True)
-        spec = SplittingSpec(a=l1_kind(1.0), b=b, lam=1.0, l_of_b_or_c=1.0)
+                         comonotone_modulus=1.0)
+        spec = SplittingSpec(a=l1_kind(1.0), b=b, lam=1.0)
         g = fb_residual(spec)
         assert abs(g(np.array([2.0]))[0]) <= 1e-8
 
@@ -148,11 +164,9 @@ class TestThreeOperatorResidual:
         m = 0.5 * (m @ m.T) + 0.5 * np.eye(4)
         b_single = OperatorSpec(dim=4, eval=lambda y: m @ y,
                                 lipschitz=np.linalg.norm(m, 2),
-                                cocoercivity_modulus=1.0 / np.linalg.norm(m, 2),
-                                monotone=True)
+                                comonotone_modulus=1.0 / np.linalg.norm(m, 2))
         lam = 0.4
-        fb = fb_residual(SplittingSpec(a=l1_kind(0.2), b=b_single, lam=lam,
-                                       l_of_b_or_c=b_single.lipschitz))
+        fb = fb_residual(SplittingSpec(a=l1_kind(0.2), b=b_single, lam=lam))
         tos = tos_residual(SplittingSpec(a=l1_kind(0.2), b=affine_kind(m), lam=lam))
         for _ in range(100):
             y = rng.uniform_symmetric(4, 2.0)
@@ -167,8 +181,7 @@ class TestThreeOperatorResidual:
         b = rng.normal(5)
         b_op = least_squares_operator(p_mat, b)
         lam = default_lambda(b_op.lipschitz)
-        fb = fb_residual(SplittingSpec(a=l1_kind(0.2), b=b_op, lam=lam,
-                                       l_of_b_or_c=b_op.lipschitz))
+        fb = fb_residual(SplittingSpec(a=l1_kind(0.2), b=b_op, lam=lam))
         tos = tos_residual(SplittingSpec(
             a=l1_kind(0.2), b=least_squares_kind(p_mat, b), lam=lam))
         assert tos.dim == 8
@@ -179,9 +192,9 @@ class TestThreeOperatorResidual:
 
     def test_composition_matches_step_by_step_oracle(self):
         c_op = OperatorSpec(dim=3, eval=lambda z: 0.1 * z, lipschitz=0.1,
-                            cocoercivity_modulus=10.0, monotone=True)
+                            comonotone_modulus=10.0)
         spec = SplittingSpec(a=l1_kind(1.0), b=affine_kind(np.eye(3)),
-                             lam=1.0, c=c_op, l_of_b_or_c=0.1)
+                             lam=1.0, c=c_op)
         g = tos_residual(spec)
         u = np.array([1.5, -2.5, 0.25])
         # oracle: apply the three maps independently
@@ -193,11 +206,27 @@ class TestThreeOperatorResidual:
         c_op = desk_ls_operator(seed=41)
         lam = default_lambda(c_op.lipschitz)
         spec = SplittingSpec(a=l1_kind(0.1), b=box_kind(-1.0, 1.0), lam=lam,
-                             c=c_op, l_of_b_or_c=c_op.lipschitz)
+                             c=c_op)
         g = tos_residual(spec)
-        report = cocoercivity_report(g, g.cocoercivity_modulus, 1000, seed=3,
+        report = cocoercivity_report(g, g.comonotone_modulus, 1000, seed=3,
                                      dim=c_op.dim)
         assert report["violations"] == 0
+
+    def test_c_out_of_its_declared_window_is_refused(self):
+        # C = 100 I is 0.01-co-coercive: lam = 1 is outside (0, 0.04)
+        c_op = OperatorSpec(dim=2, eval=lambda z: 100.0 * z, lipschitz=100.0,
+                            comonotone_modulus=0.01)
+        spec = SplittingSpec(a=l1_kind(0.1), b=box_kind(-1.0, 1.0), lam=1.0,
+                             c=c_op)
+        with pytest.raises(InputError, match="outside the window"):
+            tos_residual(spec)
+        assert tos_residual(replace(spec, lam=0.02)).comonotone_modulus == \
+            0.02 * (4.0 - 0.02 * 100.0) / 4.0
+
+    def test_without_c_the_modulus_is_lam(self):
+        g = tos_residual(SplittingSpec(a=l1_kind(1.0), b=box_kind(-1.0, 1.0),
+                                       lam=0.7))
+        assert g.comonotone_modulus == 0.7
 
     def test_zero_at_shifted_solution(self):
         # B y = y - 3 single valued, A = l1(1): y* = 2, anchor u* = y* + lam*B y*
@@ -208,6 +237,20 @@ class TestThreeOperatorResidual:
                                          b=affine_kind(m, shift), lam=lam))
         u_star = np.array([2.0 + lam * (2.0 - 3.0)])
         assert abs(tos(u_star)[0]) <= 1e-8
+
+
+@pytest.mark.parametrize("modulus", [None, 0.0, -0.5])
+@pytest.mark.parametrize("build", [
+    lambda op: fb_residual(SplittingSpec(a=l1_kind(0.1), b=op, lam=0.5)),
+    lambda op: tos_residual(SplittingSpec(a=l1_kind(0.1), b=zero_kind(),
+                                          lam=0.5, c=op)),
+], ids=["fb", "tos"])
+def test_forward_part_without_a_positive_modulus_is_refused(build, modulus):
+    # monotone (0), co-monotone (-0.5) or no claim: no window exists
+    op = OperatorSpec(dim=2, eval=lambda y: y.copy(), lipschitz=1.0,
+                      comonotone_modulus=modulus)
+    with pytest.raises(InputError, match="needs a positive one"):
+        build(op)
 
 
 class TestCocoercivityReport:

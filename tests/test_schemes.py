@@ -41,7 +41,7 @@ from anchored.schedules import (
 )
 
 ZERO_OP = OperatorSpec(dim=2, eval=lambda y: np.zeros_like(y), lipschitz=1.0,
-                       cocoercivity_modulus=1.0, monotone=True)
+                       comonotone_modulus=1.0)
 
 
 def unit_columns(m):
@@ -93,7 +93,7 @@ class TestHalpern:
     def test_first_step_formula(self):
         L = 2.0
         op = OperatorSpec(dim=1, eval=lambda y: L * y, lipschitz=L,
-                          cocoercivity_modulus=1.0 / L, monotone=True)
+                          comonotone_modulus=1.0 / L)
         state = init_state(np.array([1.0]))
         halpern_step(state, op, ScheduleParams(k=0, beta=0.5, eta=1.0 / (2 * L)))
         # y1 = y0 - (1/(2L)) G(y0)
@@ -442,7 +442,7 @@ class TestRunDriver:
 
     def test_divergence_truncates_trace(self):
         exploding = OperatorSpec(dim=1, eval=lambda y: -1e3 * y, lipschitz=1.0,
-                                 cocoercivity_modulus=1.0, monotone=False)
+                                 comonotone_modulus=1.0)
         solver = solver_for(exploding, "halpern", "halpern_fast", L=1.0)
         trace = run(solver, np.array([1.0]), 200)
         assert trace.error is not None
@@ -527,12 +527,10 @@ class TestMakeSolver:
         p_mat = unit_columns(SplitMix64(51).normal_matrix(9, 4))
         b_op = least_squares_operator(p_mat, np.zeros(9))
         lam = 2.0 / b_op.lipschitz
-        spec = SplittingSpec(a=l1_kind(0.3), b=b_op, lam=lam,
-                             l_of_b_or_c=b_op.lipschitz)
-        g = fb_residual(spec)
+        g = fb_residual(SplittingSpec(a=l1_kind(0.3), b=b_op, lam=lam))
         solver = Solver("halpern", g,
                         lambda: schedule_stream("halpern_fast",
-                                                1.0 / g.cocoercivity_modulus))
+                                                1.0 / g.comonotone_modulus))
         y0 = SplitMix64(53).normal(4)
         points = points_of(solver, y0, 25)
         res = l1_kind(0.3).with_lambda(lam)
@@ -548,9 +546,9 @@ class TestMakeSolver:
         m = 0.5 * (m @ m.T) + 0.5 * np.eye(4)
         l_b = np.linalg.norm(m, 2)
         b_single = OperatorSpec(dim=4, eval=lambda y: m @ y, lipschitz=l_b,
-                                cocoercivity_modulus=1.0 / l_b, monotone=True)
+                                comonotone_modulus=1.0 / l_b)
         lam = 2.0 / l_b
-        ab = SplittingSpec(a=l1_kind(0.2), b=b_single, lam=lam, l_of_b_or_c=l_b)
+        ab = SplittingSpec(a=l1_kind(0.2), b=b_single, lam=lam)
         abc = SplittingSpec(a=l1_kind(0.2), b=affine_kind(m), lam=lam)
         fb_solver = Solver("halpern", fb_residual(ab),
                            lambda: schedule_stream("halpern_fast", l_b))
@@ -640,18 +638,6 @@ class TestSchemeTable:
         named = {kind for row in SCHEMES.values()
                  for kind in row.potentials.values()}
         assert named == set(diagnostics.POTENTIALS)
-
-    @pytest.mark.parametrize("op,modulus", [
-        (OperatorSpec(dim=1, eval=None), None),
-        (OperatorSpec(dim=1, eval=None, monotone=True), 0.0),
-        (OperatorSpec(dim=1, eval=None, monotone=True,
-                      comonotonicity_rho=-0.5), 0.0),
-        (OperatorSpec(dim=1, eval=None, comonotonicity_rho=-0.5), -0.5),
-        (OperatorSpec(dim=1, eval=None, monotone=True,
-                      cocoercivity_modulus=0.25), 0.25),
-    ])
-    def test_comonotone_modulus_is_the_largest_declared(self, op, modulus):
-        assert op.comonotone_modulus == modulus
 
     def test_nag_peag_x_is_the_gradient_step_from_z(self):
         # xhat_{k+1} = z_k - gamma_hat G(z_k)

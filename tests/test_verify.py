@@ -225,6 +225,24 @@ def test_equivalence_row_fails_on_a_perturbed_corrected_run(monkeypatch,
     assert float(result.detail.removeprefix("max_dev=")) > verify.EQUIV_TOL
 
 
+@pytest.mark.parametrize("name", [
+    "forward-backward residual co-coercive (1000 pairs)",
+    "three-operator residual co-coercive (1000 pairs)",
+])
+def test_cocoercive_row_fails_on_an_overstated_modulus(monkeypatch, name):
+    # the operator declares 4/L, four times its co-coercivity 1/L
+    def overstated():
+        inst = desk_least_squares()
+        op = inst.operator
+        return replace(inst, operator=replace(
+            op, comonotone_modulus=4.0 / op.lipschitz))
+
+    monkeypatch.setattr(verify, "desk_least_squares", overstated)
+    [result] = verify.run_checks([row(name)])
+    assert result.status == "FAIL"
+    assert float(result.detail.removeprefix("worst_margin=")) < 0.0
+
+
 class _ScaledLambda(ResolventSpec):
     """A resolvent kind applied at 1.01 times the index it is given."""
 
