@@ -166,7 +166,7 @@ def cmd_run(args):
                 observers=() if potential is None else (potential,))
     elapsed = time.time() - t0
     if potential is not None:
-        trace.lyapunov["main"] = potential.series()
+        trace.lyapunov = potential.series()
     notes = []
     if lyap_on and potential is None:
         notes.append(f"lyapunov: none, {scheme}/{kind} has no potential "

@@ -2,9 +2,10 @@
 
 An :class:`OperatorSpec` is a single-valued map ``y -> Gy`` with declared
 regularity metadata: a Lipschitz constant and one co-monotonicity
-modulus. Metadata is declarative: nothing is inferred at construction,
-and the sampled inequality checks live in a separate verification call
-so that schemes never pay the sampling cost.
+modulus. Metadata is declarative: nothing is inferred at construction.
+The one sampled check of both inequalities is
+:func:`anchored.residuals.cocoercivity_report`, a separate verification
+call, so that schemes never pay the sampling cost.
 
 Specs are immutable after construction and safe for concurrent
 read-only evaluation.
@@ -284,7 +285,7 @@ def from_nonexpansive(t_map, dim):
     """Wrap a nonexpansive map T as the residual G = I - T.
 
     G is 1/2-co-coercive and 2-Lipschitz whenever T is nonexpansive;
-    violations surface in the sampled checks, not here.
+    violations surface in the sampled check, not here.
     """
     def apply(y):
         return y - np.asarray(t_map(y), dtype=np.float64)
@@ -297,47 +298,6 @@ def identity_operator(dim=1):
     """G(y) = y; 1-co-coercive with L = 1. The smallest test fixture."""
     return OperatorSpec(dim=dim, eval=lambda y: y.copy(), lipschitz=1.0,
                         comonotone_modulus=1.0)
-
-
-def sampled_differences(op: OperatorSpec, n_pairs, seed=0, scale=1.0, dim=None):
-    """Yield ``(x - y, Gx - Gy)`` for pairs uniform on [-scale, scale]^dim.
-
-    The one pair sampler behind the sampled inequality checks: x and y
-    are drawn in turn from one SplitMix64 stream, and Gx is evaluated
-    before Gy. ``dim`` defaults to ``op.dim``.
-    """
-    rng = SplitMix64(seed)
-    if dim is None:
-        dim = op.dim
-    for _ in range(n_pairs):
-        x = rng.uniform_symmetric(dim, scale)
-        y = rng.uniform_symmetric(dim, scale)
-        yield x - y, op(x) - op(y)
-
-
-def check_regularity(op: OperatorSpec, n_pairs=1000, seed=0, scale=1.0):
-    """Sample pairs and count violations of the declared inequalities.
-
-    Pairs are componentwise uniform on [-scale, scale]^dim. Returns a
-    dict with a violation count per declared property: "lipschitz",
-    |Gx - Gy| <= L |x - y| with 1e-12 relative slack, and "comonotone",
-    <Gx - Gy, x - y> >= rho |Gx - Gy|^2 with 1e-10 absolute-relative
-    slack.
-    """
-    lip, rho = op.lipschitz, op.comonotone_modulus
-    out = {}
-    if lip is not None:
-        out["lipschitz"] = 0
-    if rho is not None:
-        out["comonotone"] = 0
-    for dx, dg in sampled_differences(op, n_pairs, seed, scale):
-        ng2 = float(dg @ dg)
-        if lip is not None and \
-                np.sqrt(ng2) > lip * (1.0 + 1e-12) * np.linalg.norm(dx):
-            out["lipschitz"] += 1
-        if rho is not None and float(dg @ dx) < rho * ng2 - 1e-10 * (1.0 + ng2):
-            out["comonotone"] += 1
-    return out
 
 
 def counted(op: OperatorSpec):

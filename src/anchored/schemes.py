@@ -323,7 +323,7 @@ class RunTrace:
     norm_dy: np.ndarray
     # always empty; kept only because bench/probe.py reads it
     snapshots: list = field(default_factory=list)
-    lyapunov: dict = field(default_factory=dict)
+    lyapunov: Optional[np.ndarray] = None
     bound: Optional[np.ndarray] = None
     error: Optional[str] = None
 
@@ -337,7 +337,9 @@ class TraceOpts:
     # bench/probe.py reads it
     snapshot_stride: int = 0
     track_x_residual: bool = False
-    final_residual: bool = True
+    # not a field: every run evaluates its final residual; kept only
+    # because bench/probe.py reads it
+    final_residual = True
 
     def __post_init__(self):
         if self.snapshot_stride != 0:
@@ -382,9 +384,8 @@ def run(solver, y0, K, trace_opts=None, observers=()):
 
     The final index K follows one rule: G(y_K) is evaluated when the
     scheme evaluates at y. G(z_K) is the step's cached value; without
-    one it is G(y_K) when z_K is y_K (K = 0), else one evaluation.
-    ``final_residual = False`` skips both evaluations. A tracked x
-    residual at K = 0 reuses whichever of the two was made.
+    one it is G(y_K) when z_K is y_K (K = 0), else one evaluation. A
+    tracked x residual at K = 0 reuses whichever of the two was made.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
@@ -442,10 +443,9 @@ def run(solver, y0, K, trace_opts=None, observers=()):
         done = k + 1
 
     if error is None:
-        final = opts.final_residual
-        g_final_y = op(state.y) if at_y and final else None
+        g_final_y = op(state.y) if at_y else None
         g_final_z = state.g_z
-        if g_final_z is None and final and "z" in scheme.evaluates:
+        if g_final_z is None and "z" in scheme.evaluates:
             # no cached value: z_K is y_K only at K = 0
             g_final_z = g_final_y if K == 0 and at_y else op(state.z)
         x_at = state.x if has_x else state.y

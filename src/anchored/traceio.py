@@ -44,7 +44,7 @@ def write_trace_csv(trace, path):
         format_column(trace.norm_dx),
         format_column(trace.norm_yx),
         format_column(trace.norm_dy),
-        _padded(trace.lyapunov.get("main")),
+        _padded(trace.lyapunov),
         _padded(trace.bound),
         format_column(trace.norm_g_z),
     ))

@@ -145,7 +145,7 @@ class TestTraceCsv:
                 return ""
             return format(float(x), ".17g")
 
-        lyap, bound = trace.lyapunov.get("main"), trace.bound
+        lyap, bound = trace.lyapunov, trace.bound
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
@@ -168,14 +168,14 @@ class TestTraceCsv:
             meta={}, k=np.arange(n), norm_g_y=cells, norm_g_x=np.full(n, np.nan),
             norm_g_z=cells[::-1].copy(), norm_dx=np.linspace(0.1, 1.0, n),
             norm_yx=1.0 / 3.0 ** np.arange(n), norm_dy=np.full(n, 1e300),
-            lyapunov={"main": np.array([2.0, np.nan, 0.1])},
+            lyapunov=np.array([2.0, np.nan, 0.1]),
             bound=np.array([np.inf, 1.0 / 7.0]))
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         write_trace_csv(trace, new)
         self._per_cell_reference(trace, ref)
         assert new.read_bytes() == ref.read_bytes()
         for lyap, bound in ((None, None), (np.arange(n + 3.0), np.ones(n))):
-            trace.lyapunov = {} if lyap is None else {"main": lyap}
+            trace.lyapunov = lyap
             trace.bound = bound
             write_trace_csv(trace, new)
             self._per_cell_reference(trace, ref)

@@ -10,7 +10,6 @@ from anchored.operators import (
     affine_kind,
     bilinear_saddle_operator,
     box_kind,
-    check_regularity,
     counted,
     from_nonexpansive,
     huber_saddle_operator,
@@ -22,6 +21,7 @@ from anchored.operators import (
     spectral_norm,
     zero_kind,
 )
+from anchored.residuals import cocoercivity_report
 from anchored.rng import SplitMix64
 
 
@@ -104,8 +104,8 @@ class TestLeastSquares:
     def test_sampled_cocoercivity_modulus(self):
         p = unit_columns(SplitMix64(3).normal_matrix(12, 6))
         op = least_squares_operator(p, np.zeros(12))
-        report = check_regularity(op, n_pairs=1000, seed=9)
-        assert report["comonotone"] == 0
+        report = cocoercivity_report(op, op.comonotone_modulus, 1000, seed=9)
+        assert report["violations"] == 0
         assert report["lipschitz"] == 0
 
 
@@ -127,9 +127,9 @@ class TestHuberSaddle:
     def test_sampled_lipschitz_and_monotone(self):
         k = unit_columns(SplitMix64(4).normal_matrix(8, 6))
         op = huber_saddle_operator(k, 0.9, 1.1, 0.05)
-        report = check_regularity(op, n_pairs=1000, seed=2)
+        report = cocoercivity_report(op, op.comonotone_modulus, 1000, seed=2)
         assert report["lipschitz"] == 0
-        assert report["comonotone"] == 0
+        assert report["violations"] == 0
 
 
 class TestResolvents:
@@ -261,16 +261,16 @@ class TestFromNonexpansive:
     def test_rotation_sampled_cocoercivity(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         op = from_nonexpansive(lambda y: rot @ y, 2)
-        report = check_regularity(op, n_pairs=100, seed=5)
-        assert report["comonotone"] == 0
+        report = cocoercivity_report(op, op.comonotone_modulus, 100, seed=5)
+        assert report["violations"] == 0
 
 
 class TestBilinearSaddle:
     def test_skew_and_zero_comonotone(self):
         k = unit_columns(SplitMix64(13).normal_matrix(5, 3))
         op = bilinear_saddle_operator(k)
-        report = check_regularity(op, n_pairs=1000, seed=1)
-        assert report["comonotone"] == 0
+        report = cocoercivity_report(op, op.comonotone_modulus, 1000, seed=1)
+        assert report["violations"] == 0
         assert report["lipschitz"] == 0
         # skew structure: <Gy, y> = 0
         y = SplitMix64(14).normal(8)
@@ -289,5 +289,6 @@ class TestCountingWrapper:
 def test_modulus_too_large_is_detected():
     op = identity_operator(2)
     too_strong = OperatorSpec(dim=2, eval=op.eval, comonotone_modulus=2.0)
-    report = check_regularity(too_strong, n_pairs=100, seed=0)
-    assert report["comonotone"] > 0
+    report = cocoercivity_report(too_strong, too_strong.comonotone_modulus,
+                                 100, seed=0)
+    assert report["violations"] > 0

@@ -266,3 +266,44 @@ class TestCocoercivityReport:
     def test_requires_pairs(self):
         with pytest.raises(InputError):
             cocoercivity_report(identity_operator(1), 1.0, 0)
+
+    def test_declared_lipschitz_constant_is_checked(self):
+        # control: the identity has L = 1, and L = 0.5 fails every pair
+        op = identity_operator(2)
+        assert cocoercivity_report(op, 1.0, 100, seed=0)["lipschitz"] == 0
+        report = cocoercivity_report(replace(op, lipschitz=0.5), 1.0, 100,
+                                     seed=0)
+        assert report["lipschitz"] == 100
+        assert report["violations"] == 0
+        no_claim = replace(op, lipschitz=None)
+        assert cocoercivity_report(no_claim, 1.0, 50, seed=0)["lipschitz"] == 0
+
+    def test_nan_values_fail_every_pair(self):
+        op = OperatorSpec(dim=2, eval=lambda y: np.full(2, np.nan),
+                          lipschitz=1.0, comonotone_modulus=1.0)
+        report = cocoercivity_report(op, 1.0, 50, seed=0)
+        assert report["violations"] == 50
+        assert report["lipschitz"] == 50
+        assert np.isnan(report["worst_margin"])
+
+    def test_one_nan_pair_makes_the_worst_margin_nan(self):
+        calls = [0]
+
+        def eval_(y):
+            calls[0] += 1
+            return np.full_like(y, np.nan) if calls[0] == 7 else y.copy()
+
+        op = OperatorSpec(dim=2, eval=eval_, lipschitz=1.0)
+        report = cocoercivity_report(op, 1.0, 20, seed=0)
+        assert report["violations"] == 1 and report["lipschitz"] == 1
+        assert np.isnan(report["worst_margin"])
+
+    @pytest.mark.parametrize("modulus", [None, np.nan])
+    def test_modulus_must_be_a_number(self, modulus):
+        with pytest.raises(InputError, match="modulus"):
+            cocoercivity_report(identity_operator(2), modulus, 10)
+
+    def test_declared_lipschitz_constant_must_be_a_number(self):
+        op = replace(identity_operator(2), lipschitz=np.nan)
+        with pytest.raises(InputError, match="Lipschitz"):
+            cocoercivity_report(op, 1.0, 10)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anchored import verify
+from anchored import diagnostics, verify
 from anchored.cli import main
 from anchored.instances import desk_huber, desk_least_squares, gen_least_squares
 from anchored.operators import ResolventSpec, counted, least_squares_kind
@@ -241,6 +241,47 @@ def test_cocoercive_row_fails_on_an_overstated_modulus(monkeypatch, name):
     [result] = verify.run_checks([row(name)])
     assert result.status == "FAIL"
     assert float(result.detail.removeprefix("worst_margin=")) < 0.0
+
+
+def _shifted_halpern_weights(real):
+    # p_k, q_k of index k + 1: a 1e-6 scaling of both would still PASS,
+    # since a scaled potential decreases where the potential does
+    return lambda k: real(k + 1)
+
+
+def _shrunk_omega_t(real):
+    return lambda k, gamma, omega: replace(
+        real(k, gamma, omega), t=0.9 * real(k, gamma, omega).t)
+
+
+def _inflated_coupling_a(real):
+    return lambda k, beta, eta, L: replace(
+        real(k, beta, eta, L), a=real(k, beta, eta, L).a * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("name,target,wrong", [
+    ("anchored potential nonincreasing [ls, fast]",
+     "halpern_potential_coeffs", _shifted_halpern_weights),
+    ("corrected potential nonincreasing [ls, omega]",
+     "omega_family_coeffs", _shrunk_omega_t),
+], ids=["anchored", "omega"])
+def test_decrease_row_fails_on_a_wrong_coefficient(monkeypatch, name, target,
+                                                   wrong):
+    monkeypatch.setattr(diagnostics, target,
+                        wrong(getattr(diagnostics, target)))
+    [result] = verify.run_checks([row(name)])
+    assert result.status == "FAIL"
+    violations = int(result.detail.split("violations=")[1].split()[0])
+    assert violations > 100
+
+
+def test_coupling_row_fails_on_a_wrong_coefficient(monkeypatch):
+    monkeypatch.setattr(diagnostics, "anchor_to_corrected_coeffs",
+                        _inflated_coupling_a(
+                            diagnostics.anchor_to_corrected_coeffs))
+    [result] = verify.run_checks([row("potential coupling identity [ls]")])
+    assert result.status == "FAIL"
+    assert float(result.detail.removeprefix("max_dev=")) > 1e-6
 
 
 class _ScaledLambda(ResolventSpec):
