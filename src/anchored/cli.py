@@ -111,6 +111,18 @@ def _build_instance(cfg, seed_override=None):
         for key, default in keys.items()})
 
 
+def _out_dir(path):
+    """``path`` as an output directory; one that names, or lies under, a
+    file that is not a directory is an input error."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise InputError(f"output directory {path}: {head} exists and is "
+                         "not a directory")
+    return path
+
+
 def cmd_run(args):
     # values are literal: a % in a path is not an interpolation
     cfg = configparser.ConfigParser(interpolation=None)
@@ -134,6 +146,10 @@ def cmd_run(args):
         raise InputError(f"schedule {kind!r} carries no guarantee for scheme "
                          f"{scheme!r} (compatible: "
                          f"{', '.join(COMPATIBLE_SCHEDULES[scheme])})")
+    # checked now, made only after the run, so that a run refused for its
+    # input leaves no directory
+    out_dir = _out_dir(args.out or (cfg["output"].get("dir", ".")
+                                    if cfg.has_section("output") else "."))
     K = args.iters if args.iters is not None \
         else _number(section, "iters", 100, int)
     tsec = cfg["trace"] if cfg.has_section("trace") else {}
@@ -179,9 +195,6 @@ def cmd_run(args):
         except InputError as exc:  # eag_varying certifies only some eta0
             notes.append(f"bound: none, {exc}")
 
-    # made only now, so that a run refused for its input leaves no directory
-    out_dir = args.out or (cfg["output"].get("dir", ".")
-                           if cfg.has_section("output") else ".")
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, csv_path)
@@ -210,6 +223,8 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    if args.out:
+        _out_dir(args.out)
     t0 = time.time()
     results = run_suites(args.suite, args.scale)
     table = format_table(results)
@@ -230,7 +245,7 @@ def cmd_verify(args):
 
 
 def cmd_figure(args):
-    out_dir = args.out or "."
+    out_dir = _out_dir(args.out or ".")
     seed = DESK_SEED if args.seed is None else args.seed
     csv_paths, svg_path, slopes = make_figure(args.which, args.scale, out_dir,
                                               seed=seed)

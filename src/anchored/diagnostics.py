@@ -151,7 +151,10 @@ def peag_potential(g_y, y, z, k, L, sigma, y0, y_star):
 
 
 def omega_family_coeffs(k, gamma, omega):
-    """Coefficients a = gamma^2 t (t-1), b = 2 gamma t (t-1), t = (k+2w+1)/w."""
+    """Coefficients a = gamma^2 t (t-1), b = 2 gamma t (t-1), t = (k+2w+1)/w.
+
+    Elementwise for an array of indices ``k``.
+    """
     t = (k + 2.0 * omega + 1.0) / omega
     return LyapunovCoeffs(a=gamma * gamma * t * (t - 1.0),
                           b=2.0 * gamma * t * (t - 1.0), t=t, mu=1.0)
@@ -322,7 +325,9 @@ class SummabilityFold(Fold):
     |x_{k+1}-x_k-theta_{k-1}(x_k-x_{k-1})|^2. A budget whose coefficient
     is nonpositive (e.g. gamma > 1/L for the third) is skipped with a
     flag rather than asserted. Each term holds the four norms of the
-    step k -> k+1.
+    step k -> k+1. theta_{k-1} is the one the run's schedule gave the
+    step before (``TracePoint.p``), and t_k that of
+    :func:`omega_family_coeffs`.
     """
 
     need = ("x", "g_y")
@@ -330,22 +335,17 @@ class SummabilityFold(Fold):
     def __init__(self, gamma, omega, L):
         super().__init__()
         self.gamma, self.omega, self.L = gamma, omega, L
-        self._step = None    # x_k - x_{k-1}
+        self._carry = 0.0    # theta_{k-1} (x_k - x_{k-1}), 0 at k = 0
         self._g_back = None  # G y_{k-1}, with G y_{-1} = G y_0
 
     def term(self, point, prev):
         if prev is None:
             self._g_back = point.g_y
             return None
-        k = prev.k
         step, g_k = point.x - prev.x, prev.g_y
-        carry = 0.0
-        if k >= 1:
-            i = k - 1  # theta_{k-1} of the omega family
-            carry = ((i + 1.0) / (i + 2.0 * self.omega + 2.0)) * self._step
         out = (_norm(step), _norm(g_k), _norm(g_k - self._g_back),
-               _norm(step - carry))
-        self._step, self._g_back = step, g_k
+               _norm(step - self._carry))
+        self._carry, self._g_back = prev.p.theta * step, g_k
         return out
 
     def reports(self, v0):
@@ -354,7 +354,7 @@ class SummabilityFold(Fold):
         gamma, omega, L = self.gamma, self.omega, self.L
         n = len(self.terms)
         dx, g_norm, dg, corr = np.array(self.terms).reshape(n, 4).T
-        t = np.array([(k + 2.0 * omega + 1.0) / omega for k in range(n)])
+        t = omega_family_coeffs(np.arange(n, dtype=float), gamma, omega).t
         budget = np.full(n, float(v0))
 
         def report(name, coeff_terms, positive):
@@ -465,11 +465,11 @@ class PeagResidualFold(Fold):
 class CouplingIdentityFold(Fold):
     """Relative deviation of the potential coupling identity, step by step.
 
-    Along the slow corrected run (beta_k = 1/(k+2), eta_k = (1-beta_k)/L)
-    the corrected potential with :func:`anchor_to_corrected_coeffs` at
-    k+1 equals (4 p_k/(L q_k^2)) times the anchored potential at k plus
-    |y0 - y*|^2. Each term is |lhs - rhs|/(1 + |rhs|) for one step
-    k -> k+1.
+    Along the slow corrected run the corrected potential with
+    :func:`anchor_to_corrected_coeffs` at k+1 equals (4 p_k/(L q_k^2))
+    times the anchored potential at k plus |y0 - y*|^2. Each term is
+    |lhs - rhs|/(1 + |rhs|) for one step k -> k+1, with the beta_k and
+    eta_k that the run's schedule gave that step (``TracePoint.p``).
     """
 
     need = ("x", "y", "g_y")
@@ -485,11 +485,9 @@ class CouplingIdentityFold(Fold):
             self._d0sq = float(np.linalg.norm(point.y - self.y_star) ** 2)
             return None
         k, L = prev.k, self.L
-        beta = 1.0 / (k + 2)
-        eta = (1.0 - beta) / L
         p_k, q_k = halpern_potential_coeffs(k)
         l_val = halpern_potential(prev.g_y, prev.y, self._y0, p_k, q_k, L)
-        coeffs = anchor_to_corrected_coeffs(k, beta, eta, L)
+        coeffs = anchor_to_corrected_coeffs(k, prev.p.beta, prev.p.eta, L)
         v_next = nesterov_potential(prev.g_y, point.x, point.y, coeffs,
                                     self.y_star)
         rhs = (4.0 * p_k / (L * q_k * q_k)) * l_val + self._d0sq
@@ -575,8 +573,21 @@ def _scale(L, dist0):
 
 
 def _comono(ks, L, dist0, rho):
+    """4 L^2 dist0^2 / ((1 + 2 rho L)^2 k^2), for k >= 1.
+
+    The rate of FEG, the fast extragradient method of Lee & Kim 2021,
+    for an L-Lipschitz G that is rho-co-monotone with rho > -1/(2L):
+    <Gx - Gy, x - y> >= rho |Gx - Gy|^2, the sign convention of
+    ``OperatorSpec.comonotone_modulus``. With beta_k = 1/(k+1), step
+    alpha = 1/L and half step alpha + 2 rho, as in ``comono_eag``,
+
+        |G y_k|^2 <= 4 |y0 - y*|^2 / ((alpha + 2 rho)^2 k^2),
+
+    and alpha = 1/L gives this row. The denominator is squared; a
+    normal-eigenvalue witness breaks the unsquared form at rho = -1/(4L).
+    """
     with np.errstate(divide="ignore"):  # inf at k = 0
-        return _scale(L, dist0) / ((1.0 + 2.0 * rho * L) * ks ** 2)
+        return _scale(L, dist0) / ((1.0 + 2.0 * rho * L) ** 2 * ks ** 2)
 
 
 def _past_extra(weight):

@@ -126,10 +126,12 @@ def _nesterov_omega(L, gamma, omega):
     _need(0.0 < gamma < math.inf,
           f"gamma = {gamma} must be positive and finite")
     _need(1.0 <= omega < math.inf, f"omega = {omega} must be >= 1, finite")
-    dens = ((k, k + 2.0 * omega + 2.0) for k in count())
-    return (ScheduleParams(k, gamma=gamma, theta=(k + 1.0) / d,
-                           nu=(k + omega + 2.0) / d, kappa=0.0)
-            for k, d in dens)
+
+    def params(k):
+        d = k + 2.0 * omega + 2.0
+        return ScheduleParams(k, gamma=gamma, theta=(k + 1.0) / d,
+                              nu=(k + omega + 2.0) / d, kappa=0.0)
+    return map(params, count())
 
 
 def _eag_constant(L, eta):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .operators import OperatorSpec
-from .schedules import constants, schedule_stream
+from .schedules import ScheduleParams, constants, schedule_stream
 
 DIVERGENCE_LIMIT = 1e30
 
@@ -291,7 +291,9 @@ class TracePoint:
     the x slot: the x iterate (the paper's xhat for ``nag_peag``), and
     y_k for the schemes without one (``halpern``, ``eag``,
     ``comono_eag``, ``peag``). ``g_x`` is G at ``x`` when the run tracks
-    the x residual, so a tracked ``peag`` run exposes G y_k.
+    the x residual, so a tracked ``peag`` run exposes G y_k. ``p`` is
+    the :class:`~anchored.schedules.ScheduleParams` of the step k -> k+1,
+    None at the final index.
     """
 
     k: int
@@ -301,6 +303,7 @@ class TracePoint:
     g_y: Optional[np.ndarray] = None
     g_z: Optional[np.ndarray] = None
     g_x: Optional[np.ndarray] = None
+    p: Optional[ScheduleParams] = None
 
 
 @dataclass
@@ -439,7 +442,7 @@ def run(solver, y0, K, trace_opts=None, observers=()):
             norm_g_x[k] = _norm(g_at_x)
         if observers:
             emit(TracePoint(k=k, x=x_old, y=y_old, z=z_old, g_y=g_at_y,
-                            g_z=g_at_z, g_x=g_at_x))
+                            g_z=g_at_z, g_x=g_at_x, p=params))
         done = k + 1
 
     if error is None:

@@ -20,7 +20,9 @@ LS, HUBER, BILINEAR = (30, 12), (20, 15), (15, 10)
 #: (scheme, schedule) -> (sha256 of trace.csv, sha256 of the report). The
 #: two eag_constant/eag_varying trace pins differ from the first recording
 #: only in their bound_value column, which was empty before the two
-#: schedule rows named their bounds.
+#: schedule rows named their bounds. The two comono trace pins differ from
+#: theirs only in bound_value too, which doubled (1 + 2 rho L = 1/2) when
+#: the comono row's denominator became squared.
 PINS = {
     ("halpern", "halpern_fast"): (
         "ec0d71b8e27a04fc546dd9508869f51379b652dee34e53e8a8b3ba7395ba6b6d",
@@ -53,10 +55,10 @@ PINS = {
         "e6e86a3c35e7a8deb65baa2e0d594e1f4b79fc13167593bab86c6f3990e3f638",
         "a219f257c2ccbe17a55d59c6a6182691d7d202f2a7ea4d77acff2339d254b23a"),
     ("comono_eag", "comono_eag"): (
-        "41ab66f5d21a4497b4d19bb404d2f8b644608232968919de1c548d798bfdb2f6",
+        "dc13e938949aac06ba61a2e10c2899b715c958ea4b34840b35301dfdb37d5875",
         "4f7931e1094ac376dd9b8b416f481b609f1d5ff41a53a1fa84b1711adce8f8e9"),
     ("nag_comono", "nag_comono"): (
-        "bc49ea2ce671cf234eab8b769cf2d794fed8590fa4525e7cb9eb6d4aa8ea9cb1",
+        "c2558be7ecaf64fc4b48a728723f69da39b57f866faff024064ab12c6480ea5e",
         "ea757d779b549d7fd516af7cef1d1aba5eef32a0705d9f9b22dfe3195acaec24"),
     ("peag", "peag"): (
         "ac89d137f8d7e65c02090a7ac0d3879ef6e268b077f04920255ec85e056932bd",

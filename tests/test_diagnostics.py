@@ -326,7 +326,9 @@ class TestBoundCheck:
 #: sha256 of ``bound_series(kind, 0..2000, L, dist0, **pin_constants(L))``
 #: bytes, recorded when each bound was still a branch of its own; the two
 #: extra-gradient rate kinds from the expression c* dist0^2 / denominator
-#: that the verify rows used then
+#: that the verify rows used then. The two comono pins were recorded again
+#: when the row's denominator became (1 + 2 rho L)^2: the new series is
+#: the old one divided by 1 + 2 rho L = 1/2.
 BOUND_PINS = {
     ("halpern_fast", 1.0, 1.0):
         "c8c8e45630df0c766c9f04449746a43bb420eafb4062d06c9ff67ff19d245c2f",
@@ -341,9 +343,9 @@ BOUND_PINS = {
     ("eag", 0.7, 2.5):
         "c5228d55bb5fda5fcaa6934c6a91cbf7377319a2f5561e2951d47f6a2b1c0f14",
     ("comono", 1.0, 1.0):
-        "cc80f432e8641b3f8038b9fe54dafba10f0fcc32d89dfc6e902ba91ae97a320c",
+        "60b6cb51a73c1409d35436a7dd2a4ef12946e470b8eb088e1b887161998bd907",
     ("comono", 0.7, 2.5):
-        "45debae729cdc06c62e03bc3f6d3569572e3351ac3efbb5bd5ca632169e43929",
+        "c4063c415283dae5c7340aaada634b1faa1fa7ebd711d833e1f94f008a4c02a6",
     ("peag_residual", 1.0, 1.0):
         "7972b86704e55cabbcbbc4ec81421dc603ef6eaef86ec36ee7d1070f1ee5d45b",
     ("peag_residual", 0.7, 2.5):

@@ -339,6 +339,26 @@ class TestCli:
         assert not result.ok and not result.skipped
         assert result.detail.startswith("run error: ")
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--iters", "5"], ["verify"], ["figure", "--which", "exam1"],
+    ], ids=["run", "verify", "figure"])
+    def test_out_naming_a_file_exits_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, under):
+        def no_work(*args, **kw):
+            raise AssertionError("work started")
+
+        for name in ("_build_instance", "run", "run_suites", "make_figure"):
+            monkeypatch.setattr(cli, name, no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if under else taken
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: output directory {out}: {taken} exists and "
+                       "is not a directory\n")
+        assert taken.read_text() == ""
+
     def test_list_schemes(self, capsys):
         assert main(["list-schemes"]) == 0
         out = capsys.readouterr().out

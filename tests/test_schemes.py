@@ -498,6 +498,36 @@ class TestRunDriver:
         with pytest.raises(InputError, match="'kappa' at k=0"):
             run(solver, np.array([1.0, 2.0]), 5)
 
+    @pytest.mark.parametrize("scheme,kind", [
+        (scheme, kind) for scheme, kinds in COMPATIBLE_SCHEDULES.items()
+        for kind in kinds])
+    def test_points_carry_their_step_parameters(self, scheme, kind):
+        # p of index k is the k-th item of the solver's stream: the
+        # parameters of the step k -> k+1; the final index has none
+        kw = {"rho": -0.1} if "comono" in kind else \
+            {"eta0": 0.4} if kind in ("eag_varying", "peag_legacy") else {}
+        solver = solver_for(identity_operator(2), scheme, kind, L=1.0, **kw)
+        points = points_of(solver, np.array([1.0, 2.0]), 10)
+        fresh = solver.schedule_factory()
+        assert [p.p for p in points[:-1]] == [next(fresh) for _ in range(10)]
+        assert points[-1].k == 10 and points[-1].p is None
+
+    def test_zero_step_point_has_no_parameters(self):
+        solver = solver_for(identity_operator(), "halpern", "halpern_fast")
+        [point] = points_of(solver, np.array([1.0]), 0)
+        assert point.k == 0 and point.p is None
+
+    def test_run_without_observers_builds_no_point(self, monkeypatch):
+        def refuse(**fields):
+            raise AssertionError("a trace point was built")
+
+        monkeypatch.setattr("anchored.schemes.TracePoint", refuse)
+        solver = solver_for(identity_operator(2), "nesterov", "nesterov_slow")
+        trace = run(solver, np.array([1.0, 2.0]), 10)
+        assert trace.error is None and len(trace) == 11
+        with pytest.raises(AssertionError, match="trace point was built"):
+            run(solver, np.array([1.0, 2.0]), 10, observers=(print,))
+
     def test_rejects_negative_budget(self):
         solver = solver_for(identity_operator(), "halpern", "halpern_fast")
         with pytest.raises(InputError):

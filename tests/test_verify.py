@@ -284,6 +284,55 @@ def test_coupling_row_fails_on_a_wrong_coefficient(monkeypatch):
     assert float(result.detail.removeprefix("max_dev=")) > 1e-6
 
 
+def _budgets_with(**wrong):
+    """The summability fold at the run's constants and the case's L, with
+    each keyword of ``wrong`` replaced by its function of those values."""
+    def build(case, solver):
+        right = dict(solver.meta["constants"], L=case.L)
+        return diagnostics.SummabilityFold(
+            **dict(right, **{key: fn(right) for key, fn in wrong.items()}))
+    return build
+
+
+#: each budget row, the fold it gets and the factor by which that fold's
+#: coefficient is too large. On the desk instance the budgets use 1.2% to
+#: 21% of V_0, and the residual difference budget 11% of 2 L^2 d0^2, so a
+#: fold has to be this far off before a row FAILs: gamma off by 10% or
+#: theta read one index late still PASS.
+BUDGET_CONTROLS = {
+    # t_k = (k + 2 omega + 1)/omega at omega = 0.2, not 3: 2(t_k - 1)
+    # grows 15-fold at large k
+    "budget anchor_distance_budget [ls]": (
+        "budgets", _budgets_with(omega=lambda c: 0.2)),
+    # gamma (omega - 1)/(L omega): 10-fold
+    "budget residual_budget [ls]": (
+        "budgets", _budgets_with(gamma=lambda c: 10.0 * c["gamma"])),
+    # 2 gamma (1 - L gamma)/L with L/10 for L: 91-fold
+    "budget residual_difference_budget [ls]": (
+        "budgets", _budgets_with(L=lambda c: c["L"] / 10.0)),
+    # gamma^2 t_k (t_k - 1): 100-fold
+    "budget correction_budget [ls]": (
+        "budgets", _budgets_with(gamma=lambda c: 10.0 * c["gamma"])),
+    # the budget 2 L^2 d0^2 with L/4 for L: 16-fold too small
+    "residual difference budget [ls, slow]": (
+        "differences",
+        lambda case, solver: diagnostics.ResidualDifferenceFold(
+            case.L / 4.0, case.d0)),
+}
+
+
+@pytest.mark.parametrize("name", list(BUDGET_CONTROLS))
+def test_budget_row_fails_on_a_wrong_coefficient(monkeypatch, name):
+    fold, wrong = BUDGET_CONTROLS[name]
+    [right] = verify.run_checks([row(name)])
+    assert right.status == "PASS"
+    monkeypatch.setitem(verify.FOLDS, fold, wrong)
+    [result] = verify.run_checks([row(name)])
+    assert result.status == "FAIL"
+    violations = int(result.detail.split("violations=")[1].split()[0])
+    assert violations > 0
+
+
 class _ScaledLambda(ResolventSpec):
     """A resolvent kind applied at 1.01 times the index it is given."""
 
