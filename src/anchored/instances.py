@@ -74,7 +74,9 @@ def gen_minimax_huber(m, n, seed):
     """Smoothed bilinear game with Huber penalties on both players.
 
     The coupling matrix has unit Gaussian columns; both penalty weights
-    equal its norm and the smoothing width is 0.05. The origin is a
+    equal its norm |K| = sigma_max(K) (``meta["k_norm"]``, from
+    :func:`spectral_norm` sweeping the smaller of K^T K and K K^T) and
+    the smoothing width is 0.05. The origin is a
     zero of the saddle operator (both penalty gradients vanish there
     and the bilinear terms are linear), so it serves as the reference
     solution.

@@ -12,6 +12,7 @@ read-only evaluation.
 """
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -155,32 +156,61 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
 
-def spectral_norm(m, tol=1e-10, max_iter=10_000, seed=0):
-    """Largest singular value of ``m`` by power iteration on M^T M.
+def spectral_norm(m, power=1, tol=1e-10, max_iter=10_000, seed=0):
+    """sigma_max(m)**power by power iteration on (M^T M)**power.
 
-    The start vector is a deterministic unit Gaussian drawn from
-    ``seed``. Raises :class:`NumericError` carrying the last estimate if
-    the Rayleigh quotient has not stabilized within ``max_iter`` sweeps.
+    The start vector is a deterministic unit Gaussian in R^cols drawn
+    from ``seed``. A sweep multiplies the iterate v by (M^T M)**power
+    and stops once the Rayleigh quotient, sigma_max**(2 power) in the
+    limit, has changed by at most ``tol`` relative in two sweeps in a
+    row. A start in the null space of m restarts from ``seed + 1``.
+
+    Each sweep is ``power`` products with the smaller Gram, formed once:
+    M^T M when m is tall or square, M M^T when m is wide. A wide m
+    carries s = M v in place of v, with the same iterates in exact
+    arithmetic: (M^T M)^p v = M^T (M M^T)^(p-1) s, so the Rayleigh
+    quotient is <s, (M M^T)^(p-1) s>, the new iterate's norm squared is
+    <(M M^T)^(p-1) s, (M M^T)^p s>, and M maps the new v to
+    (M M^T)^p s over that norm. For P of shape (m, n),
+    ``spectral_norm(P, power=2)`` is therefore the iteration on
+    (P^T P)^2 that ``spectral_norm(P.T @ P)`` runs, without the n x n
+    matrix when m < n.
+
+    Raises :class:`NumericError` carrying the last estimate if the
+    Rayleigh quotient has not stabilized within ``max_iter`` sweeps.
     """
     m = np.asarray(m, dtype=np.float64)
     if tol <= 0:
         raise InputError("tol must be positive")
+    if not isinstance(power, Integral) or power < 1:
+        raise InputError("power must be a positive integer")
     if not np.any(m):
         raise InputError("matrix must be nonzero")
-    v = SplitMix64(seed).normal(m.shape[1])
-    v /= np.linalg.norm(v)
+    wide = m.shape[0] < m.shape[1]
+    gram = m @ m.T if wide else m.T @ m
+
+    def start(s):
+        v = SplitMix64(s).normal(m.shape[1])
+        v /= np.linalg.norm(v)
+        return m @ v if wide else v
+
+    x = start(seed)  # v, or s = M v when m is wide
     lam = 0.0
     stable = 0
     for _ in range(max_iter):
-        w = m.T @ (m @ v)
-        lam_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
+        t = x
+        for _ in range(power - 1):
+            t = gram @ t
+        w = gram @ t
+        if wide:
+            lam_new, nw2 = float(x @ t), float(t @ w)
+        else:
+            lam_new, nw2 = float(x @ w), float(w @ w)
+        if nw2 <= 0.0:
             # start vector fell in the null space; restart deterministically
-            v = SplitMix64(seed + 1).normal(m.shape[1])
-            v /= np.linalg.norm(v)
+            x = start(seed + 1)
             continue
-        v = w / nw
+        x = w / np.sqrt(nw2)
         if abs(lam_new - lam) <= tol * max(lam_new, np.finfo(float).tiny):
             stable += 1
             if stable >= 2:
@@ -195,12 +225,13 @@ def spectral_norm(m, tol=1e-10, max_iter=10_000, seed=0):
 def least_squares_operator(p_mat, b, seed=0):
     """Normal-equation residual map G(y) = P^T (P y - b).
 
-    G is 1/L-co-coercive with L = ``norm(P^T P)`` estimated by
-    :func:`spectral_norm`.
+    G is 1/L-co-coercive with L = |P^T P| = sigma_max(P)**2, estimated
+    by :func:`spectral_norm` at ``power=2``: the power iteration on
+    (P^T P)^2, swept with the smaller of P^T P and P P^T.
     """
     p_mat, b = _least_squares_data(p_mat, b)
     p_t = p_mat.T
-    lip = spectral_norm(p_t @ p_mat, seed=seed)
+    lip = spectral_norm(p_mat, power=2, seed=seed)
 
     def apply(y):
         r = p_mat.dot(y)

@@ -252,10 +252,12 @@ CLASSES = {
     "rho-co-monotone": lambda L, constants: constants["rho"],
 }
 
-_ANCHORED = ("halpern_fast", "halpern_slow", "halpern_omega")
 SCHEMES = {
-    "halpern": Scheme(halpern_step, ("beta", "eta"), "y", "y", _ANCHORED,
-                      "co-coercive", dict.fromkeys(_ANCHORED, "anchored")),
+    # the anchored potential's weights p_k = k(k+1), q_k = k+1 make it
+    # nonincreasing along the fast rule only
+    "halpern": Scheme(halpern_step, ("beta", "eta"), "y", "y",
+                      ("halpern_fast", "halpern_slow", "halpern_omega"),
+                      "co-coercive", {"halpern_fast": "anchored"}),
     "nesterov": Scheme(nesterov_step_two_corr, ("gamma", "theta", "nu",
                        "kappa"), "xy", "y",
                        ("nesterov_slow", "nesterov_fast", "nesterov_omega"),

@@ -11,17 +11,30 @@ sum a matrix-vector product in another order. The thread count matters
 too: with 2, 3 or 4 OpenBLAS threads the bytes agree, but under
 ``OPENBLAS_NUM_THREADS=1`` the least-squares ``halpern`` and
 ``nesterov`` CSVs get other bytes.
+
+The benchmark's desk gate reads values, not bytes: each run's final
+residual and each figure curve's fitted slope must lie within 1e-9
+relative of the instance seed's row of ``bench/reference_desk.json``.
+The same comparison runs here at the desk seed, on the same outputs.
 """
 
 import hashlib
+import json
+import math
+from pathlib import Path
+
+import pytest
 
 from anchored import figures, instances, schemes, traceio
 
 DESK_K = 2000
+REFERENCE = (Path(__file__).resolve().parents[1] / "bench"
+             / "reference_desk.json")
+VALUE_RTOL = 1e-9
 
 DIGESTS = {
     "comono_eag-comono_eag.csv":
-        "c561d2f80117fd2fc89a1efeda034bfd9fd3cb4cf1527bd5ca43949e68fbb339",
+        "26b0c0ab4fa95b6885a015efbb6456494ef837f308e3f8339408bc90695bbee2",
     "eag-eag_constant.csv":
         "f7c6cb477886b9231c7ab1031752b91add512a8f9d0169024d5399ce989404b3",
     "eag-eag_varying.csv":
@@ -31,9 +44,9 @@ DIGESTS = {
     "exam1.svg":
         "024dcfda1e13c87f05695984b960a6d6f9937ce870901ca4c5a84e13b931899b",
     "exam1_nesterov_omega.csv":
-        "c5570f84bc9b29e97553728d086597b670a29016a94f3ef3603d804e786fe757",
+        "93ac256c7b3423f3df399c20ffb98726fa68985a722d3eaa052917c325408915",
     "exam1_nesterov_slow.csv":
-        "6b80123d0fe82a21d71c4efe8c62d57a82441a995706948ba0d08af600e67a8c",
+        "77fbdcbafcb4c022e0c0015ccafe391bbe45df3bc433c350389c2cff9014c5c3",
     "exam2.svg":
         "d7470fa997c54ab9550cd1cc5433e852799df2a301f4284283f205d204a31e52",
     "exam2_nag_eag.csv":
@@ -41,23 +54,23 @@ DIGESTS = {
     "exam2_nag_peag.csv":
         "b91fb271d851babf55b33c79aa525db573f0d6a6da681a09fccadb46b8bba529",
     "halpern-halpern_fast.csv":
-        "3db302bbd8045a6150b0f905d879c83f102953eefc8a5b9e467ac1aebeafe223",
+        "18966879321ba03dea1ec7b5de9127781ef67e3d85ed943312482a68f61d8f47",
     "halpern-halpern_omega.csv":
-        "14f53bcfca23fee39ec3c14829a83430ecfbd60174474064e29c868cb87343d8",
+        "aafcfed0748506fb743317ecac0bb3f2ea020749a90c214218d7dd9382f8badc",
     "halpern-halpern_slow.csv":
-        "a8eb2920beda693cfc6aaa634b586d39b68f13ea37add28e3b8f19f4f2ee524e",
+        "15ede90e39693161d4375210971b9d922ff8a883ca66e86746246f3453c22bed",
     "nag_comono-nag_comono.csv":
-        "bd8a05460b3bacc96c8d61a525929c0f827527b8fffe6ff25c2d41fc0b1380ee",
+        "e2f203010ec9fc84d3cd2aa0c1fd124c96b3c328bd236b1b8a9973806c266eed",
     "nag_eag-nag_eag.csv":
         "c716abd91e80a50def2ffd9249f0c1563b87eafe4f65e47967c199496e5fa92f",
     "nag_peag-nag_peag.csv":
         "b7b54a4ec7f993e1bae189a6144804c9cfef737d5d615a4d738af22437b8b60b",
     "nesterov-nesterov_fast.csv":
-        "873e6d6dee9a407d1595bd6e62bd6a078e12f267808aae5770595f62ee687e8b",
+        "9d007b218044412bd0c10a9300db9537bae87bbe410214d8bf75d309c8ed2016",
     "nesterov-nesterov_omega.csv":
-        "2989c3f1aafa99a8f19c437627a2366135089df48ecb5ce22e6e20e58861ab21",
+        "41dc766ff35340a906b2c3fa3a05c2caad839c204afb0dc3a1199ad84d0a2beb",
     "nesterov-nesterov_slow.csv":
-        "db559c3ec132a453d89dd390e135fadc23ab42b219ef3c0251471cd1dc2fa8c6",
+        "38c7e55e222730fe1758272f4731603adc28bd63e9036723e9a7c8632ec035a1",
     "peag-peag.csv":
         "2bed0ce74e18f37d1762adf2c9a9810a409f8c479b178fb8625059707cd98995",
     "peag-peag_legacy.csv":
@@ -79,20 +92,67 @@ def _desk_case(scheme, kind, ls, hub, bil):
     return hub, {}
 
 
-def test_desk_outputs_are_byte_identical(tmp_path):
+def reference_values(seed):
+    """The recorded final value of each output at instance seed ``seed``."""
+    table = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert table["K"] == DESK_K
+    return {name: value for name, (value, _digest)
+            in zip(table["names"], table["seeds"][str(seed)])
+            if value is not None}
+
+
+REFERENCE_ROW = reference_values(instances.DESK_SEED)
+
+
+def final_residual(trace):
+    """|G y_K|, or |G z_K| for the schemes that track only z."""
+    value = trace.norm_g_y[-1]
+    return float(trace.norm_g_z[-1] if math.isnan(value) else value)
+
+
+def value_mismatches(values, reference):
+    """The outputs whose value is not within VALUE_RTOL of the reference."""
+    return sorted(name for name, ref in reference.items()
+                  if not abs(values[name] - ref) <= VALUE_RTOL * abs(ref))
+
+
+@pytest.fixture(scope="module")
+def desk(tmp_path_factory):
+    """(sha256 of each output file, final value of each output)."""
+    out = tmp_path_factory.mktemp("desk")
     ls = instances.desk_least_squares()
     hub = instances.desk_huber()
     bil = instances.desk_bilinear()
     opts = schemes.TraceOpts(snapshot_stride=0)
+    values = {}
     for scheme, kinds in schemes.COMPATIBLE_SCHEDULES.items():
         for kind in kinds:
             inst, kw = _desk_case(scheme, kind, ls, hub, bil)
             solver = schemes.solver_for(inst.operator, scheme, kind, **kw)
             trace = schemes.run(solver, instances.start_point(inst), DESK_K,
                                 opts)
-            traceio.write_trace_csv(trace, tmp_path / f"{scheme}-{kind}.csv")
+            traceio.write_trace_csv(trace, out / f"{scheme}-{kind}.csv")
+            values[f"{scheme}/{kind}"] = final_residual(trace)
     for which in figures.FIGURES:
-        figures.make_figure(which, "small", tmp_path)
+        _, _, slopes = figures.make_figure(which, "small", out)
+        values.update({f"{which}/{label}": slope
+                       for label, slope in slopes.items()})
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
-    assert digests == DIGESTS
+               for p in out.iterdir()}
+    return digests, values
+
+
+def test_desk_outputs_are_byte_identical(desk):
+    assert desk[0] == DIGESTS
+
+
+def test_desk_values_are_within_the_benchmark_gate(desk):
+    values = desk[1]
+    assert set(values) == set(REFERENCE_ROW)
+    assert value_mismatches(values, REFERENCE_ROW) == []
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ROW))
+def test_value_gate_fails_a_reference_off_by_1e_6(desk, name):
+    reference = dict(REFERENCE_ROW, **{name: REFERENCE_ROW[name] * (1 + 1e-6)})
+    assert value_mismatches(desk[1], reference) == [name]

@@ -1,11 +1,12 @@
 """The catalog operators and ``schemes._norm`` against plain numpy
 reference expressions, compared byte for byte (``tobytes``), NaN payloads
-and signed zeros included."""
+and signed zeros included; the instances' L against the power iteration
+on M^T M, swept with m itself."""
 
 import numpy as np
 import pytest
 
-from anchored import operators
+from anchored import instances, operators
 from anchored.instances import (
     DESK_BILINEAR,
     DESK_HUBER,
@@ -152,3 +153,54 @@ def test_norm_is_linalg_norm():
     for n in range(1, 2001):
         v = rng.normal(n) * (10.0 ** (n % 7 - 3))
         assert same_bytes(np.float64(_norm(v)), np.linalg.norm(v))
+
+
+def power_iteration_reference(m, seed, tol=1e-10):
+    """sigma_max(m) by power iteration on M^T M, two products with m a sweep.
+
+    The sweep ``spectral_norm`` ran before it swept the smaller Gram,
+    kept as the reference for its iterates and its stopping sweep.
+    """
+    v = SplitMix64(seed).normal(m.shape[1])
+    v /= np.linalg.norm(v)
+    lam, stable = 0.0, 0
+    for _ in range(10_000):
+        w = m.T @ (m @ v)
+        lam_new = float(v @ w)
+        v = w / np.linalg.norm(w)
+        if abs(lam_new - lam) <= tol * lam_new:
+            stable += 1
+            if stable >= 2:
+                return float(np.sqrt(lam_new))
+        else:
+            stable = 0
+        lam = lam_new
+    raise AssertionError("the reference sweep did not converge")
+
+
+def instance_norms(inst):
+    """(L from the instance, L from the reference sweep)."""
+    seed = inst.meta["seed"]
+    if inst.meta["generator"] == "least_squares":
+        p_mat = inst.meta["P"]
+        return (inst.operator.lipschitz,
+                power_iteration_reference(p_mat.T @ p_mat, seed))
+    k_norm = inst.meta.get("k_norm", inst.operator.lipschitz)
+    return k_norm, power_iteration_reference(inst.meta["K"], seed)
+
+
+@pytest.mark.parametrize("build", [instances.desk_least_squares,
+                                   instances.desk_huber,
+                                   instances.desk_bilinear])
+def test_desk_norms_match_the_reference_sweep(build):
+    # a different stopping sweep would move L by about 1e-10
+    for seed in range(64):
+        got, want = instance_norms(build(seed))
+        assert abs(got - want) <= 1e-15 * want, seed
+
+
+@pytest.mark.parametrize("build", [instances.paper_least_squares,
+                                   instances.paper_huber])
+def test_paper_norms_match_the_reference_sweep(build):
+    got, want = instance_norms(build(7))
+    assert abs(got - want) <= 1e-15 * want

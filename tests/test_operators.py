@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anchored import operators
 from anchored.errors import InputError, NumericError
 from anchored.operators import (
     OperatorSpec,
@@ -54,6 +55,11 @@ def jacobi_sigma_max(a, sweeps=100):
     return float(np.sqrt(np.max(np.sum(a * a, axis=0))))
 
 
+def oracle(m):
+    """jacobi_sigma_max on the tall one of m and m^T, which share it."""
+    return jacobi_sigma_max(m if m.shape[0] >= m.shape[1] else m.T)
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-10)
@@ -75,6 +81,45 @@ class TestSpectralNorm:
         with pytest.raises(NumericError) as err:
             spectral_norm(m, tol=1e-16, max_iter=3)
         assert err.value.estimate is not None
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("shape", [(20, 10), (10, 20), (12, 12)],
+                             ids=["tall", "wide", "square"])
+    def test_power_of_the_jacobi_oracle(self, shape, power):
+        # a tall m sweeps M^T M, a wide one M M^T
+        m = SplitMix64(21).normal_matrix(*shape)
+        got = spectral_norm(m, power=power)
+        assert got == pytest.approx(oracle(m) ** power, rel=1e-8)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 5)], ids=["tall", "wide"])
+    def test_start_in_the_null_space_restarts(self, monkeypatch, shape,
+                                              power):
+        # the stream of seed 0 starts at e_0, which m's zero first
+        # column sends to 0: the first sweep restarts from seed 1
+        seeds = []
+
+        class NullStart:
+            def __init__(self, seed):
+                seeds.append(seed)
+                self.seed = seed
+
+            def normal(self, n):
+                if self.seed == 0:
+                    return np.eye(n)[0]
+                return SplitMix64(self.seed).normal(n)
+
+        m = SplitMix64(22).normal_matrix(*shape)
+        m[:, 0] = 0.0
+        monkeypatch.setattr(operators, "SplitMix64", NullStart)
+        got = spectral_norm(m, power=power, seed=0)
+        assert seeds == [0, 1]
+        assert got == pytest.approx(oracle(m) ** power, rel=1e-8)
+
+    @pytest.mark.parametrize("power", [0, -1, 1.5, 2.0])
+    def test_rejects_a_power_that_is_no_positive_integer(self, power):
+        with pytest.raises(InputError):
+            spectral_norm(np.eye(2), power=power)
 
 
 class TestLeastSquares:

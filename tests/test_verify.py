@@ -259,20 +259,36 @@ def _inflated_coupling_a(real):
         real(k, beta, eta, L), a=real(k, beta, eta, L).a * (1.0 + 1e-6))
 
 
-@pytest.mark.parametrize("name,target,wrong", [
+def _early_eag_t(real):
+    # t_k = k, one index early. On the Huber instance the row PASSes a or
+    # b off by 10%, a = b1 k(k+1)/(4L), and all three shifted by one index
+    return lambda k, L: replace(real(k, L), t=k + 0.0)
+
+
+def _root_of_m(real):
+    # sqrt(M) for sqrt(2M), M = L^2 (1 + sigma). The row PASSes the whole
+    # potential shifted by one index either way, and sigma = 3 for 2
+    return lambda L, sigma: real(L, sigma) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("name,target,wrong,least", [
     ("anchored potential nonincreasing [ls, fast]",
-     "halpern_potential_coeffs", _shifted_halpern_weights),
+     "halpern_potential_coeffs", _shifted_halpern_weights, 100),
     ("corrected potential nonincreasing [ls, omega]",
-     "omega_family_coeffs", _shrunk_omega_t),
-], ids=["anchored", "omega"])
+     "omega_family_coeffs", _shrunk_omega_t, 100),
+    ("extra-gradient potential nonincreasing (k>=1) [huber]",
+     "eag_family_coeffs", _early_eag_t, 1000),
+    ("past-extra potential nonincreasing [huber, sigma=2]",
+     "peag_root", _root_of_m, 10),
+], ids=["anchored", "omega", "eag", "peag"])
 def test_decrease_row_fails_on_a_wrong_coefficient(monkeypatch, name, target,
-                                                   wrong):
+                                                   wrong, least):
     monkeypatch.setattr(diagnostics, target,
                         wrong(getattr(diagnostics, target)))
     [result] = verify.run_checks([row(name)])
     assert result.status == "FAIL"
     violations = int(result.detail.split("violations=")[1].split()[0])
-    assert violations > 100
+    assert violations > least
 
 
 def test_coupling_row_fails_on_a_wrong_coefficient(monkeypatch):

@@ -15,7 +15,7 @@ import hashlib
 
 from anchored.verify import format_table, run_suites
 
-DIGEST = "ba17f9ba56fb0e29eb9ca3529d263972af00c66dcf7817b1662fec534ad959cd"
+DIGEST = "2567a0a12e41baded297ecda6067a65a8ba5147ddcd1feb899bba6c58b177b73"
 
 
 def test_small_verify_table_is_byte_identical():
