@@ -170,8 +170,7 @@ def cmd_run(args):
                          f"operator (co-monotone modulus >= {least:.6g}); "
                          f"the {instance.meta['generator']} operator "
                          f"declares {modulus}")
-    potential = dg.POTENTIALS[row.potentials[kind]](L, y_star, kw) \
-        if lyap_on and kind in row.potentials else None
+    potential = dg.potential_fold(solver, y_star) if lyap_on else None
     # the past-extra potential reads G y_k, which only x tracking evaluates
     opts = TraceOpts(track_x_residual=track_x or (
         potential is not None and "g_x" in potential.need))

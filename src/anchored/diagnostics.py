@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, InputError
 from .schedules import peag_root
-from .schemes import _norm
+from .schemes import SCHEMES, _norm
 
 DECREASE_SLACK = 1e-10
 BOUND_SLACK = 1e-9
@@ -438,6 +438,14 @@ POTENTIALS = {
     "eag": lambda L, y_star, c: eag_potential_fold(L, y_star),
     "peag": lambda L, y_star, c: PeagPotentialFold(L, c["sigma"], y_star),
 }
+
+
+def potential_fold(solver, y_star):
+    """The fold of the potential that ``solver``'s scheme files for its
+    schedule, at the solver's L and constants; None where it files none."""
+    kind = SCHEMES[solver.scheme].potentials.get(solver.meta["schedule"])
+    return None if kind is None else POTENTIALS[kind](
+        solver.meta["L"], y_star, solver.meta["constants"])
 
 
 class PeagResidualFold(Fold):

@@ -1,13 +1,18 @@
 """Iteration steps, the table that declares each scheme, the run driver.
 
-Every step consumes an :class:`IterateState`, one operator, and one
+A step is its update formula and its operator evaluations, nothing
+else. It consumes an :class:`IterateState`, one operator, and one
 :class:`~anchored.schedules.ScheduleParams`, mutates the state in place,
 and returns the operator values ``(G y_k, G z_k)`` at the pre-step
-iterates (None where a scheme has none). Operator values are evaluated
-once per step and cached on the state where a later step can reuse
-them, so the per-step evaluation budget (one for the anchored/corrected/past-extra families, two for the
-extra-gradient families) is exact and testable. :data:`SCHEMES`
-declares each scheme once, and :func:`run` reads only that row.
+iterates (None where a scheme has none, and at k = 0 of the
+extra-gradient steps, which have not evaluated G at z_0). Operator
+values are evaluated once per step and cached on the state where a
+later step can reuse them, so the per-step evaluation budget (one for
+the anchored/corrected/past-extra families, two for the extra-gradient
+families) is exact and testable.
+:data:`SCHEMES` declares each scheme once, and :func:`run` reads only
+that row. :func:`run` owns what every step shares: the step index, the
+divergence guard and G(z_0) = G(y_0).
 
 A solver instance is single threaded; distinct solvers sharing one
 immutable operator may run concurrently, and each trace is owned by its
@@ -34,11 +39,10 @@ class IterateState:
 
     Each step writes only the slots it or :func:`run` reads; the others
     keep their initial value y0. ``g_z`` caches G at the current z
-    iterate (the extra-gradient and ``peag`` steps) and ``g_z_prev`` the
-    one before it (``nag_peag``).
+    iterate (the extra-gradient and ``peag`` steps; None before the
+    first step) and ``g_z_prev`` the one before it (``nag_peag``).
     """
 
-    k: int
     y0: np.ndarray
     x: np.ndarray
     x_prev: np.ndarray
@@ -53,7 +57,7 @@ class IterateState:
 
 def init_state(y0):
     y0 = np.array(y0, dtype=np.float64, ndmin=1)
-    return IterateState(k=0, y0=y0, x=y0.copy(), x_prev=y0.copy(),
+    return IterateState(y0=y0, x=y0.copy(), x_prev=y0.copy(),
                         y=y0.copy(), y_prev=y0.copy(), z=y0.copy(),
                         z_prev=y0.copy(), z_prev2=y0.copy())
 
@@ -78,10 +82,7 @@ def _require(p, names):
 def halpern_step(state, op, p):
     """y_{k+1} = beta*y0 + (1-beta)*y_k - eta*G(y_k)."""
     g_y = op(state.y)
-    y_next = p.beta * state.y0 + (1.0 - p.beta) * state.y - p.eta * g_y
-    _check(y_next, state.k)
-    state.y = y_next
-    state.k += 1
+    state.y = p.beta * state.y0 + (1.0 - p.beta) * state.y - p.eta * g_y
     return g_y, None
 
 
@@ -96,10 +97,8 @@ def nesterov_step_two_corr(state, op, p):
     x_next = state.y - p.gamma * g_y
     y_next = (x_next + p.theta * (x_next - state.x)
               + p.nu * (state.y - x_next) + p.kappa * (state.y_prev - state.x))
-    _check(y_next, state.k)
     state.x = x_next
     state.y_prev, state.y = state.y, y_next
-    state.k += 1
     return g_y, None
 
 
@@ -107,14 +106,9 @@ def eag_step(state, op, p):
     """Anchored extra-gradient: probe z_{k+1}, then correct with G(z_{k+1})."""
     g_y = op(state.y)
     anchor = p.beta * state.y0 + (1.0 - p.beta) * state.y
-    z_next = anchor - p.eta * g_y
-    g_z_next = op(z_next)
-    y_next = anchor - p.eta_hat * g_z_next
-    _check(y_next, state.k)
-    state.z, state.y = z_next, y_next
-    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_z = g_z_next
-    state.k += 1
+    state.z = anchor - p.eta * g_y
+    g_z, state.g_z = state.g_z, op(state.z)
+    state.y = anchor - p.eta_hat * state.g_z
     return g_y, g_z
 
 
@@ -127,14 +121,10 @@ def nag_eag_step(state, op, p):
     """
     g_y = op(state.y)
     x_next = state.y - p.gamma * g_y
-    z_next = x_next + p.theta * (x_next - state.x) + p.nu * (state.z - x_next)
-    g_z_next = op(z_next)
-    y_next = z_next - p.eta_hat * g_z_next + p.eta * g_y
-    _check(y_next, state.k)
-    state.x, state.z, state.y = x_next, z_next, y_next
-    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_z = g_z_next
-    state.k += 1
+    state.z = x_next + p.theta * (x_next - state.x) + p.nu * (state.z - x_next)
+    state.x = x_next
+    g_z, state.g_z = state.g_z, op(state.z)
+    state.y = state.z - p.eta_hat * state.g_z + p.eta * g_y
     return g_y, g_z
 
 
@@ -142,14 +132,9 @@ def comono_eag_step(state, op, p):
     """Anchored extra-gradient with the co-monotone stepsize split."""
     g_y = op(state.y)
     anchor = p.beta * state.y0 + (1.0 - p.beta) * state.y
-    z_next = anchor - (1.0 - p.beta) * (2.0 * p.rho + p.eta) * g_y
-    g_z_next = op(z_next)
-    y_next = anchor - 2.0 * p.rho * (1.0 - p.beta) * g_y - p.eta * g_z_next
-    _check(y_next, state.k)
-    state.z, state.y = z_next, y_next
-    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_z = g_z_next
-    state.k += 1
+    state.z = anchor - (1.0 - p.beta) * (2.0 * p.rho + p.eta) * g_y
+    g_z, state.g_z = state.g_z, op(state.z)
+    state.y = anchor - 2.0 * p.rho * (1.0 - p.beta) * g_y - p.eta * state.g_z
     return g_y, g_z
 
 
@@ -162,14 +147,10 @@ def nag_comono_step(state, op, p):
     """
     g_y = op(state.y)
     x_next = state.y - (p.eta + 2.0 * p.rho) * g_y
-    z_next = x_next + p.theta * (x_next - state.x) + p.nu * (state.z - x_next)
-    g_z_next = op(z_next)
-    y_next = z_next - p.eta * (g_z_next - (1.0 - p.beta) * g_y)
-    _check(y_next, state.k)
-    state.x, state.z, state.y = x_next, z_next, y_next
-    g_z = g_y if state.g_z is None else state.g_z  # z_0 = y_0
-    state.g_z = g_z_next
-    state.k += 1
+    state.z = x_next + p.theta * (x_next - state.x) + p.nu * (state.z - x_next)
+    state.x = x_next
+    g_z, state.g_z = state.g_z, op(state.z)
+    state.y = state.z - p.eta * (state.g_z - (1.0 - p.beta) * g_y)
     return g_y, g_z
 
 
@@ -180,19 +161,13 @@ def peag_step(state, op, p):
     y_{k+1} = beta*y0 + (1-beta)*y_k - eta_hat*G(z_{k+1})
 
     G(z_k) is reused from the previous step; only the first step pays
-    for the warm-up evaluation at z_0 = y_0.
+    for the warm-up evaluation at z_0.
     """
-    if state.g_z is None:
-        state.g_z = op(state.z)  # warm-up, z_0 = y_0
-    g_z = state.g_z
+    g_z = op(state.z) if state.g_z is None else state.g_z
     anchor = p.beta * state.y0 + (1.0 - p.beta) * state.y
-    z_next = anchor - p.eta * g_z
-    g_z_next = op(z_next)
-    y_next = anchor - p.eta_hat * g_z_next
-    _check(y_next, state.k)
-    state.z, state.y = z_next, y_next
-    state.g_z = g_z_next
-    state.k += 1
+    state.z = anchor - p.eta * g_z
+    state.g_z = op(state.z)
+    state.y = anchor - p.eta_hat * state.g_z
     return None, g_z
 
 
@@ -216,17 +191,13 @@ def nag_peag_step(state, op, p):
               + p.nu * (state.z - x_next)
               + p.kappa * (state.z_prev - state.x)
               - p.zeta * (state.z_prev2 - state.x_prev))
-    if state.k == 0:
-        _require(p, ("beta", "eta_hat"))
+    if p.k == 0:
         z_next = z_next + p.eta_hat * (1.0 - p.beta) * g_z
-    elif state.k == 1:
-        _require(p, ("eta_hat",))
+    elif p.k == 1:
         z_next = z_next - p.theta * p.eta_hat * state.g_z_prev
-    _check(z_next, state.k)
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
     state.x_prev, state.x = state.x, x_next
     state.g_z_prev = g_z
-    state.k += 1
     return None, g_z
 
 
@@ -234,10 +205,12 @@ class Scheme(NamedTuple):
     """Everything :func:`run` knows about one scheme."""
 
     step: Callable
-    # schedule fields read at every step, two or more so that attrgetter
-    # returns a tuple (nag_peag checks its k = 0 and k = 1 extras itself)
+    # schedule fields the step reads, two or more so that attrgetter
+    # returns a tuple
     params: tuple
-    updates: str  # the iterates among x, y and z that the step advances
+    # the iterates among x, y and z that the step advances; run() guards
+    # y, or z where the step has no y
+    updates: str
     evaluates: str  # the points among y and z where the step evaluates G
     schedules: tuple  # the schedule kinds with guarantees for the scheme
     operator_class: str  # the CLASSES entry its guarantees assume
@@ -275,13 +248,13 @@ SCHEMES = {
     "peag": Scheme(peag_step, ("beta", "eta", "eta_hat"), "yz", "z",
                    ("peag", "peag_legacy"), "monotone", {"peag": "peag"}),
     "nag_peag": Scheme(nag_peag_step, ("gamma_hat", "theta", "nu", "kappa",
-                       "zeta"), "xz", "z", ("nag_peag",), "monotone", {}),
+                       "zeta", "beta", "eta_hat"), "xz", "z", ("nag_peag",),
+                       "monotone", {}),
 }
 
 SCHEME_KINDS = tuple(SCHEMES)
 #: schedule kinds with guarantees for each scheme, used by the CLI
 COMPATIBLE_SCHEDULES = {name: s.schedules for name, s in SCHEMES.items()}
-STEPS = {name: s.step for name, s in SCHEMES.items()}
 
 
 @dataclass
@@ -370,8 +343,11 @@ def _norm(v):
 def run(solver, y0, K, trace_opts=None, observers=()):
     """Execute ``K`` steps and collect a :class:`RunTrace`.
 
-    Deterministic given (y0, schedule, operator). On a numeric error the
-    trace is truncated at the failing step and carries the error text.
+    Deterministic given (y0, schedule, operator). After each step the
+    divergence guard checks the iterate the step advances, y, or z
+    where the scheme's row has no y; on a numeric error the trace is
+    truncated at the failing step and carries the error text. A step
+    that returns no G z_0 has it from G y_0, z_0 being y_0.
     A schedule step that lacks a field the scheme reads is an
     :class:`InputError`. Everything scheme-specific comes from the
     scheme's :data:`SCHEMES` row.
@@ -404,6 +380,8 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     has_x = "x" in scheme.updates
     has_y = "y" in scheme.updates
     at_y = "y" in scheme.evaluates
+    at_z = "z" in scheme.evaluates
+    guarded = attrgetter("y" if has_y else "z")
     schedule = solver.schedule_factory()
     state = init_state(y0)
     norm_g_y, norm_g_x, norm_g_z, norm_dx, norm_yx, norm_dy = np.full(
@@ -424,9 +402,12 @@ def run(solver, y0, K, trace_opts=None, observers=()):
             if None in lacks(params):
                 _require(params, scheme.params)
             g_at_y, g_at_z = step(state, op, params)
+            _check(guarded(state), k)
         except NumericError as exc:
             error = str(exc)
             break
+        if g_at_z is None and at_z:
+            g_at_z = g_at_y  # z_0 = y_0
         if g_at_y is not None:
             norm_g_y[k] = _norm(g_at_y)
         if g_at_z is not None:
@@ -450,7 +431,7 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     if error is None:
         g_final_y = op(state.y) if at_y else None
         g_final_z = state.g_z
-        if g_final_z is None and "z" in scheme.evaluates:
+        if g_final_z is None and at_z:
             # no cached value: z_K is y_K only at K = 0
             g_final_z = g_final_y if K == 0 and at_y else op(state.z)
         x_at = state.x if has_x else state.y

@@ -44,7 +44,7 @@ from .rng import SplitMix64
 from .schedules import SCHEDULES
 # no row uses it; the benchmark's tracer patches it under this name
 from .schedules import transformed_nesterov_stream  # noqa: F401
-from .schemes import SCHEMES, RunTrace, TraceOpts, _norm, run, solver_for
+from .schemes import RunTrace, TraceOpts, _norm, run, solver_for
 
 SUITES = ("equivalence", "lemmas", "bounds", "all")
 EQUIV_TOL = 1e-8
@@ -118,8 +118,7 @@ KWARGS = {
 #: potential is the one ``schemes.SCHEMES`` names for the run's schedule.
 FOLDS = {
     "record": lambda c, s: dg.RecordFold(),
-    "potential": lambda c, s: dg.POTENTIALS[SCHEMES[s.scheme].potentials[
-        s.meta["schedule"]]](c.L, c.y_star, s.meta["constants"]),
+    "potential": lambda c, s: dg.potential_fold(s, c.y_star),
     "anchor distance": lambda c, s: dg.MapFold(
         lambda p: _norm(p.x - c.y_star) ** 2),
     "budgets": lambda c, s: dg.SummabilityFold(L=c.L, **s.meta["constants"]),

@@ -247,7 +247,7 @@ def test_criterion_10_evaluation_counts():
             ("comono_eag", "comono_eag"): 2,
             ("nag_comono", "nag_comono"): 2,
         }
-        from anchored.schemes import STEPS, init_state
+        from anchored.schemes import SCHEMES, init_state
         from anchored.schedules import schedule_stream
         for (scheme, kind), per in per_step.items():
             op, counter = counted(identity_operator(3))
@@ -257,7 +257,7 @@ def test_criterion_10_evaluation_counts():
             counts = []
             for _ in range(8):
                 before = counter.count
-                STEPS[scheme](state, op, next(stream))
+                SCHEMES[scheme].step(state, op, next(stream))
                 counts.append(counter.count - before)
             if scheme == "peag":
                 assert counts[0] == 2  # warm-up evaluation at z_0

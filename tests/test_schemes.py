@@ -20,7 +20,6 @@ from anchored.schemes import (
     CLASSES,
     COMPATIBLE_SCHEDULES,
     SCHEMES,
-    STEPS,
     Solver,
     TraceOpts,
     comono_eag_step,
@@ -80,7 +79,6 @@ class TestStateInit:
         s = init_state(y0)
         for name in ("x", "x_prev", "y", "y_prev", "z", "z_prev", "z_prev2"):
             assert np.array_equal(getattr(s, name), y0)
-        assert s.k == 0
 
 
 class TestHalpern:
@@ -319,7 +317,7 @@ class TestPeag:
 
 
 class TestZeroOperatorInvariance:
-    @pytest.mark.parametrize("scheme", sorted(STEPS))
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_constant_trajectory(self, scheme):
         kind = {"halpern": "halpern_fast", "nesterov": "nesterov_omega",
                 "eag": "eag_constant", "nag_eag": "nag_eag",
@@ -421,7 +419,7 @@ class TestEvaluationCounts:
                 state = init_state(np.array([1.0, 0.5]))
                 for _ in range(6):
                     before = counter.count
-                    STEPS[scheme](state, op, next(stream))
+                    SCHEMES[scheme].step(state, op, next(stream))
                     assert counter.count - before == per, scheme
 
 
@@ -464,6 +462,39 @@ class TestRunDriver:
         assert trace.error == message
         assert len(trace) == 1
 
+    #: (step at which the guard fires, trace length) when the operator
+    #: returns NaN from its 4th, or its 5th, evaluation onwards; the
+    #: extra-gradient rows evaluate twice a step, peag once after a
+    #: warm-up, and nag_peag advances z only
+    NAN_ONSETS = {
+        "halpern": ((3, 4), (4, 5)),
+        "nesterov": ((3, 4), (4, 5)),
+        "eag": ((1, 2), (2, 3)),
+        "nag_eag": ((1, 2), (2, 3)),
+        "comono_eag": ((1, 2), (2, 3)),
+        "nag_comono": ((1, 2), (2, 3)),
+        "peag": ((2, 3), (3, 4)),
+        "nag_peag": ((3, 4), (4, 5)),
+    }
+
+    @pytest.mark.parametrize("onset", [4, 5])
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_every_scheme_stops_at_a_nan_operator_value(self, name, onset):
+        calls = []
+
+        def nan_from_onset(y):
+            calls.append(None)
+            return np.full_like(y, np.nan) if len(calls) >= onset else y.copy()
+
+        op = OperatorSpec(dim=2, eval=nan_from_onset, lipschitz=1.0,
+                          comonotone_modulus=1.0)
+        solver = _table_solver(name, op)
+        trace = run(solver, np.array([1.0, 2.0]), 10)
+        step, length = self.NAN_ONSETS[name][onset - 4]
+        assert trace.error == f"non-finite iterate at step {step}"
+        assert len(trace) == length
+        assert set(self.NAN_ONSETS) == set(SCHEMES)
+
     def test_iterate_at_the_limit_is_kept(self):
         y0 = np.full(4, 1e30)
         solver = solver_for(ZERO_OP, "halpern", "halpern_fast", L=1.0)
@@ -477,6 +508,8 @@ class TestRunDriver:
         ("nesterov", "nesterov_slow", "nu"),
         ("eag", "eag_constant", "eta_hat"),
         ("nag_peag", "nag_peag", "gamma_hat"),
+        ("nag_peag", "nag_peag", "eta_hat"),
+        ("nag_peag", "nag_peag", "beta"),
     ])
     @pytest.mark.parametrize("at", [0, 3])
     def test_stream_lacking_a_field_is_an_input_error(self, scheme, kind,
@@ -668,6 +701,22 @@ class TestSchemeTable:
         named = {kind for row in SCHEMES.values()
                  for kind in row.potentials.values()}
         assert named == set(diagnostics.POTENTIALS)
+
+    @pytest.mark.parametrize("scheme,kind", [
+        (scheme, kind) for scheme, kinds in COMPATIBLE_SCHEDULES.items()
+        for kind in kinds])
+    def test_potential_fold_is_the_filed_one(self, scheme, kind):
+        kw = {"rho": -0.1} if "comono" in kind else \
+            {"eta0": 0.4} if kind in ("eag_varying", "peag_legacy") else {}
+        solver = solver_for(identity_operator(2), scheme, kind, L=1.0, **kw)
+        fold = diagnostics.potential_fold(solver, np.zeros(2))
+        filed = SCHEMES[scheme].potentials.get(kind)
+        if filed is None:
+            assert fold is None
+        else:
+            expect = diagnostics.POTENTIALS[filed](1.0, np.zeros(2),
+                                                   solver.meta["constants"])
+            assert type(fold) is type(expect)
 
     def test_nag_peag_x_is_the_gradient_step_from_z(self):
         # xhat_{k+1} = z_k - gamma_hat G(z_k)

@@ -349,6 +349,20 @@ def test_budget_row_fails_on_a_wrong_coefficient(monkeypatch, name):
     assert violations > 0
 
 
+def test_lower_bound_row_fails_on_a_wrong_weight(monkeypatch):
+    # the row asks E_{k+1} >= (k+1)^2/(4 L^2) |G y_k|^2; the |G y|^2 fold
+    # 4 times too large (1/L^2 for 1/(4 L^2)) FAILs it, while 1.1 times
+    # too large still PASSes
+    name = "extra-gradient potential above weighted residual"
+    [right] = verify.run_checks([row(name)])
+    assert right.status == "PASS"
+    monkeypatch.setitem(verify.FOLDS, "|G y|^2", lambda case, solver:
+                        diagnostics.MapFold(
+                            lambda p: 4.0 * float(p.g_y @ p.g_y)))
+    [result] = verify.run_checks([row(name)])
+    assert result.status == "FAIL"
+
+
 class _ScaledLambda(ResolventSpec):
     """A resolvent kind applied at 1.01 times the index it is given."""
 
