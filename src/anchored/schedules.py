@@ -54,36 +54,52 @@ def halpern_params(k, L, variant="fast"):
     return beta, (2.0 if variant == "fast" else 1.0) * (1.0 - beta) / L
 
 
-def transformed_nesterov_stream(beta_eta_fn, gamma_fn):
-    """Two-correction parameters reproducing an anchored rule's y-iterates.
+def transformed_nesterov_stream(anchored, family="anchored"):
+    """The corrected (Nesterov-form) parameters of an anchored stream.
 
-    ``beta_eta_fn(k) -> (beta, eta)`` and ``gamma_fn(k) -> gamma`` define
-    the anchored rule and the corrected stepsizes. For k >= 1:
+    ``anchored`` yields an anchored rule's :class:`ScheduleParams`; each is
+    yielded again with its corrected fields. Every family shares
+    theta_k = beta_k (1 - beta_{k-1}) / beta_{k-1} and nu_k = beta_k /
+    beta_{k-1}, at beta_{-1} = 1 (so theta_0 = 0, nu_0 = beta_0), and adds
+    the corrections of its step:
 
-        theta_k = beta_k (1 - beta_{k-1}) / beta_{k-1}
-        nu_k    = beta_k / beta_{k-1} + 1 - beta_k - eta_k / gamma_k
-        kappa_k = (beta_k / beta_{k-1}) (eta_{k-1} / gamma_{k-1} - 1 + beta_{k-1})
+    * "anchored": nu_k += 1 - beta_k - eta_k / gamma_k and kappa_k =
+      (beta_k / beta_{k-1}) (eta_{k-1} / gamma_{k-1} - 1 + beta_{k-1});
+    * "extra-gradient": none, the stream's gamma, eta, eta_hat are the step's;
+    * "past-extra": gamma_hat_k = eta_hat_{k-1} + eta_k / (1 - beta_k),
+      kappa_k = eta_{k-1} (1 - beta_k) / gamma_hat_{k-1} and
+      zeta_k = theta_k eta_{k-2} / gamma_hat_{k-2}.
 
-    At k = 0 theta_0 = kappa_0 = 0 and nu_0 = 1 - eta_0 / gamma_0, the one
-    choice under which the first corrected step reproduces the first
-    anchored step (beta_{-1} is formally zero). The step k-1 values are
-    carried forward, not recomputed. The values are not range checked:
-    beta_k must lie in (0, 1) and gamma_k be positive.
+    Before the start eta_{-1} = eta_{-2} = 0 and eta_hat_{-1} = eta_hat_0,
+    so the first corrected step reproduces the first anchored one. Step
+    k-1 values are carried forward; none is range checked.
     """
-    prev = None
-    for k in count():
-        beta, et = beta_eta_fn(k)
-        g = gamma_fn(k)
-        if prev is None:
-            th, nuv, kap = 0.0, 1.0 - et / g, 0.0
+    b1 = 1.0  # beta_{k-1}
+    e1 = e2 = 0.0  # eta_{k-1}, eta_{k-2}
+    g1 = gh1 = gh2 = 1.0  # gamma_{k-1}, gamma_hat_{k-1}, gamma_hat_{k-2}
+    eh1 = None  # eta_hat_{k-1}
+    for p in anchored:
+        beta, eta = p.beta, p.eta
+        theta = beta * (1.0 - b1) / b1
+        nu = beta / b1
+        if family == "anchored":
+            gamma = p.gamma
+            yield p._replace(theta=theta, nu=nu + 1.0 - beta - eta / gamma,
+                             kappa=nu * (e1 / g1 - 1.0 + b1))
+            g1 = gamma
+        elif family == "extra-gradient":
+            yield p._replace(theta=theta, nu=nu)
+        elif family == "past-extra":
+            if eh1 is None:
+                eh1 = p.eta_hat
+            gh = eh1 + eta / (1.0 - beta)
+            yield p._replace(gamma_hat=gh, theta=theta, nu=nu,
+                             kappa=e1 * (1.0 - beta) / gh1,
+                             zeta=theta * e2 / gh2)
+            eh1, gh1, gh2 = p.eta_hat, gh, gh1
         else:
-            bp, ep, gp = prev
-            th = beta * (1.0 - bp) / bp
-            nuv = beta / bp + 1.0 - beta - et / g
-            kap = (beta / bp) * (ep / gp - 1.0 + bp)
-        prev = beta, et, g
-        yield ScheduleParams(k=k, beta=beta, eta=et, gamma=g, theta=th,
-                             nu=nuv, kappa=kap)
+            raise InputError(f"unknown transform family {family!r}")
+        b1, e1, e2 = beta, eta, e1
 
 
 def _betas(shift):
@@ -91,10 +107,10 @@ def _betas(shift):
     return ((k, 1.0 / (k + shift)) for k in count())
 
 
-def _anchored(variant):
-    """halpern_fast and halpern_slow: the weights of :func:`halpern_params`."""
-    return lambda L: (ScheduleParams(k, *halpern_params(k, L, variant))
-                      for k in count())
+def _anchored(variant, gamma=None):
+    """halpern_fast/slow by :func:`halpern_params`, with a corrected gamma."""
+    return lambda L: (ScheduleParams(k, *halpern_params(k, L, variant),
+                                     gamma=gamma) for k in count())
 
 
 def _corrected(variant):
@@ -102,8 +118,7 @@ def _corrected(variant):
     def rule(L, gamma):
         _need(0.0 < gamma < math.inf,
               f"gamma = {gamma} must be positive and finite")
-        return transformed_nesterov_stream(
-            lambda k: halpern_params(k, L, variant), lambda k: gamma)
+        return transformed_nesterov_stream(_anchored(variant, gamma)(L))
     return rule
 
 
@@ -185,25 +200,25 @@ def _comono_eag(L, rho):
 
 
 def _nag_comono(L, rho):
-    """``comono_eag`` with theta_k = (k-1)/(k+1) and nu_k = k/(k+1).
+    """``comono_eag`` in the fields of ``nag_eag_step``, transformed.
 
-    theta_0 = 0, nu_0 = 1: only nu_0 - theta_0 matters, the histories coincide.
+    With the co-monotone step eta = 1/L: gamma = eta + 2 rho, eta_hat =
+    eta, and (1 - beta) eta for the step's eta, the weight of G(y_k).
     """
-    return (ScheduleParams(k, p.beta, p.eta, rho=rho,
-                           theta=(k - 1.0) / (k + 1.0) if k else 0.0,
-                           nu=k / (k + 1.0) if k else 1.0)
-            for k, p in enumerate(_comono_eag(L, rho)))
+    return transformed_nesterov_stream(
+        (ScheduleParams(p.k, p.beta, (1.0 - p.beta) * p.eta, p.eta,
+                        gamma=p.eta + 2.0 * p.rho, rho=p.rho)
+         for p in _comono_eag(L, rho)), "extra-gradient")
 
 
 def _nag_eag(L):
-    """Corrected EAG: gamma = eta_hat = 1/L, eta = (k+1)/(L(k+2)).
-
-    theta = k/(k+2), nu = (k+1)/(k+2); the potential is
-    ``diagnostics.eag_family_coeffs``.
+    """Corrected EAG, beta = 1/(k+2), eta = (k+1)/(L(k+2)), gamma = eta_hat
+    = 1/L; ``eag`` reads these. Potential: ``diagnostics.eag_family_coeffs``.
     """
-    return (ScheduleParams(k, b, (k + 1.0) / (L * (k + 2.0)), 1.0 / L,
-                           gamma=1.0 / L, theta=k / (k + 2.0),
-                           nu=(k + 1.0) / (k + 2.0)) for k, b in _betas(2))
+    return transformed_nesterov_stream(
+        (ScheduleParams(k, b, (k + 1.0) / (L * (k + 2.0)), 1.0 / L,
+                        gamma=1.0 / L) for k, b in _betas(2)),
+        "extra-gradient")
 
 
 def peag_root(L, sigma):
@@ -223,18 +238,10 @@ def _peag(L, sigma):
 
 
 def _nag_peag(L, sigma):
-    """The ``peag`` steps with the three-correction coefficients.
-
-    Closed forms (independent of sigma): gamma_hat = 2 eta_hat,
-    theta = k/(k+2), nu = (k+1)/(k+2), kappa = k/(2(k+2)), and
-    zeta = (k-1)/(2(k+2)) for k >= 1, zero otherwise. With sigma = 1
-    gamma_hat reduces to 1/L.
-    """
-    return (ScheduleParams(k, p.beta, p.eta, p.eta_hat,
-                           gamma_hat=2.0 * p.eta_hat, theta=k / (k + 2.0),
-                           nu=(k + 1.0) / (k + 2.0), kappa=k / (2.0 * (k + 2.0)),
-                           zeta=(k - 1.0) / (2.0 * (k + 2.0)) if k else 0.0)
-            for k, p in enumerate(_peag(L, sigma)))
+    """The ``peag`` steps, transformed: gamma_hat = 2 eta_hat, theta =
+    k/(k+2), nu = (k+1)/(k+2), kappa = k/(2(k+2)), zeta = (k-1)/(2(k+2))
+    from k = 1 and 0 at k = 0, each to rounding."""
+    return transformed_nesterov_stream(_peag(L, sigma), "past-extra")
 
 
 _GAMMA = {"gamma": lambda L: 1.0 / L}

@@ -113,7 +113,7 @@ def eag_step(state, op, p):
 
 
 def nag_eag_step(state, op, p):
-    """Corrected form of the anchored extra-gradient scheme.
+    """Corrected form of the anchored extra-gradient schemes.
 
     x_{k+1} = y_k - gamma*G(y_k)
     z_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(z_k-x_{k+1})
@@ -135,22 +135,6 @@ def comono_eag_step(state, op, p):
     state.z = anchor - (1.0 - p.beta) * (2.0 * p.rho + p.eta) * g_y
     g_z, state.g_z = state.g_z, op(state.z)
     state.y = anchor - 2.0 * p.rho * (1.0 - p.beta) * g_y - p.eta * state.g_z
-    return g_y, g_z
-
-
-def nag_comono_step(state, op, p):
-    """Corrected form of the co-monotone extra-gradient scheme.
-
-    x_{k+1} = y_k - (eta + 2 rho)*G(y_k)
-    z_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(z_k-x_{k+1})
-    y_{k+1} = z_{k+1} - eta*(G(z_{k+1}) - (1-beta)*G(y_k))
-    """
-    g_y = op(state.y)
-    x_next = state.y - (p.eta + 2.0 * p.rho) * g_y
-    state.z = x_next + p.theta * (x_next - state.x) + p.nu * (state.z - x_next)
-    state.x = x_next
-    g_z, state.g_z = state.g_z, op(state.z)
-    state.y = state.z - p.eta * (state.g_z - (1.0 - p.beta) * g_y)
     return g_y, g_z
 
 
@@ -242,8 +226,10 @@ SCHEMES = {
                       {"nag_eag": "eag"}),
     "comono_eag": Scheme(comono_eag_step, ("beta", "eta", "rho"), "yz", "yz",
                          ("comono_eag",), "rho-co-monotone", {}),
-    "nag_comono": Scheme(nag_comono_step, ("beta", "eta", "rho", "theta",
-                         "nu"), "xyz", "yz", ("nag_comono",),
+    # the corrected co-monotone scheme is the nag_eag step on the
+    # nag_comono schedule, whose fields carry the co-monotone split
+    "nag_comono": Scheme(nag_eag_step, ("gamma", "theta", "nu", "eta",
+                         "eta_hat"), "xyz", "yz", ("nag_comono",),
                          "rho-co-monotone", {}),
     "peag": Scheme(peag_step, ("beta", "eta", "eta_hat"), "yz", "z",
                    ("peag", "peag_legacy"), "monotone", {"peag": "peag"}),

@@ -394,8 +394,10 @@ def _twins(name, instance, runs, names, kw=None):
                  lambda iters: EQUIV_STEPS)
 
 
-#: nesterov_fast streams the two-correction transform of halpern_fast
+#: nesterov_fast and nesterov_slow stream the two-correction transform
+#: of halpern_fast and halpern_slow
 _ANCHORED = "halpern/halpern_fast nesterov/nesterov_fast"
+_SLOW = "halpern/halpern_slow nesterov/nesterov_slow"
 _EAG = "eag/nag_eag nag_eag/nag_eag"
 _PEAG = "peag/peag nag_peag/nag_peag"
 _COMONO = "comono_eag/comono_eag nag_comono/nag_comono"
@@ -415,6 +417,7 @@ _BILINEAR = dict(kw="rho=-1/4L", K=lambda iters: max(iters, 3000))
 #: rather than a vanishing trend.
 CHECKS = (
     _twins("halpern<->two-corr nesterov", "ls", _ANCHORED, "y"),
+    _twins("halpern<->two-corr nesterov, slow", "ls", _SLOW, "y"),
     _twins("eag<->nag_eag", "ls", _EAG, "yz"),
     _twins("peag<->nag_peag", "ls", _PEAG, "z"),
     _twins("comono_eag<->nag_comono", "ls", _COMONO, "yz", "rho=-1/4L"),

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and
 prints one pass/fail line (use ``pytest tests/test_acceptance.py -v -s``)."""
 
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -25,7 +26,11 @@ from anchored.residuals import (
     tos_residual,
 )
 from anchored.rng import SplitMix64
-from anchored.schedules import halpern_params, transformed_nesterov_stream
+from anchored.schedules import (
+    ScheduleParams,
+    halpern_params,
+    transformed_nesterov_stream,
+)
 from anchored.schemes import Solver, TraceOpts, run, solver_for
 from anchored.operators import OperatorSpec, affine_kind
 
@@ -89,8 +94,9 @@ def test_criterion_3_scheme_equivalences(ls_desk, huber_desk):
             h = recorded(solver_for(op, "halpern", "halpern_fast"), y0, 500)
             two = Solver("nesterov", op,
                          lambda L=L: transformed_nesterov_stream(
-                             lambda k: halpern_params(k, L, "fast"),
-                             lambda k: 1.0 / L))
+                             ScheduleParams(k, *halpern_params(k, L, "fast"),
+                                            gamma=1.0 / L)
+                             for k in itertools.count()))
             n = recorded(two, y0, 500)
             assert dg.equivalence_report(h, n, "y") <= 1e-8
 

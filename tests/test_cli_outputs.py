@@ -56,14 +56,14 @@ PINS = {
         "778b5eb29019072ea097078dd75a66d50399c55be8c670d36eb186d2ae361493",
         "e073fbcf2dcaa0ceed5daaaebc0bc480e5b34c1c947d5c9aacc28becc29e58de"),
     ("nag_eag", "nag_eag"): (
-        "e6e86a3c35e7a8deb65baa2e0d594e1f4b79fc13167593bab86c6f3990e3f638",
+        "850e0e0e213b83edabf60b7b31add8d5cfc4d6eaa0a452bbcab1c76ea445948e",
         "a219f257c2ccbe17a55d59c6a6182691d7d202f2a7ea4d77acff2339d254b23a"),
     ("comono_eag", "comono_eag"): (
         "c8dfed429adff935079e59eb5ba433161e395bb6ca0f24e3e4ba85ed0d055421",
         "3021e5372ecb27354a8276e158cd1c30ea0d14b659567e51a3a370ace48acfdc"),
     ("nag_comono", "nag_comono"): (
-        "8ef477f09ef94be269bcd3ea4facccae7afa308f11593e385f62928f3b836a35",
-        "9262a8a31174eaae9db100864be0929fef0d43cb80640c3be5530d9c535d4cb3"),
+        "ba71318fe087db552e6ee8bee40dfdf7e6447e759557bb4f6c38be7cb18a3b0e",
+        "3aae0245530e893a49b7e7554a70672fd367225c347cc3fe1835df334610ea88"),
     ("peag", "peag"): (
         "ac89d137f8d7e65c02090a7ac0d3879ef6e268b077f04920255ec85e056932bd",
         "b32012d69e68245611088aa0e27cd58348320aa730b99f680cfa910935f16930"),
@@ -71,8 +71,8 @@ PINS = {
         "e3c68a552d5b5f7f12038ec11da74f66480d0db9ab06636f07c9cdece2cb840e",
         "0d5b999f6c3b479cf69c81d3ef5ed4deca4911e52d752a8f6a8c2ad1145d0a14"),
     ("nag_peag", "nag_peag"): (
-        "b191dcd478e4b91eeac0546a3e458c5ff240ba4a704c897448007d27341a1435",
-        "dbd31d988d1116fba515bd79a9a575276902ba084334bc1660888e127e43ef8e"),
+        "eb079ea71431906b4407f8b7da9fc3128c76ca671a2fe9d646d9f939e764a106",
+        "c970f9c09714d61a9bd053d0846708c9b3373da8e78384cb25e9b69efc2f0747"),
 }
 
 

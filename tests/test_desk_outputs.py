@@ -50,9 +50,9 @@ DIGESTS = {
     "exam2.svg":
         "d7470fa997c54ab9550cd1cc5433e852799df2a301f4284283f205d204a31e52",
     "exam2_nag_eag.csv":
-        "36f78711d82a8f892f2a057052d3726624793c8d5c749a65b0a3973d14205904",
+        "1de2556f18bb457e50f58ba796188988b700f918c354256823e631ea5d4f88d0",
     "exam2_nag_peag.csv":
-        "b91fb271d851babf55b33c79aa525db573f0d6a6da681a09fccadb46b8bba529",
+        "bb91fb3e7e99433dde4f4314166ae157892d8a2d4e00a9fed95d1a83071e7f67",
     "halpern-halpern_fast.csv":
         "18966879321ba03dea1ec7b5de9127781ef67e3d85ed943312482a68f61d8f47",
     "halpern-halpern_omega.csv":
@@ -60,11 +60,11 @@ DIGESTS = {
     "halpern-halpern_slow.csv":
         "15ede90e39693161d4375210971b9d922ff8a883ca66e86746246f3453c22bed",
     "nag_comono-nag_comono.csv":
-        "e2f203010ec9fc84d3cd2aa0c1fd124c96b3c328bd236b1b8a9973806c266eed",
+        "feb2320c180a5b57c665fbdf18ad08aab76aa84e087d7e4e36ab2f579494592d",
     "nag_eag-nag_eag.csv":
-        "c716abd91e80a50def2ffd9249f0c1563b87eafe4f65e47967c199496e5fa92f",
+        "5ed5cbc62c42039aef9cf3fdb2d20a1f88f7497987037716678cc5933c26943a",
     "nag_peag-nag_peag.csv":
-        "b7b54a4ec7f993e1bae189a6144804c9cfef737d5d615a4d738af22437b8b60b",
+        "a838fe9aec33b45749624b2f63ce3c67c27cefd38eb5bac5a7f35f655d927190",
     "nesterov-nesterov_fast.csv":
         "9d007b218044412bd0c10a9300db9537bae87bbe410214d8bf75d309c8ed2016",
     "nesterov-nesterov_omega.csv":

@@ -1,7 +1,8 @@
 """Each schedule formula is written once, in ``schedules.py``.
 
 A step's parameters are defined by the values passed to
-``ScheduleParams(...)`` and those ``halpern_params`` returns, with each
+``ScheduleParams(...)`` or ``._replace(...)`` and those
+``halpern_params`` returns, with each
 local name that is assigned once replaced by its value, and a name
 assigned in several branches standing for each of them. The folds read
 a run's parameters from ``TracePoint.p``; a fold that rewrote a formula
@@ -11,6 +12,11 @@ the other modules, after renaming the index (``k``, ``i``, ``prev.k``)
 and ``self.<name>`` to plain names. A constant such as 1/L is not a
 formula of the index: ``schedules.constants`` resolves constants once,
 and 1/L is also the co-coercive modulus of ``schemes.CLASSES``.
+
+The corrected fields (theta, nu, kappa, zeta, gamma_hat) get values in
+one function of ``schedules.py``, the anchored-to-corrected transform
+``transformed_nesterov_stream``; every corrected rule runs an anchored
+rule through it.
 """
 
 import ast
@@ -19,6 +25,7 @@ import pathlib
 from collections import defaultdict
 
 import anchored
+from anchored.schedules import ScheduleParams
 
 INDEX = ("k", "i")
 
@@ -71,6 +78,9 @@ def definitions(source):
                 defining += [arg for arg in node.args
                              if not isinstance(arg, ast.Starred)]
                 defining += [keyword.value for keyword in node.keywords]
+            elif isinstance(node, ast.Call) and \
+                    getattr(node.func, "attr", None) == "_replace":
+                defining += [keyword.value for keyword in node.keywords]
             elif isinstance(node, ast.Return) and node.value is not None \
                     and function.name == "halpern_params":
                 value = node.value
@@ -109,7 +119,7 @@ def test_definitions_cover_the_index_rules():
     formulas = _formulas()
     for text in ("1.0 / (k + 2)", "(k + 1.0) / (k + 2.0 * omega + 2.0)",
                  "(k + omega + 2.0) / (k + 2.0 * omega + 2.0)",
-                 "k / (k + 2.0)", "(k + 1.0) / (L * (k + 2.0))"):
+                 "(k + 1.0) / (L * (k + 2.0))"):
         assert ast.dump(ast.parse(text, mode="eval").body) in formulas, text
 
 
@@ -135,3 +145,52 @@ def test_guard_sees_a_restated_formula():
     assert restatements(source, _formulas()) == [
         (3, "(i + 1.0) / (i + 2.0 * self.omega + 2.0)"),
         (4, "1.0 / (prev.k + 2)"), (5, "1.0 / (k + 2)")]
+
+
+CORRECTED = ("gamma_hat", "theta", "nu", "kappa", "zeta")
+
+
+def corrected_writers(source):
+    """(function, line, field) of each value other than None that a
+    ``ScheduleParams(...)`` or ``._replace(...)`` call gives a corrected
+    field; code outside any function is ``<module>``."""
+    found = []
+    for statement in ast.parse(source).body:
+        owner = getattr(statement, "name", "<module>")
+        for node in ast.walk(statement):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) == "ScheduleParams":
+                given = list(zip(ScheduleParams._fields, node.args))
+            elif getattr(node.func, "attr", None) == "_replace":
+                given = []
+            else:
+                continue
+            given += [(keyword.arg, keyword.value) for keyword in node.keywords]
+            found += [(owner, value.lineno, name) for name, value in given
+                      if name in CORRECTED and not (isinstance(
+                          value, ast.Constant) and value.value is None)]
+    return sorted(found)
+
+
+def test_only_the_transform_writes_corrected_fields():
+    # _nesterov_omega is exempt: its theta_0 = 1/(2 omega + 2) is not 0,
+    # so no anchored stream started at beta_{-1} = 1 produces it
+    writers = corrected_writers((_package() / "schedules.py").read_text())
+    owners = {owner for owner, _, _ in writers}
+    assert owners == {"transformed_nesterov_stream", "_nesterov_omega"}
+    assert {name for owner, _, name in writers
+            if owner == "transformed_nesterov_stream"} == set(CORRECTED)
+
+
+def test_guard_sees_a_rule_that_writes_theta():
+    # control: a corrected rule with its own closed form, positional or
+    # keyword, or patched onto an anchored stream
+    source = ("def _rule(L):\n"
+              "    return (ScheduleParams(k, 1.0 / (k + 2), theta=0.5)\n"
+              "            for k in count())\n"
+              "def _other(L):\n"
+              "    p = ScheduleParams(0, 0.5, 1.0, None, 1.0, None, 0.0)\n"
+              "    return p._replace(nu=0.5)\n")
+    assert corrected_writers(source) == [
+        ("_other", 5, "theta"), ("_other", 6, "nu"), ("_rule", 2, "theta")]

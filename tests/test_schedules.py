@@ -139,9 +139,9 @@ class TestNesterovOmega:
 
 def transform(beta, eta, gamma):
     """(theta, nu, kappa) lists of the transform for finite sequences."""
-    stream = transformed_nesterov_stream(
-        lambda k: (beta[k], eta[k]), lambda k: gamma[k])
-    params = [next(stream) for _ in beta]
+    params = list(transformed_nesterov_stream(
+        ScheduleParams(k, b, e, gamma=g)
+        for k, (b, e, g) in enumerate(zip(beta, eta, gamma))))
     return ([p.theta for p in params], [p.nu for p in params],
             [p.kappa for p in params])
 
@@ -194,14 +194,22 @@ class TestTransform:
         # each (beta, eta, gamma) is drawn once, in order
         calls = []
 
-        def beta_eta(k):
-            calls.append(k)
-            return 1.0 / (k + 2), 0.5
+        def anchored():
+            for k in itertools.count():
+                calls.append(k)
+                yield ScheduleParams(k, 1.0 / (k + 2), 0.5, gamma=1.0)
 
-        stream = transformed_nesterov_stream(beta_eta, lambda k: 1.0)
+        stream = transformed_nesterov_stream(anchored())
         for _ in range(5):
             next(stream)
         assert calls == [0, 1, 2, 3, 4]
+
+    def test_unknown_family_refused(self):
+        # not an endless loop over an anchored stream that yields nothing
+        with pytest.raises(InputError, match="family"):
+            next(transformed_nesterov_stream(
+                (ScheduleParams(k, 0.5, 1.0) for k in itertools.count()),
+                "extragradient"))
 
 
 class TestEagSchedule:
@@ -302,7 +310,8 @@ class TestNagPeagSchedule:
         gh, theta, nu, kappa, zeta = corrections(
             draws("nag_peag", 1.0, 3, sigma=1.0)[2])
         assert gh == pytest.approx(1.0)
-        assert (theta, nu, kappa, zeta) == (0.5, 0.75, 0.25, 0.125)
+        assert (theta, nu, kappa, zeta) == pytest.approx(
+            (0.5, 0.75, 0.25, 0.125), rel=0.0, abs=1e-15)
 
     def test_zero_index_corrections_vanish(self):
         p = draws("nag_peag", 1.0, 1)[0]
@@ -371,17 +380,17 @@ PINNED = [
     ("peag_legacy", 0.7, {"eta0": 0.1 / 0.7},
      "8738147648ef7305d164979942305a9d4f0b3a4650d0c2ab2935252bd348b4d3"),
     ("nag_eag", 2.5, {},
-     "43a3799c310a0a8f75586effc65b59c73125f91d05a2330c44f34c2b588ff504"),
+     "5c4056d6a4d14f37edf44a6863c1805d2509f1c62b90dfa9bef66dd7a29ad671"),
     ("nag_eag", 0.7, {},
-     "4970eaf6bafa9d732da648ad78d5ddb0eb8e6d9a40f86ebfe46946ba9d010fad"),
+     "9ccda24c8b3653417c40d5160c34f60f295eb2eb0c7fa8582a1f798fd35dae43"),
     ("nag_comono", 2.5, {"rho": -1.0 / (4.0 * 2.5)},
-     "deb745f4948511b5e4c2089879a7b95b3caefbdec16fd21bf2f2147a96b5946b"),
+     "c0b971d30e0f6f519be5d4e6bc92bbecb1579a95fea1bc8192c53e48dff88ea4"),
     ("nag_comono", 0.7, {"rho": 0.3 / 0.7},
-     "83d5bc3b9a99a8621ba6381515255c86cc1d1d4dc562720d66d24c71758db5f4"),
+     "bcc8895682aee5c63582741d06037defa5eea7b7fba7a7c40ba2748e833fb3d9"),
     ("nag_peag", 2.5, {},
-     "ca087f1ad7b6022e17767078afdece785a8f0a2fdae88967a09e104326a71ad9"),
+     "d3d032c2d75ab58fba0791aaca4696428d9959c3e1c816d8e037b332baba3747"),
     ("nag_peag", 0.7, {"sigma": 2.0},
-     "65eb7f0e59690a777149a544b4fae8b575f4a036b1525157b5520953512d4d80"),
+     "18ad5faef84bc53023cbf0ad4276ae02ec6218c8872d1bbb26ee6591369874b0"),
 ]
 
 #: a constant out of its range for each kind that reads one, NaN and inf
@@ -397,7 +406,10 @@ BAD_CONSTANTS = [
     ("eag_varying", {}), ("eag_varying", {"eta0": math.nan}),
     ("eag_varying", {"eta0": 1.0}),
     ("comono_eag", {}), ("comono_eag", {"rho": math.nan}),
-    ("nag_comono", {"rho": 2.0}),
+    ("nag_comono", {"rho": 2.0}), ("nag_comono", {"rho": math.nan}),
+    ("nesterov_fast", {"gamma": math.nan}),
+    ("nesterov_fast", {"gamma": math.inf}),
+    ("nesterov_slow", {"gamma": 0.0}),
     ("peag", {"sigma": math.nan}), ("peag", {"sigma": math.inf}),
     ("peag", {"sigma": 0.0}), ("nag_peag", {"sigma": -2.0}),
     ("nag_peag", {"sigma": math.nan}),
@@ -427,7 +439,8 @@ class TestStreams:
         # fast stepsizes with gamma = 1/L reproduce the two-correction rule
         L = 2.0
         stream = transformed_nesterov_stream(
-            lambda k: halpern_params(k, L, "fast"), lambda k: 1.0 / L)
+            ScheduleParams(k, *halpern_params(k, L, "fast"), gamma=1.0 / L)
+            for k in itertools.count())
         closed = schedule_stream("nesterov_fast", L)
         for _ in range(30):
             a, b = next(stream), next(closed)
@@ -491,3 +504,37 @@ class TestStreams:
     def test_bad_lipschitz_constant_refused(self, L):
         with pytest.raises(InputError):
             schedule_stream("halpern_fast", L)
+
+
+def closed_forms(kind, p):
+    """The closed forms the corrected rules once wrote out, as a reference:
+    (gamma_hat, theta, nu, kappa, zeta) of ``p``, None where unset."""
+    k = p.k
+    if kind == "nag_comono":
+        return (None, (k - 1.0) / (k + 1.0) if k else 0.0,
+                k / (k + 1.0) if k else 1.0, None, None)
+    theta, nu = k / (k + 2.0), (k + 1.0) / (k + 2.0)
+    if kind == "nag_eag":
+        return None, theta, nu, None, None
+    return (2.0 * p.eta_hat, theta, nu, k / (2.0 * (k + 2.0)),
+            (k - 1.0) / (2.0 * (k + 2.0)) if k else 0.0)
+
+
+#: the pinned constants of each kind that once had closed forms
+CLOSED = [c[:3] for c in PINNED if c[0] in ("nag_eag", "nag_comono",
+                                            "nag_peag")]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("kind,L,kw", CLOSED,
+                             ids=[f"{c[0]}-L{c[1]}" for c in CLOSED])
+    def test_transform_matches_the_closed_forms(self, kind, L, kw):
+        # the transform's values differ from the closed forms in the last
+        # bits only: within 4 ulps of the closed form over 2000 steps
+        for p in draws(kind, L, 2000, **kw):
+            for got, want in zip(corrections(p), closed_forms(kind, p)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert abs(got - want) <= 4.0 * math.ulp(want), (p.k, got,
+                                                                     want)

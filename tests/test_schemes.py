@@ -5,6 +5,7 @@ import pytest
 
 from anchored import diagnostics
 from anchored.errors import InputError
+from anchored.instances import desk_huber, start_point
 from anchored.operators import (
     OperatorSpec,
     affine_kind,
@@ -136,7 +137,8 @@ class TestNesterovEquivalence:
 
             def nesterov_factory():
                 return transformed_nesterov_stream(
-                    lambda k: (beta[k], eta[k]), lambda k: gamma[k])
+                    ScheduleParams(k=k, beta=beta[k], eta=eta[k],
+                                   gamma=gamma[k]) for k in range(200))
 
             from anchored.schemes import Solver
             h = points_of(Solver("halpern", op, halpern_factory), y0, 200)
@@ -195,6 +197,25 @@ class TestEag:
         b = points_of(solver_for(op, "nag_eag", "nag_eag"), y0, 300)
         assert max_rel_dev(column(a, "y"), column(b, "y")) <= 1e-8
         assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-8
+
+    @pytest.mark.parametrize("kind,kw", [("eag_constant", {}),
+                                         ("eag_varying", {"eta0": 0.5})])
+    def test_transformed_eag_schedule_tracks_eag(self, kind, kw):
+        # the extra-gradient transform of an eag schedule, with gamma_k =
+        # eta_k / (1 - beta_k), gives nag_eag_step the iterates of eag_step
+        inst = desk_huber()
+        op, y0, L = inst.operator, start_point(inst), inst.operator.lipschitz
+        kw = {key: value / L for key, value in kw.items()}
+
+        def corrected():
+            return transformed_nesterov_stream(
+                (p._replace(gamma=p.eta / (1.0 - p.beta))
+                 for p in schedule_stream(kind, L, **kw)), "extra-gradient")
+
+        a = points_of(solver_for(op, "eag", kind, **kw), y0, 2000)
+        b = points_of(Solver("nag_eag", op, corrected), y0, 2000)
+        for name in "yz":
+            assert max_rel_dev(column(a, name), column(b, name)) <= 1e-12
 
 
 class TestComono:

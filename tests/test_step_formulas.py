@@ -43,7 +43,8 @@ def _steps():
 
 def test_steps_leave_the_driver_rules_to_run():
     steps = _steps()
-    assert len(steps) == len(SCHEMES)
+    # nag_comono runs the nag_eag step on its own schedule
+    assert (len(steps), len(SCHEMES)) == (7, 8)
     source = _source()
     defined = {node.name for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}

@@ -35,7 +35,7 @@ def failing_after(inst, n_evals):
 
 
 def test_run_plan_of_the_small_suites(monkeypatch):
-    # 35 runs before sharing; 9 of them repeated another run or a prefix
+    # 46 runs before sharing; 20 of them repeated another run or a prefix
     counters, seen = [], []
     for name in ("desk_least_squares", "desk_huber", "desk_bilinear"):
         def make(build=getattr(verify, name)):
@@ -55,7 +55,7 @@ def test_run_plan_of_the_small_suites(monkeypatch):
 
     monkeypatch.setattr(verify, "run", recording_run)
     results = verify.run_suites("all", "small")
-    assert len(results) == 39 and all(r.ok for r in results)
+    assert len(results) == 40 and all(r.ok for r in results)
     assert len(counters) == 3  # each instance built once
     assert len(seen) == 26
     assert all(opts.snapshot_stride == 0 for _, opts in seen)
@@ -152,7 +152,7 @@ def test_verify_json_rows(capsys):
     assert main(["verify", "--suite", "equivalence", "--json"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [json.loads(line) for line in lines]
-    assert len(rows) == 8
+    assert len(rows) == 9
     for r in rows:
         assert set(r) == {"suite", "name", "status", "detail", "seconds"}
         assert r["suite"] == "equivalence" and r["status"] == "PASS"
@@ -221,6 +221,27 @@ def test_equivalence_row_fails_on_a_perturbed_corrected_run(monkeypatch,
 
     monkeypatch.setattr(verify, "solver_for", perturbed)
     [result] = verify.run_checks([check])
+    assert result.status == "FAIL"
+    assert float(result.detail.removeprefix("max_dev=")) > verify.EQUIV_TOL
+
+
+def test_slow_equivalence_row_fails_on_theta_1_off_by_1e_6(monkeypatch):
+    real = verify.solver_for
+
+    def perturbed(op, scheme, schedule, **kw):
+        solver = real(op, scheme, schedule, **kw)
+        if schedule != "nesterov_slow":
+            return solver
+
+        def factory(make=solver.schedule_factory):
+            for p in make():
+                yield p._replace(theta=p.theta + 1e-6) if p.k == 1 else p
+
+        return replace(solver, schedule_factory=factory)
+
+    monkeypatch.setattr(verify, "solver_for", perturbed)
+    [result] = verify.run_checks(
+        [row("halpern<->two-corr nesterov, slow [ls]")])
     assert result.status == "FAIL"
     assert float(result.detail.removeprefix("max_dev=")) > verify.EQUIV_TOL
 

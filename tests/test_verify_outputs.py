@@ -15,7 +15,7 @@ import hashlib
 
 from anchored.verify import format_table, run_suites
 
-DIGEST = "2567a0a12e41baded297ecda6067a65a8ba5147ddcd1feb899bba6c58b177b73"
+DIGEST = "2083f0fbb2b33d89e3be254be8f26d8e548963dbf28c275510607d15048a33b4"
 
 
 def test_small_verify_table_is_byte_identical():
