@@ -48,10 +48,18 @@ def _need(ok, message):
 
 
 def halpern_params(k, L, variant="fast"):
-    """beta = 1/(k+2) and eta = 2(1-beta)/L (fast) or (1-beta)/L (slow)."""
+    """beta = 1/(k+2) and eta = 2(1-beta)/L (fast) or (1-beta)/L (slow).
+
+    With ``k=None`` the result is the map k -> (beta, eta) at ``L``
+    instead, the variant checked once, for a stream to call per step.
+    """
     _need(variant in ("fast", "slow"), f"unknown variant {variant!r}")
-    beta = 1.0 / (k + 2)
-    return beta, (2.0 if variant == "fast" else 1.0) * (1.0 - beta) / L
+    scale = 2.0 if variant == "fast" else 1.0
+
+    def params(k):
+        beta = 1.0 / (k + 2)
+        return beta, scale * (1.0 - beta) / L
+    return params if k is None else params(k)
 
 
 def transformed_nesterov_stream(anchored, family="anchored"):
@@ -74,31 +82,33 @@ def transformed_nesterov_stream(anchored, family="anchored"):
     so the first corrected step reproduces the first anchored one. Step
     k-1 values are carried forward; none is range checked.
     """
+    _need(family in ("anchored", "extra-gradient", "past-extra"),
+          f"unknown transform family {family!r}")
     b1 = 1.0  # beta_{k-1}
     e1 = e2 = 0.0  # eta_{k-1}, eta_{k-2}
     g1 = gh1 = gh2 = 1.0  # gamma_{k-1}, gamma_hat_{k-1}, gamma_hat_{k-2}
     eh1 = None  # eta_hat_{k-1}
-    for p in anchored:
-        beta, eta = p.beta, p.eta
+    # one positional build per step: every corrected run's hot loop reads it
+    for k, beta, eta, eta_hat, gamma, gamma_hat, _, _, kappa, zeta, rho \
+            in anchored:
         theta = beta * (1.0 - b1) / b1
         nu = beta / b1
         if family == "anchored":
-            gamma = p.gamma
-            yield p._replace(theta=theta, nu=nu + 1.0 - beta - eta / gamma,
-                             kappa=nu * (e1 / g1 - 1.0 + b1))
+            yield ScheduleParams(k, beta, eta, eta_hat, gamma, gamma_hat,
+                                 theta, nu + 1.0 - beta - eta / gamma,
+                                 nu * (e1 / g1 - 1.0 + b1), zeta, rho)
             g1 = gamma
         elif family == "extra-gradient":
-            yield p._replace(theta=theta, nu=nu)
-        elif family == "past-extra":
-            if eh1 is None:
-                eh1 = p.eta_hat
-            gh = eh1 + eta / (1.0 - beta)
-            yield p._replace(gamma_hat=gh, theta=theta, nu=nu,
-                             kappa=e1 * (1.0 - beta) / gh1,
-                             zeta=theta * e2 / gh2)
-            eh1, gh1, gh2 = p.eta_hat, gh, gh1
+            yield ScheduleParams(k, beta, eta, eta_hat, gamma, gamma_hat,
+                                 theta, nu, kappa, zeta, rho)
         else:
-            raise InputError(f"unknown transform family {family!r}")
+            if eh1 is None:
+                eh1 = eta_hat
+            gh = eh1 + eta / (1.0 - beta)
+            yield ScheduleParams(k, beta, eta, eta_hat, gamma, gh, theta, nu,
+                                 e1 * (1.0 - beta) / gh1, theta * e2 / gh2,
+                                 rho)
+            eh1, gh1, gh2 = eta_hat, gh, gh1
         b1, e1, e2 = beta, eta, e1
 
 
@@ -109,8 +119,10 @@ def _betas(shift):
 
 def _anchored(variant, gamma=None):
     """halpern_fast/slow by :func:`halpern_params`, with a corrected gamma."""
-    return lambda L: (ScheduleParams(k, *halpern_params(k, L, variant),
-                                     gamma=gamma) for k in count())
+    def rule(L):
+        params = halpern_params(None, L, variant)
+        return (ScheduleParams(k, *params(k), gamma=gamma) for k in count())
+    return rule
 
 
 def _corrected(variant):

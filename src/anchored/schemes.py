@@ -31,6 +31,10 @@ from .operators import OperatorSpec
 from .schedules import ScheduleParams, constants, schedule_stream
 
 DIVERGENCE_LIMIT = 1e30
+#: (DIVERGENCE_LIMIT / 10)^2: a computed |v|^2 at or under it puts max |v|
+#: a factor 10 inside the limit, far beyond the dot product's rounding, so
+#: run() accepts such an iterate without the exact test of :func:`_check`
+_SAFE_SQUARED_NORM = 1e58
 
 
 @dataclass
@@ -63,8 +67,8 @@ def init_state(y0):
 
 
 def _check(v, k):
-    # one reduction on the common path: NaN fails the comparison, so
-    # NaN, inf and oversized iterates all fall through to pick the message
+    # the exact rule: NaN fails the comparison, so NaN, inf and
+    # oversized iterates all fall through to pick the message
     if np.abs(v).max() <= DIVERGENCE_LIMIT:
         return
     if not np.all(np.isfinite(v)):
@@ -388,7 +392,12 @@ def run(solver, y0, K, trace_opts=None, observers=()):
             if None in lacks(params):
                 _require(params, scheme.params)
             g_at_y, g_at_z = step(state, op, params)
-            _check(guarded(state), k)
+            v = guarded(state)
+            # one dot product on the common path; NaN, inf and a dot
+            # that overflows (numpy warns) fail the comparison and reach
+            # the exact test
+            if not v.dot(v) <= _SAFE_SQUARED_NORM:
+                _check(v, k)
         except NumericError as exc:
             error = str(exc)
             break

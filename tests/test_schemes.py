@@ -523,6 +523,33 @@ class TestRunDriver:
         assert trace.error is None
         assert len(trace) == 4
 
+    BIG = np.nextafter(1e30, np.inf)
+
+    # numpy warns when the guard's dot product overflows (an iterate past
+    # 1e154 in one step); the verdict is the exact test's all the same
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    @pytest.mark.parametrize("dim", [1, 350])
+    @pytest.mark.parametrize("value, message", [
+        (1e30, None),
+        (-1e30, None),
+        (BIG, "iterate magnitude exceeded 1e+30 at step 0"),
+        (-BIG, "iterate magnitude exceeded 1e+30 at step 0"),
+        (1e200, "iterate magnitude exceeded 1e+30 at step 0"),  # dot is inf
+        (np.nan, "non-finite iterate at step 0"),
+        (-np.inf, "non-finite iterate at step 0"),
+    ])
+    def test_divergence_guard_at_its_boundary(self, dim, value, message):
+        # y_1 = y_0 - G(y_0) = target, whose largest magnitude is |value|;
+        # at dim 350 the other components are 1e30 as well, so |y_1|^2
+        # is past the guard's dot-product threshold in every case
+        target = np.full(dim, 1e30)
+        target[dim // 2] = value
+        op = OperatorSpec(dim=dim, eval=lambda y: -target, lipschitz=1.0)
+        solver = solver_for(op, "halpern", "halpern_fast", L=1.0)
+        trace = run(solver, np.zeros(dim), 1)
+        assert trace.error == message
+        assert len(trace) == (2 if message is None else 1)
+
     @pytest.mark.parametrize("scheme, kind, name", [
         ("halpern", "halpern_fast", "eta"),
         ("halpern", "halpern_slow", "beta"),
