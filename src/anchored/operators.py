@@ -66,9 +66,13 @@ class ResolventSpec:
     inverse: Optional[np.ndarray] = field(init=False, default=None,
                                           repr=False, compare=False)
 
+    def __post_init__(self):
+        if not (0.0 < self.lam < np.inf and 0.0 < self.weight < np.inf
+                and self.lo <= self.hi):  # so that a NaN fails
+            raise InputError("a resolvent needs lam and weight positive and "
+                             "finite, and lo <= hi")
+
     def with_lambda(self, lam):
-        if lam <= 0:
-            raise InputError("resolvent index lam must be positive")
         return replace(self, lam=float(lam))
 
 
@@ -180,8 +184,8 @@ def spectral_norm(m, power=1, tol=1e-10, max_iter=10_000, seed=0):
     Rayleigh quotient has not stabilized within ``max_iter`` sweeps.
     """
     m = np.asarray(m, dtype=np.float64)
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise InputError("tol must be positive and finite")
     if not isinstance(power, Integral) or power < 1:
         raise InputError("power must be a positive integer")
     if not np.any(m):
@@ -264,8 +268,8 @@ def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
     w*eps rounds to zero, below 5e-324, can the sign of a zero differ.)
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
-    if eps <= 0 or lam <= 0 or rho_w <= 0:
-        raise InputError("lam, rho_w and eps must be positive")
+    if not all(0.0 < v < np.inf for v in (lam, rho_w, eps)):
+        raise InputError("lam, rho_w and eps must be positive and finite")
     m, n = k_mat.shape
     if k_norm is None:
         k_norm = spectral_norm(k_mat, seed=seed)

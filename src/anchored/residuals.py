@@ -38,14 +38,14 @@ class SplittingSpec:
     c: Optional[OperatorSpec] = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InputError("lam must be positive")
+        if not 0.0 < self.lam < np.inf:
+            raise InputError("lam must be positive and finite")
 
 
 def default_lambda(l_const):
     """Midpoint 2/L of the admissible window, maximizing lam*(4-lam*L)/4."""
-    if l_const <= 0:
-        raise InputError("L must be positive")
+    if not 0.0 < l_const < np.inf:
+        raise InputError("L must be positive and finite")
     return 2.0 / l_const
 
 

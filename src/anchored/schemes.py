@@ -41,10 +41,10 @@ _SAFE_SQUARED_NORM = 1e58
 class IterateState:
     """The iterates and cached operator values some step reads.
 
-    Each step writes only the slots it or :func:`run` reads; the others
-    keep their initial value y0. ``g_z`` caches G at the current z
-    iterate (the extra-gradient and ``peag`` steps; None before the
-    first step) and ``g_z_prev`` the one before it (``nag_peag``).
+    Every slot starts as the one array y0. A step rebinds the slots it
+    or :func:`run` reads and never writes into an array. ``g_z`` caches
+    G at the current z iterate (extra-gradient and ``peag`` steps; None
+    before the first step), ``g_z_prev`` the one before (``nag_peag``).
     """
 
     y0: np.ndarray
@@ -60,10 +60,9 @@ class IterateState:
 
 
 def init_state(y0):
+    """The state before step 0: one float64 copy of y0 in every slot."""
     y0 = np.array(y0, dtype=np.float64, ndmin=1)
-    return IterateState(y0=y0, x=y0.copy(), x_prev=y0.copy(),
-                        y=y0.copy(), y_prev=y0.copy(), z=y0.copy(),
-                        z_prev=y0.copy(), z_prev2=y0.copy())
+    return IterateState(y0, y0, y0, y0, y0, y0, y0, y0)
 
 
 def _check(v, k):
@@ -333,30 +332,27 @@ def _norm(v):
 def run(solver, y0, K, trace_opts=None, observers=()):
     """Execute ``K`` steps and collect a :class:`RunTrace`.
 
-    Deterministic given (y0, schedule, operator). After each step the
-    divergence guard checks the iterate the step advances, y, or z
-    where the scheme's row has no y; on a numeric error the trace is
-    truncated at the failing step and carries the error text. A step
-    that returns no G z_0 has it from G y_0, z_0 being y_0.
-    A schedule step that lacks a field the scheme reads is an
-    :class:`InputError`. Everything scheme-specific comes from the
-    scheme's :data:`SCHEMES` row.
+    Deterministic given (y0, schedule, operator). One loop walks k =
+    0..K. A step index k < K runs the scheme's step and the divergence
+    guard on the iterate it advances (y, or z where the row has no y);
+    a numeric error truncates the trace there, and the trace carries
+    its text. A schedule step that lacks a field the scheme reads is an
+    :class:`InputError`. The last index K makes G(y_K) where the row
+    evaluates at y and takes G(z_K) from the step's cache. Everything
+    scheme-specific comes from the scheme's :data:`SCHEMES` row.
+
+    Array identity is point identity: no step or operator writes into
+    an array, and :func:`init_state` puts the one array y0 in every
+    slot. So every index reuses a G made at the same array: G(z_0) is
+    G(y_0), and ``track_x_residual``'s ``TracePoint.g_x`` is G(y_k) or
+    G(z_k) where the x slot is that array, else one evaluation.
 
     Observers are the one way to see the iterates: each is called with
     the :class:`TracePoint` of every index 0..K in order (the
     diagnostics folds; ``observers=[points.append]`` keeps them all).
-    Iterate arrays are never mutated after creation, so a point holds
-    references rather than copies. Observers never evaluate the
-    operator, so the evaluation budget is the same with or without
-    them, and with no observers no point is built. ``track_x_residual``
-    evaluates G at the x slot of every index and hands the value to
-    observers as ``TracePoint.g_x``; where the x slot is y_k and the
-    scheme evaluates G there, it reuses that value instead.
-
-    The final index K follows one rule: G(y_K) is evaluated when the
-    scheme evaluates at y. G(z_K) is the step's cached value; without
-    one it is G(y_K) when z_K is y_K (K = 0), else one evaluation. A
-    tracked x residual at K = 0 reuses whichever of the two was made.
+    A point holds references to the run's arrays, not copies. Observers
+    never evaluate the operator, so the evaluation budget is the same
+    with or without them, and with no observers no point is built.
     """
     if K < 0:
         raise InputError("K must be nonnegative")
@@ -379,74 +375,52 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     error = None
     observers = tuple(observers)
 
-    def emit(point):
-        for observe in observers:
-            observe(point)
-
-    done = 0
-    for k in range(K):
-        y_old, z_old = state.y, state.z
-        x_old = state.x if has_x else y_old
-        try:
-            params = next(schedule)
-            if None in lacks(params):
-                _require(params, scheme.params)
-            g_at_y, g_at_z = step(state, op, params)
-            v = guarded(state)
-            # one dot product on the common path; NaN, inf and a dot
-            # that overflows (numpy warns) fail the comparison and reach
-            # the exact test
-            if not v.dot(v) <= _SAFE_SQUARED_NORM:
-                _check(v, k)
-        except NumericError as exc:
-            error = str(exc)
-            break
-        if g_at_z is None and at_z:
-            g_at_z = g_at_y  # z_0 = y_0
-        if g_at_y is not None:
-            norm_g_y[k] = _norm(g_at_y)
-        if g_at_z is not None:
-            norm_g_z[k] = _norm(g_at_z)
-        if has_x:
-            norm_dx[k] = _norm(state.x - x_old)
+    for k in range(K + 1):
+        y, z = state.y, state.z
+        x = state.x if has_x else y
+        params = None
+        if k < K:
+            try:
+                params = next(schedule)
+                if None in lacks(params):
+                    _require(params, scheme.params)
+                g_y, g_z = step(state, op, params)
+                v = guarded(state)
+                # one dot product on the common path; NaN, inf and a dot
+                # that overflows (numpy warns) fail the comparison and
+                # reach the exact test
+                if not v.dot(v) <= _SAFE_SQUARED_NORM:
+                    _check(v, k)
+            except NumericError as exc:
+                error = str(exc)
+                break
+            if has_x:
+                norm_dx[k] = _norm(state.x - x)
+                if has_y:
+                    norm_yx[k] = _norm(y - x)
             if has_y:
-                norm_yx[k] = _norm(y_old - x_old)
-        if has_y:
-            norm_dy[k] = _norm(state.y - y_old)
-        g_at_x = None
+                norm_dy[k] = _norm(state.y - y)
+        else:
+            g_y = op(y) if at_y else None
+            g_z = state.g_z
+        if g_z is None and at_z:
+            g_z = g_y if z is y and g_y is not None else op(z)
+        g_x = None
         if opts.track_x_residual:
-            # without an x iterate the x slot is y_k, whose G the step made
-            g_at_x = op(x_old) if has_x or g_at_y is None else g_at_y
-            norm_g_x[k] = _norm(g_at_x)
+            g_x = (g_y if x is y and g_y is not None else
+                   g_z if x is z and g_z is not None else op(x))
+            norm_g_x[k] = _norm(g_x)
+        if g_y is not None:
+            norm_g_y[k] = _norm(g_y)
+        if g_z is not None:
+            norm_g_z[k] = _norm(g_z)
         if observers:
-            emit(TracePoint(k=k, x=x_old, y=y_old, z=z_old, g_y=g_at_y,
-                            g_z=g_at_z, g_x=g_at_x, p=params))
-        done = k + 1
+            point = TracePoint(k=k, x=x, y=y, z=z, g_y=g_y, g_z=g_z,
+                               g_x=g_x, p=params)
+            for observe in observers:
+                observe(point)
 
-    if error is None:
-        g_final_y = op(state.y) if at_y else None
-        g_final_z = state.g_z
-        if g_final_z is None and at_z:
-            # no cached value: z_K is y_K only at K = 0
-            g_final_z = g_final_y if K == 0 and at_y else op(state.z)
-        x_at = state.x if has_x else state.y
-        g_at_x = None
-        if opts.track_x_residual:
-            if K == 0:  # x_0 = y_0 = z_0
-                g_at_x = g_final_y if g_final_y is not None else g_final_z
-            elif not has_x:  # the x slot is y_K
-                g_at_x = g_final_y
-            if g_at_x is None:
-                g_at_x = op(x_at)
-        for norms, g in ((norm_g_y, g_final_y), (norm_g_z, g_final_z),
-                         (norm_g_x, g_at_x)):
-            if g is not None:
-                norms[K] = _norm(g)
-        if observers:
-            emit(TracePoint(k=K, x=x_at, y=state.y, z=state.z,
-                            g_y=g_final_y, g_z=g_final_z, g_x=g_at_x))
-
-    end = done + 1
+    end = k + 1  # k is K, or the step that failed
     meta = dict(solver.meta)
     meta.update(scheme=solver.scheme, K=K, dim=len(np.atleast_1d(y0)))
     return RunTrace(meta=meta, k=np.arange(end),

@@ -160,18 +160,19 @@ class TestPastExtraFolds:
             dg.bound_check(trace, "peag_residual", 1.0, 1.0, sigma=1.0)
 
     def test_evaluation_budget(self, hub):
-        # K steps plus the warm-up, plus G at y_k for k = 0..K; the folds
-        # themselves evaluate nothing
+        # K steps plus the warm-up, plus G at y_k for k = 1..K (G y_0 is
+        # the warm-up's G z_0, z_0 being y_0); the folds themselves
+        # evaluate nothing
         L, y_star, y0 = hub.operator.lipschitz, hub.solution, start_point(hub)
         op, counter = counted(hub.operator)
         folds = (dg.PeagPotentialFold(L, 2.0, y_star), dg.PeagGapFold(L, 2.0),
                  dg.PeagResidualFold(L, 1.0, sigma=2.0))
         run(solver_for(op, "peag", "peag", sigma=2.0), y0, K_PEAG, X_RESIDUAL,
             observers=folds)
-        assert counter.count == 2 * K_PEAG + 2
+        assert counter.count == 2 * K_PEAG + 1
         folds[1].report(folds[0].series()[0])
         folds[2].report()
-        assert counter.count == 2 * K_PEAG + 2
+        assert counter.count == 2 * K_PEAG + 1
 
     def test_g_x_is_g_at_y(self, hub):
         op, y0 = hub.operator, start_point(hub)

@@ -285,8 +285,9 @@ class TestCli:
 
     def test_peag_potential_streams_at_stride_zero(self, tmp_path,
                                                    monkeypatch):
-        # 2K+2 evaluations: K steps, the warm-up at z_0 and G y_k at every
-        # index for the potential; the column equals the potential of the
+        # 2K+1 evaluations: K steps, the warm-up at z_0 and G y_k at
+        # k = 1..K for the potential (G y_0 is the warm-up's value, z_0
+        # being y_0); the column equals the potential of the
         # points of an untracked run, with G evaluated at each y_k after it
         K = 50
         cfg = tmp_path / "cfg.ini"
@@ -304,7 +305,7 @@ class TestCli:
 
         monkeypatch.setattr(cli, "_build_instance", counted_instance)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert counters[0].count == 2 * K + 2
+        assert counters[0].count == 2 * K + 1
 
         inst = gen_minimax_huber(40, 40, seed=7)
         op = inst.operator

@@ -8,11 +8,13 @@ from anchored.operators import (
     OperatorSpec,
     affine_kind,
     box_kind,
+    huber_saddle_operator,
     identity_operator,
     l1_kind,
     least_squares_kind,
     least_squares_operator,
     resolvent_apply,
+    spectral_norm,
     zero_kind,
 )
 from anchored.residuals import (
@@ -251,6 +253,38 @@ def test_forward_part_without_a_positive_modulus_is_refused(build, modulus):
                       comonotone_modulus=modulus)
     with pytest.raises(InputError, match="needs a positive one"):
         build(op)
+
+
+NAN, INF = float("nan"), float("inf")
+#: each scalar a constructor needs positive and finite
+SCALAR_BUILDERS = {
+    "with_lambda": lambda v: l1_kind(0.1).with_lambda(v),
+    "l1_weight": lambda v: l1_kind(v),
+    "splitting_lam": lambda v: SplittingSpec(a=l1_kind(0.1), b=zero_kind(),
+                                             lam=v),
+    "default_lambda": lambda v: default_lambda(v),
+    "yosida": lambda v: yosida(l1_kind(0.1), v, dim=2),
+    "huber_lam": lambda v: huber_saddle_operator(np.eye(2), v, 1.0, 0.05),
+    "huber_rho_w": lambda v: huber_saddle_operator(np.eye(2), 1.0, v, 0.05),
+    "huber_eps": lambda v: huber_saddle_operator(np.eye(2), 1.0, 1.0, v),
+    "spectral_norm_tol": lambda v: spectral_norm(np.eye(2), tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [NAN, INF, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(SCALAR_BUILDERS))
+def test_constructors_refuse_a_scalar_that_is_not_positive_and_finite(
+        name, value):
+    with pytest.raises(InputError, match="positive and finite"):
+        SCALAR_BUILDERS[name](value)
+    SCALAR_BUILDERS[name](0.5)  # control: a valid value builds
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, -1.0), (NAN, 1.0), (0.0, NAN)])
+def test_box_refuses_lo_above_hi_or_nan(lo, hi):
+    with pytest.raises(InputError, match="lo <= hi"):
+        box_kind(lo, hi)
+    box_kind(-INF, INF)  # control: the box may be unbounded
 
 
 class TestCocoercivityReport:

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,10 +77,14 @@ def max_rel_dev(seq_a, seq_b):
 
 class TestStateInit:
     def test_all_slots_start_at_anchor(self):
-        y0 = np.array([1.0, -2.0])
+        # one float64 copy of y0, the same array in every slot
+        y0 = np.array([1, -2])
         s = init_state(y0)
-        for name in ("x", "x_prev", "y", "y_prev", "z", "z_prev", "z_prev2"):
-            assert np.array_equal(getattr(s, name), y0)
+        assert s.y0 is not y0 and s.y0.dtype == np.float64
+        assert np.array_equal(s.y0, y0)
+        slots = [f.name for f in fields(s) if not f.name.startswith("g_")]
+        assert len(slots) == 8
+        assert all(getattr(s, name) is s.y0 for name in slots)
 
 
 class TestHalpern:
@@ -703,6 +708,50 @@ def _table_solver(name, op):
     return solver_for(op, name, kind, **kw)
 
 
+K_COUNT = 10
+#: evaluations of a K_COUNT-step run without tracking, and the ones that
+#: tracking the x residual adds: G x_k for k >= 1 where the x slot is an x
+#: iterate, or y_k where the scheme evaluates G at z only
+EVALUATIONS = {
+    "halpern": (K_COUNT + 1, 0),
+    "nesterov": (K_COUNT + 1, K_COUNT),
+    "eag": (2 * K_COUNT + 1, 0),
+    "nag_eag": (2 * K_COUNT + 1, K_COUNT),
+    "comono_eag": (2 * K_COUNT + 1, 0),
+    "nag_comono": (2 * K_COUNT + 1, K_COUNT),
+    "peag": (K_COUNT + 1, K_COUNT),
+    "nag_peag": (K_COUNT + 1, K_COUNT),
+}
+
+
+def changed_arrays(solver, y0, K):
+    """The arrays of a tracked run whose bytes changed after they were seen.
+
+    An observer records the bytes of every point's iterates and operator
+    values, and the operator records the bytes of every input. run()
+    reads array identity as point identity, which holds only while no
+    array is written into.
+    """
+    seen = []
+
+    def record(what, v):
+        seen.append((what, v, v.tobytes()))
+
+    def apply(y, evaluate=solver.operator.eval):
+        record("operator input", y)
+        return evaluate(y)
+
+    def observe(point):
+        for name in ("x", "y", "z", "g_y", "g_z", "g_x"):
+            if getattr(point, name) is not None:
+                record(f"{name} at k = {point.k}", getattr(point, name))
+
+    watched = replace(solver, operator=replace(solver.operator, eval=apply))
+    run(watched, y0, K, TraceOpts(track_x_residual=True),
+        observers=(observe,))
+    return [what for what, v, before in seen if v.tobytes() != before]
+
+
 class TestSchemeTable:
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_columns_follow_the_declaration(self, name):
@@ -775,6 +824,39 @@ class TestSchemeTable:
         for prev, point in zip(points, points[1:]):
             gamma_hat = next(stream).gamma_hat
             assert np.array_equal(point.x, prev.z - gamma_hat * prev.g_z)
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_evaluation_counts(self, name, tracked):
+        assert set(EVALUATIONS) == set(SCHEMES)
+        untracked, added = EVALUATIONS[name]
+        op, counter = counted(identity_operator(2))
+        run(_table_solver(name, op), np.array([1.0, 2.0]), K_COUNT,
+            TraceOpts(track_x_residual=tracked))
+        assert counter.count == untracked + (added if tracked else 0)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_arrays_keep_their_bytes(self, name):
+        op = least_squares_operator(
+            unit_columns(SplitMix64(41).normal_matrix(8, 4)), np.ones(8))
+        assert changed_arrays(_table_solver(name, op),
+                              SplitMix64(43).normal(4), 6) == []
+
+    def test_a_step_that_writes_into_its_iterate_is_caught(self,
+                                                           monkeypatch):
+        # control: y_k -= eta G(y_k) writes into y_k, which earlier
+        # points, operator inputs and (at k = 0) the anchor hold
+        def writing_step(state, op, p):
+            g_y = op(state.y)
+            state.y -= p.eta * g_y
+            return g_y, None
+
+        monkeypatch.setitem(SCHEMES, "halpern",
+                            SCHEMES["halpern"]._replace(step=writing_step))
+        op = least_squares_operator(
+            unit_columns(SplitMix64(41).normal_matrix(8, 4)), np.ones(8))
+        assert changed_arrays(_table_solver("halpern", op),
+                              SplitMix64(43).normal(4), 6) != []
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_zero_steps_make_one_evaluation(self, name):

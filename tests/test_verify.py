@@ -60,7 +60,8 @@ def test_run_plan_of_the_small_suites(monkeypatch):
     assert len(seen) == 26
     assert all(opts.snapshot_stride == 0 for _, opts in seen)
     assert len({key for key, _ in seen}) == 26
-    assert sum(c.count for c in counters) == 60226
+    # a tracked run's G x_0 is its G y_0 or G z_0, x_0 being y_0 = z_0
+    assert sum(c.count for c in counters) == 60224
 
 
 @pytest.mark.parametrize("name", [
