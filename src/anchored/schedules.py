@@ -66,28 +66,36 @@ def transformed_nesterov_stream(anchored, family="anchored"):
     """The corrected (Nesterov-form) parameters of an anchored stream.
 
     ``anchored`` yields an anchored rule's :class:`ScheduleParams`; each is
-    yielded again with its corrected fields. Every family shares
-    theta_k = beta_k (1 - beta_{k-1}) / beta_{k-1} and nu_k = beta_k /
-    beta_{k-1}, at beta_{-1} = 1 (so theta_0 = 0, nu_0 = beta_0), and adds
-    the corrections of its step:
+    yielded again with its corrected fields. Before the start beta_{-1} =
+    1 and every other value is 0. Every family shares theta_k = beta_k
+    (1 - beta_{k-1}) / beta_{k-1} and nu_k = beta_k / beta_{k-1} (so
+    theta_0 = 0, nu_0 = beta_0), and adds the corrections of its step:
 
     * "anchored": nu_k += 1 - beta_k - eta_k / gamma_k and kappa_k =
       (beta_k / beta_{k-1}) (eta_{k-1} / gamma_{k-1} - 1 + beta_{k-1});
     * "extra-gradient": none, the stream's gamma, eta, eta_hat are the step's;
     * "past-extra": gamma_hat_k = eta_hat_{k-1} + eta_k / (1 - beta_k),
-      kappa_k = eta_{k-1} (1 - beta_k) / gamma_hat_{k-1} and
-      zeta_k = theta_k eta_{k-2} / gamma_hat_{k-2}.
+      kappa_k = (1 - beta_k) eta_{k-1} / gamma_hat_{k-1} and zeta_k =
+      theta_k eta_{k-2} / gamma_hat_{k-2}.
 
-    Before the start eta_{-1} = eta_{-2} = 0 and eta_hat_{-1} = eta_hat_0,
-    so the first corrected step reproduces the first anchored one. Step
-    k-1 values are carried forward; none is range checked.
+    The past-extra fields come from ``peag``'s y_k = z_k - eta_hat_{k-1}
+    G z_k + eta_{k-1} G z_{k-1} (y_0 = z_0). Put in z_{k+1} = beta_k y0 +
+    (1 - beta_k) y_k - eta_k G z_k, with xhat_{k+1} = z_k - gamma_hat_k
+    G z_k and G z_{k-1} = (z_{k-1} - xhat_k) / gamma_hat_{k-1}, it gives
+
+        z_{k+1} = beta_k y0 + (1 - beta_k) xhat_{k+1}
+                  + kappa_k (z_{k-1} - xhat_k).
+
+    Eliminating beta_k y0 with beta_k / beta_{k-1} times this relation
+    one index back gives ``nag_peag_step``'s z update, at every k = 0, 1,
+    ... and for any varying (eta, eta_hat). Step k-1 values are carried
+    as the ratios eta / gamma and eta / gamma_hat; none is range checked.
     """
     _need(family in ("anchored", "extra-gradient", "past-extra"),
           f"unknown transform family {family!r}")
     b1 = 1.0  # beta_{k-1}
-    e1 = e2 = 0.0  # eta_{k-1}, eta_{k-2}
-    g1 = gh1 = gh2 = 1.0  # gamma_{k-1}, gamma_hat_{k-1}, gamma_hat_{k-2}
-    eh1 = None  # eta_hat_{k-1}
+    eh1 = 0.0  # eta_hat_{k-1}
+    r1 = r2 = 0.0  # eta / gamma (or gamma_hat) at k-1, at k-2
     # one positional build per step: every corrected run's hot loop reads it
     for k, beta, eta, eta_hat, gamma, gamma_hat, _, _, kappa, zeta, rho \
             in anchored:
@@ -96,20 +104,17 @@ def transformed_nesterov_stream(anchored, family="anchored"):
         if family == "anchored":
             yield ScheduleParams(k, beta, eta, eta_hat, gamma, gamma_hat,
                                  theta, nu + 1.0 - beta - eta / gamma,
-                                 nu * (e1 / g1 - 1.0 + b1), zeta, rho)
-            g1 = gamma
+                                 nu * (r1 - 1.0 + b1), zeta, rho)
+            r1 = eta / gamma
         elif family == "extra-gradient":
             yield ScheduleParams(k, beta, eta, eta_hat, gamma, gamma_hat,
                                  theta, nu, kappa, zeta, rho)
         else:
-            if eh1 is None:
-                eh1 = eta_hat
             gh = eh1 + eta / (1.0 - beta)
             yield ScheduleParams(k, beta, eta, eta_hat, gamma, gh, theta, nu,
-                                 e1 * (1.0 - beta) / gh1, theta * e2 / gh2,
-                                 rho)
-            eh1, gh1, gh2 = eta_hat, gh, gh1
-        b1, e1, e2 = beta, eta, e1
+                                 (1.0 - beta) * r1, theta * r2, rho)
+            eh1, r1, r2 = eta_hat, eta / gh, r1
+        b1 = beta
 
 
 def _betas(shift):
@@ -250,9 +255,10 @@ def _peag(L, sigma):
 
 
 def _nag_peag(L, sigma):
-    """The ``peag`` steps, transformed: gamma_hat = 2 eta_hat, theta =
-    k/(k+2), nu = (k+1)/(k+2), kappa = k/(2(k+2)), zeta = (k-1)/(2(k+2))
-    from k = 1 and 0 at k = 0, each to rounding."""
+    """The ``peag`` steps, transformed: theta = k/(k+2), nu = (k+1)/(k+2);
+    gamma_hat = eta_hat at k = 0, then 2 eta_hat; kappa = 0, 1/3, then
+    k/(2(k+2)) from k = 2; zeta = 0, 0, 1/4, then (k-1)/(2(k+2)) from
+    k = 3; each to rounding."""
     return transformed_nesterov_stream(_peag(L, sigma), "past-extra")
 
 

@@ -44,7 +44,7 @@ class IterateState:
     Every slot starts as the one array y0. A step rebinds the slots it
     or :func:`run` reads and never writes into an array. ``g_z`` caches
     G at the current z iterate (extra-gradient and ``peag`` steps; None
-    before the first step), ``g_z_prev`` the one before (``nag_peag``).
+    before the first step).
     """
 
     y0: np.ndarray
@@ -56,7 +56,6 @@ class IterateState:
     z_prev: np.ndarray
     z_prev2: np.ndarray
     g_z: Optional[np.ndarray] = None
-    g_z_prev: Optional[np.ndarray] = None
 
 
 def init_state(y0):
@@ -165,12 +164,9 @@ def nag_peag_step(state, op, p):
     z_{k+1} = x_{k+1} + theta*(x_{k+1}-x_k) + nu*(z_k-x_{k+1})
               + kappa*(z_{k-1}-x_k) - zeta*(z_{k-2}-x_{k-1})
 
-    (x is the paper's xhat.) All histories start at y0, which zeroes the
-    difference vectors that would otherwise encode G(z_0) at k = 0 and
-    k = 1; those two steps apply the equivalent corrections
-    +eta_hat*(1-beta)*G(z_0) and -theta*eta_hat*G(z_0) directly, using
-    the cached value, so the z-sequence matches the past-extra anchored
-    one from the start.
+    (x is the paper's xhat.) All histories start at y0; the past-extra
+    transform starts every correction at 0, so the z sequence is the
+    past-extra anchored one from the first step.
     """
     g_z = op(state.z)
     x_next = state.z - p.gamma_hat * g_z
@@ -178,13 +174,8 @@ def nag_peag_step(state, op, p):
               + p.nu * (state.z - x_next)
               + p.kappa * (state.z_prev - state.x)
               - p.zeta * (state.z_prev2 - state.x_prev))
-    if p.k == 0:
-        z_next = z_next + p.eta_hat * (1.0 - p.beta) * g_z
-    elif p.k == 1:
-        z_next = z_next - p.theta * p.eta_hat * state.g_z_prev
     state.z_prev2, state.z_prev, state.z = state.z_prev, state.z, z_next
     state.x_prev, state.x = state.x, x_next
-    state.g_z_prev = g_z
     return None, g_z
 
 
@@ -237,8 +228,7 @@ SCHEMES = {
     "peag": Scheme(peag_step, ("beta", "eta", "eta_hat"), "yz", "z",
                    ("peag", "peag_legacy"), "monotone", {"peag": "peag"}),
     "nag_peag": Scheme(nag_peag_step, ("gamma_hat", "theta", "nu", "kappa",
-                       "zeta", "beta", "eta_hat"), "xz", "z", ("nag_peag",),
-                       "monotone", {}),
+                       "zeta"), "xz", "z", ("nag_peag",), "monotone", {}),
 }
 
 SCHEME_KINDS = tuple(SCHEMES)

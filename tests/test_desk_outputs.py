@@ -48,11 +48,11 @@ DIGESTS = {
     "exam1_nesterov_slow.csv":
         "77fbdcbafcb4c022e0c0015ccafe391bbe45df3bc433c350389c2cff9014c5c3",
     "exam2.svg":
-        "d7470fa997c54ab9550cd1cc5433e852799df2a301f4284283f205d204a31e52",
+        "488aa8cc42dd3293be4b9f7febc15bbb92438b4db7c5857189f9dd567094758d",
     "exam2_nag_eag.csv":
         "1de2556f18bb457e50f58ba796188988b700f918c354256823e631ea5d4f88d0",
     "exam2_nag_peag.csv":
-        "bb91fb3e7e99433dde4f4314166ae157892d8a2d4e00a9fed95d1a83071e7f67",
+        "3b0845f73112d1ce639cb164d42a41c6c0c43f6bc813fea5b2473fe97af3a84c",
     "halpern-halpern_fast.csv":
         "18966879321ba03dea1ec7b5de9127781ef67e3d85ed943312482a68f61d8f47",
     "halpern-halpern_omega.csv":
@@ -64,7 +64,7 @@ DIGESTS = {
     "nag_eag-nag_eag.csv":
         "5ed5cbc62c42039aef9cf3fdb2d20a1f88f7497987037716678cc5933c26943a",
     "nag_peag-nag_peag.csv":
-        "a838fe9aec33b45749624b2f63ce3c67c27cefd38eb5bac5a7f35f655d927190",
+        "94b954138f8014979ef3c1d375df2addd94e3a0d4b8c773dc593417189438169",
     "nesterov-nesterov_fast.csv":
         "9d007b218044412bd0c10a9300db9537bae87bbe410214d8bf75d309c8ed2016",
     "nesterov-nesterov_omega.csv":

@@ -28,38 +28,33 @@ def nag_peag_schedule_general(k, L, sigma=1.0):
 
     gamma_hat_k = eta_hat_{k-1} + eta_k / (1 - beta_k),
     kappa_k = eta_{k-1} (1 - beta_k) / gamma_hat_{k-1},
-    zeta_k = theta_k eta_{k-2} / gamma_hat_{k-2}, with negative-index
-    stepsizes set to the index-0 values, and the stepsizes read from the
+    zeta_k = theta_k eta_{k-2} / gamma_hat_{k-2}, with beta_{-1} = 1 and
+    every other value before the start 0, and the stepsizes read from the
     ``peag`` stream. The reference the closed forms of ``nag_peag`` are
     checked against.
     """
     peag = draws("peag", L, k + 1, sigma=sigma)
 
     def stepsizes(j):
-        p = peag[max(j, 0)]
+        if j < 0:
+            return 1.0, 0.0, 0.0
+        p = peag[j]
         return p.beta, p.eta, p.eta_hat
-
-    beta_k, eta_k, eta_hat_k = stepsizes(k)
 
     def gamma_hat_at(j):
         b, e, _ = stepsizes(j)
         _, _, eh_prev = stepsizes(j - 1)
         return eh_prev + e / (1.0 - b)
 
-    gamma_hat = gamma_hat_at(k)
-    if k == 0:
-        return gamma_hat, 0.0, 1.0 / 2.0, 0.0, 0.0
+    def correction(j, weight):  # weight eta_j / gamma_hat_j, 0 before k = 0
+        return 0.0 if j < 0 else weight * stepsizes(j)[1] / gamma_hat_at(j)
+
+    beta_k = stepsizes(k)[0]
     beta_prev = 1.0 / (k + 1)
     theta = beta_k * (1.0 - beta_prev) / beta_prev
     nu = beta_k / beta_prev
-    _, eta_prev, _ = stepsizes(k - 1)
-    kappa = eta_prev * (1.0 - beta_k) / gamma_hat_at(k - 1)
-    if k == 1:
-        zeta = 0.0
-    else:
-        _, eta_pp, _ = stepsizes(k - 2)
-        zeta = theta * eta_pp / gamma_hat_at(k - 2)
-    return gamma_hat, theta, nu, kappa, zeta
+    return (gamma_hat_at(k), theta, nu, correction(k - 1, 1.0 - beta_k),
+            correction(k - 2, theta))
 
 
 class TestHalpernParams:
@@ -311,7 +306,7 @@ class TestNagPeagSchedule:
             draws("nag_peag", 1.0, 3, sigma=1.0)[2])
         assert gh == pytest.approx(1.0)
         assert (theta, nu, kappa, zeta) == pytest.approx(
-            (0.5, 0.75, 0.25, 0.125), rel=0.0, abs=1e-15)
+            (0.5, 0.75, 0.25, 0.25), rel=0.0, abs=1e-15)
 
     def test_zero_index_corrections_vanish(self):
         p = draws("nag_peag", 1.0, 1)[0]
@@ -388,9 +383,9 @@ PINNED = [
     ("nag_comono", 0.7, {"rho": 0.3 / 0.7},
      "bcc8895682aee5c63582741d06037defa5eea7b7fba7a7c40ba2748e833fb3d9"),
     ("nag_peag", 2.5, {},
-     "d3d032c2d75ab58fba0791aaca4696428d9959c3e1c816d8e037b332baba3747"),
+     "205db3f8d9de27b762ba5d50ad8da4e185c6728190e924399e47b4aaea605f82"),
     ("nag_peag", 0.7, {"sigma": 2.0},
-     "18ad5faef84bc53023cbf0ad4276ae02ec6218c8872d1bbb26ee6591369874b0"),
+     "ed9ef8b84ad17ddc3067edd953fba9f764d2ed8f4fd5773fc48abfce185b51ff"),
 ]
 
 #: a constant out of its range for each kind that reads one, NaN and inf
@@ -516,8 +511,9 @@ def closed_forms(kind, p):
     theta, nu = k / (k + 2.0), (k + 1.0) / (k + 2.0)
     if kind == "nag_eag":
         return None, theta, nu, None, None
-    return (2.0 * p.eta_hat, theta, nu, k / (2.0 * (k + 2.0)),
-            (k - 1.0) / (2.0 * (k + 2.0)) if k else 0.0)
+    return ((2.0 if k else 1.0) * p.eta_hat, theta, nu,
+            (0.0, 1.0 / 3.0)[k] if k < 2 else k / (2.0 * (k + 2.0)),
+            (0.0, 0.0, 0.25)[k] if k < 3 else (k - 1.0) / (2.0 * (k + 2.0)))
 
 
 #: the pinned constants of each kind that once had closed forms

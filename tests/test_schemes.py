@@ -222,6 +222,21 @@ class TestEag:
         for name in "yz":
             assert max_rel_dev(column(a, name), column(b, name)) <= 1e-12
 
+    def test_transformed_peag_legacy_schedule_tracks_peag(self):
+        # the past-extra transform of the varying peag_legacy steps gives
+        # nag_peag_step the z iterates of peag_step
+        inst = desk_huber()
+        op, y0, L = inst.operator, start_point(inst), inst.operator.lipschitz
+
+        def corrected():
+            return transformed_nesterov_stream(
+                schedule_stream("peag_legacy", L, eta0=0.4 / L), "past-extra")
+
+        a = points_of(solver_for(op, "peag", "peag_legacy", eta0=0.4 / L),
+                      y0, 2000)
+        b = points_of(Solver("nag_peag", op, corrected), y0, 2000)
+        assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-12
+
 
 class TestComono:
     def _manual_eag_like_stream(self, L):
@@ -332,6 +347,21 @@ class TestPeag:
         a = points_of(solver_for(op, "peag", "peag"), y0, 300)
         b = points_of(solver_for(op, "nag_peag", "nag_peag"), y0, 300)
         assert max_rel_dev(column(a, "z"), column(b, "z")) <= 1e-8
+
+    def test_xhat_relation_holds_at_every_index(self):
+        # z_{k+1} = beta_k y0 + (1 - beta_k) xhat_{k+1}
+        #           + kappa_k (z_{k-1} - xhat_k), k = 0 included (z_{-1} = y0)
+        inst = desk_huber()
+        op, y0 = inst.operator, start_point(inst)
+        points = points_of(solver_for(op, "nag_peag", "nag_peag"), y0, 300)
+        z_prev = y0
+        for point, after in zip(points, points[1:]):
+            p = point.p
+            want = (p.beta * y0 + (1.0 - p.beta) * after.x
+                    + p.kappa * (z_prev - point.x))
+            dev = np.linalg.norm(after.z - want) / np.linalg.norm(after.z)
+            assert dev <= 1e-13, (point.k, dev)
+            z_prev = point.z
 
     def test_legacy_stepsizes_drive_residual_down(self):
         op = small_saddle_operator(seed=23)
@@ -561,8 +591,8 @@ class TestRunDriver:
         ("nesterov", "nesterov_slow", "nu"),
         ("eag", "eag_constant", "eta_hat"),
         ("nag_peag", "nag_peag", "gamma_hat"),
-        ("nag_peag", "nag_peag", "eta_hat"),
-        ("nag_peag", "nag_peag", "beta"),
+        ("nag_peag", "nag_peag", "kappa"),
+        ("nag_peag", "nag_peag", "zeta"),
     ])
     @pytest.mark.parametrize("at", [0, 3])
     def test_stream_lacking_a_field_is_an_input_error(self, scheme, kind,

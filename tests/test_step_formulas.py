@@ -1,14 +1,17 @@
 """A scheme step is its update formula and its operator evaluations.
 
-:func:`anchored.schemes.run` owns what every step shares: the step index
-(a step reads the schedule's ``p.k``), the divergence guard and
-G(z_0) = G(y_0). The guard parses ``schemes.py`` and fails when a step
-named in ``SCHEMES`` calls ``_check`` or reads or writes ``.k`` on its
-state, or when ``IterateState`` declares a ``k`` field.
+:func:`anchored.schemes.run` owns what every step shares: the step index,
+the divergence guard and G(z_0) = G(y_0). A step applies one formula at
+every index, so it reads no index at all. The guard parses
+``schemes.py`` and fails when a step named in ``SCHEMES`` calls
+``_check``, reads or writes ``.k`` on its state or reads ``p.k`` of its
+schedule parameters, or when ``IterateState`` declares a ``k`` field. A
+second guard fails when a ``SCHEMES`` row's ``params`` is not exactly
+the set of ``p.<field>`` names its step reads.
 
 ``run`` walks k = 0..K by one rule per index: a step index, or the last
 one. Index 0 is no special case, because array identity tells it that
-x_0, y_0 and z_0 are one point. A second guard fails when ``run``
+x_0, y_0 and z_0 are one point. A third guard fails when ``run``
 compares ``k`` or ``K`` with 0, apart from the check of its argument
 that only raises.
 """
@@ -32,15 +35,33 @@ def driver_rules(source, names):
         if not isinstance(function, ast.FunctionDef) or \
                 function.name not in names:
             continue
-        state = function.args.args[0].arg
+        state, _, params = (a.arg for a in function.args.args)
         for node in ast.walk(function):
             if isinstance(node, ast.Call) and \
                     getattr(node.func, "id", None) == "_check":
                 found.append((function.name, node.lineno, "_check"))
             elif isinstance(node, ast.Attribute) and node.attr == "k" and \
-                    getattr(node.value, "id", None) == state:
-                found.append((function.name, node.lineno, f"{state}.k"))
+                    getattr(node.value, "id", None) in (state, params):
+                found.append((function.name, node.lineno,
+                              f"{node.value.id}.k"))
     return sorted(found)
+
+
+def fields_read(source, rows):
+    """(scheme, declared, read) of each row whose ``params`` is not exactly
+    the set of schedule fields its step reads."""
+    steps = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name, row in rows.items():
+        function = steps[row.step.__name__]
+        params = function.args.args[2].arg
+        read = sorted({node.attr for node in ast.walk(function)
+                       if isinstance(node, ast.Attribute)
+                       and getattr(node.value, "id", None) == params})
+        if sorted(row.params) != read:
+            found.append((name, tuple(sorted(row.params)), tuple(read)))
+    return found
 
 
 def zero_index_tests(source, name="run"):
@@ -91,7 +112,33 @@ def test_guard_sees_a_step_that_keeps_a_driver_rule():
               "    return p.k\n")
     assert driver_rules(source, {"old_step"}) == [
         ("old_step", 3, "_check"), ("old_step", 3, "state.k"),
-        ("old_step", 4, "state.k")]
+        ("old_step", 4, "state.k"), ("old_step", 5, "p.k")]
+
+
+def test_guard_sees_a_step_that_branches_on_its_index():
+    # control: nag_peag_step with an index branch inserted
+    tree = ast.parse(_source())
+    function = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "nag_peag_step")
+    function.body.insert(-1, ast.parse("if p.k == 0:\n"
+                                       "    z_next = z_next + g_z").body[0])
+    found = driver_rules(ast.unparse(tree), _steps())
+    assert [(name, what) for name, _, what in found] == [
+        ("nag_peag_step", "p.k")]
+
+
+def test_rows_declare_exactly_the_fields_their_steps_read():
+    assert fields_read(_source(), SCHEMES) == []
+
+
+def test_guard_sees_a_row_that_declares_an_unread_field():
+    # control: the nag_peag row with a field its step does not read
+    row = SCHEMES["nag_peag"]
+    rows = dict(SCHEMES, nag_peag=row._replace(params=row.params + ("beta",)))
+    assert fields_read(_source(), rows) == [
+        ("nag_peag", tuple(sorted(row.params + ("beta",))),
+         tuple(sorted(row.params)))]
 
 
 def test_run_treats_no_index_as_zero():

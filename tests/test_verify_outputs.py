@@ -15,7 +15,7 @@ import hashlib
 
 from anchored.verify import format_table, run_suites
 
-DIGEST = "2083f0fbb2b33d89e3be254be8f26d8e548963dbf28c275510607d15048a33b4"
+DIGEST = "36de0b70078fea6ed32757544d0c371afcd77a01afb92352665ea47ed6ec3a99"
 
 
 def test_small_verify_table_is_byte_identical():
