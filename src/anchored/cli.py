@@ -78,18 +78,26 @@ def _switch(section, key, default):
     return state
 
 
+def _seed(seed):
+    """``seed``, which must lie in [0, 2^64): the generator reads seeds
+    modulo 2^64, so one outside would alias one inside."""
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"seed = {seed} must lie in [0, 2^64)")
+    return seed
+
+
 def _instance_seed(cfg, seed_override, default):
     """``--seed``, else the ``seed`` of [instance] or [run], else ``default``.
 
     Both config keys may be given only if they agree.
     """
-    seeds = {_number(cfg[name], "seed", None, int)
+    seeds = {_seed(_number(cfg[name], "seed", None, int))
              for name in ("instance", "run")
              if cfg.has_section(name) and "seed" in cfg[name]}
     if len(seeds) > 1:
         raise InputError("[instance] seed and [run] seed disagree")
     if seed_override is not None:
-        return seed_override
+        return _seed(seed_override)
     return seeds.pop() if seeds else default
 
 
@@ -245,7 +253,7 @@ def cmd_verify(args):
 
 def cmd_figure(args):
     out_dir = _out_dir(args.out or ".")
-    seed = DESK_SEED if args.seed is None else args.seed
+    seed = DESK_SEED if args.seed is None else _seed(args.seed)
     csv_paths, svg_path, slopes = make_figure(args.which, args.scale, out_dir,
                                               seed=seed)
     for path in csv_paths:

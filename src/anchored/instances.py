@@ -85,8 +85,8 @@ def gen_least_squares(n, p, seed, noise_var=0.1):
     """
     if n < 1 or p < 1:
         raise InputError("dimensions must be positive")
-    if not noise_var >= 0:
-        raise InputError("noise_var must be nonnegative")
+    if not 0 <= noise_var < np.inf:
+        raise InputError("noise_var must be nonnegative and finite")
     rng = SplitMix64(seed)
     p_mat = unit_columns(rng.normal_matrix(n, p))
     y_nat = rng.normal(p)

@@ -1,13 +1,15 @@
 """Per-iteration parameter rules for every scheme in the package.
 
 Each schedule kind is one row of :data:`SCHEDULES`: its rule, the
-keywords the rule reads with their defaults, and its closed-form
-residual bound. A rule checks the :func:`constants` of its row once,
+keywords the rule reads with their defaults, its closed-form residual
+bound and, for a corrected kind, the anchored kind whose iterates it
+reproduces. A rule checks the :func:`constants` of its row once,
 when :func:`schedule_stream` builds the stream, and then yields
 :class:`ScheduleParams` with no further checks.
 """
 
 import math
+from inspect import Parameter, Signature, signature
 from itertools import accumulate, count
 from typing import Callable, NamedTuple, Optional
 
@@ -36,6 +38,8 @@ class Schedule(NamedTuple):
     rule: Callable  # rule(L, **constants) -> iterator of ScheduleParams
     defaults: dict  # keyword -> its default(L), or None for no default
     bound: Optional[str]  # its diagnostics.BOUNDS kind, if any
+    # a corrected kind: the anchored kind whose iterates it reproduces
+    corrects: Optional[str] = None
 
     @property
     def keywords(self):
@@ -62,7 +66,7 @@ def halpern_params(k, L, variant="fast"):
     return params if k is None else params(k)
 
 
-def transformed_nesterov_stream(anchored, family="anchored"):
+def transformed_nesterov_stream(anchored, family="anchored", gamma=None):
     """The corrected (Nesterov-form) parameters of an anchored stream.
 
     ``anchored`` yields an anchored rule's :class:`ScheduleParams`; each is
@@ -73,7 +77,9 @@ def transformed_nesterov_stream(anchored, family="anchored"):
 
     * "anchored": nu_k += 1 - beta_k - eta_k / gamma_k and kappa_k =
       (beta_k / beta_{k-1}) (eta_{k-1} / gamma_{k-1} - 1 + beta_{k-1});
-    * "extra-gradient": none, the stream's gamma, eta, eta_hat are the step's;
+    * "extra-gradient": none, the stream's gamma, eta, eta_hat are the
+      step's; a co-monotone one (rho set) has gamma = eta + 2 rho, eta_hat
+      = eta, and (1 - beta) eta, the weight of G(y_k), for eta;
     * "past-extra": gamma_hat_k = eta_hat_{k-1} + eta_k / (1 - beta_k),
       kappa_k = (1 - beta_k) eta_{k-1} / gamma_hat_{k-1} and zeta_k =
       theta_k eta_{k-2} / gamma_hat_{k-2}.
@@ -90,6 +96,7 @@ def transformed_nesterov_stream(anchored, family="anchored"):
     one index back gives ``nag_peag_step``'s z update, at every k = 0, 1,
     ... and for any varying (eta, eta_hat). Step k-1 values are carried
     as the ratios eta / gamma and eta / gamma_hat; none is range checked.
+    A given ``gamma`` is the anchored family's gamma_k at every k.
     """
     _need(family in ("anchored", "extra-gradient", "past-extra"),
           f"unknown transform family {family!r}")
@@ -97,21 +104,24 @@ def transformed_nesterov_stream(anchored, family="anchored"):
     eh1 = 0.0  # eta_hat_{k-1}
     r1 = r2 = 0.0  # eta / gamma (or gamma_hat) at k-1, at k-2
     # one positional build per step: every corrected run's hot loop reads it
-    for k, beta, eta, eta_hat, gamma, gamma_hat, _, _, kappa, zeta, rho \
+    for k, beta, eta, eta_hat, g, gamma_hat, _, _, kappa, zeta, rho \
             in anchored:
         theta = beta * (1.0 - b1) / b1
         nu = beta / b1
         if family == "anchored":
-            yield ScheduleParams(k, beta, eta, eta_hat, gamma, gamma_hat,
-                                 theta, nu + 1.0 - beta - eta / gamma,
+            g = g if gamma is None else gamma
+            yield ScheduleParams(k, beta, eta, eta_hat, g, gamma_hat,
+                                 theta, nu + 1.0 - beta - eta / g,
                                  nu * (r1 - 1.0 + b1), zeta, rho)
-            r1 = eta / gamma
+            r1 = eta / g
         elif family == "extra-gradient":
-            yield ScheduleParams(k, beta, eta, eta_hat, gamma, gamma_hat,
+            if rho is not None:
+                eta, eta_hat, g = (1.0 - beta) * eta, eta, eta + 2.0 * rho
+            yield ScheduleParams(k, beta, eta, eta_hat, g, gamma_hat,
                                  theta, nu, kappa, zeta, rho)
         else:
             gh = eh1 + eta / (1.0 - beta)
-            yield ScheduleParams(k, beta, eta, eta_hat, gamma, gh, theta, nu,
+            yield ScheduleParams(k, beta, eta, eta_hat, g, gh, theta, nu,
                                  (1.0 - beta) * r1, theta * r2, rho)
             eh1, r1, r2 = eta_hat, eta / gh, r1
         b1 = beta
@@ -122,20 +132,32 @@ def _betas(shift):
     return ((k, 1.0 / (k + shift)) for k in count())
 
 
-def _anchored(variant, gamma=None):
-    """halpern_fast/slow by :func:`halpern_params`, with a corrected gamma."""
+def _anchored(variant):
+    """halpern_fast/slow by :func:`halpern_params`."""
     def rule(L):
         params = halpern_params(None, L, variant)
-        return (ScheduleParams(k, *params(k), gamma=gamma) for k in count())
+        return (ScheduleParams(k, *params(k)) for k in count())
     return rule
 
 
-def _corrected(variant):
-    """nesterov_fast/slow: the transformed anchored rule, for any gamma > 0."""
-    def rule(L, gamma):
-        _need(0.0 < gamma < math.inf,
+def _corrected(anchored, family):
+    """The rule of every corrected row: the ``family`` transform of the
+    stream of ``anchored``, the rule of the steps the row ``corrects``.
+
+    It reads the keywords of ``anchored`` and, in the anchored family,
+    the corrected step's own gamma, any positive finite value.
+    """
+    def rule(L, gamma=None, **keywords):
+        _need(gamma is None or 0.0 < gamma < math.inf,
               f"gamma = {gamma} must be positive and finite")
-        return transformed_nesterov_stream(_anchored(variant, gamma)(L))
+        return transformed_nesterov_stream(anchored(L, **keywords), family,
+                                           gamma)
+
+    # the signature names the keywords read, as rows declare them
+    reads = list(signature(anchored).parameters.values())
+    if family == "anchored":
+        reads.append(Parameter("gamma", Parameter.KEYWORD_ONLY))
+    rule.__signature__ = Signature(reads)
     return rule
 
 
@@ -216,26 +238,11 @@ def _comono_eag(L, rho):
     return (ScheduleParams(k, b, 1.0 / L, rho=rho) for k, b in _betas(1))
 
 
-def _nag_comono(L, rho):
-    """``comono_eag`` in the fields of ``nag_eag_step``, transformed.
-
-    With the co-monotone step eta = 1/L: gamma = eta + 2 rho, eta_hat =
-    eta, and (1 - beta) eta for the step's eta, the weight of G(y_k).
-    """
-    return transformed_nesterov_stream(
-        (ScheduleParams(p.k, p.beta, (1.0 - p.beta) * p.eta, p.eta,
-                        gamma=p.eta + 2.0 * p.rho, rho=p.rho)
-         for p in _comono_eag(L, rho)), "extra-gradient")
-
-
 def _nag_eag(L):
-    """Corrected EAG, beta = 1/(k+2), eta = (k+1)/(L(k+2)), gamma = eta_hat
-    = 1/L; ``eag`` reads these. Potential: ``diagnostics.eag_family_coeffs``.
-    """
-    return transformed_nesterov_stream(
-        (ScheduleParams(k, b, (k + 1.0) / (L * (k + 2.0)), 1.0 / L,
-                        gamma=1.0 / L) for k, b in _betas(2)),
-        "extra-gradient")
+    """EAG steps beta = 1/(k+2), eta = (k+1)/(L(k+2)), gamma = eta_hat =
+    1/L. Potential: ``diagnostics.eag_family_coeffs``."""
+    return (ScheduleParams(k, b, (k + 1.0) / (L * (k + 2.0)), 1.0 / L,
+                           gamma=1.0 / L) for k, b in _betas(2))
 
 
 def peag_root(L, sigma):
@@ -254,36 +261,39 @@ def _peag(L, sigma):
             for k, b in _betas(2))
 
 
-def _nag_peag(L, sigma):
-    """The ``peag`` steps, transformed: theta = k/(k+2), nu = (k+1)/(k+2);
-    gamma_hat = eta_hat at k = 0, then 2 eta_hat; kappa = 0, 1/3, then
-    k/(2(k+2)) from k = 2; zeta = 0, 0, 1/4, then (k-1)/(2(k+2)) from
-    k = 3; each to rounding."""
-    return transformed_nesterov_stream(_peag(L, sigma), "past-extra")
-
-
 _GAMMA = {"gamma": lambda L: 1.0 / L}
 _OMEGA = {"gamma": lambda L: 0.9 / L, "omega": lambda L: 3.0}
 _SIGMA = {"sigma": lambda L: 1.0}
 _ETA = {"eta": lambda L: 1.0 / (8.0 * L)}
 
 #: every named parameter rule, in ``list-schemes`` order. The bound is the
-#: closed-form residual bound that fills the ``bound_value`` column.
+#: closed-form residual bound that fills the ``bound_value`` column; a
+#: corrected row's runs reproduce the iterates of the kind it corrects.
 SCHEDULES = {
     "halpern_fast": Schedule(_anchored("fast"), {}, "halpern_fast"),
     "halpern_slow": Schedule(_anchored("slow"), {}, "halpern_slow"),
     "halpern_omega": Schedule(_halpern_omega, _OMEGA, None),
-    "nesterov_slow": Schedule(_corrected("slow"), _GAMMA, "halpern_slow"),
-    "nesterov_fast": Schedule(_corrected("fast"), _GAMMA, "halpern_fast"),
+    "nesterov_slow": Schedule(_corrected(_anchored("slow"), "anchored"),
+                              _GAMMA, "halpern_slow", "halpern_slow"),
+    "nesterov_fast": Schedule(_corrected(_anchored("fast"), "anchored"),
+                              _GAMMA, "halpern_fast", "halpern_fast"),
     "nesterov_omega": Schedule(_nesterov_omega, _OMEGA, None),
     "eag_constant": Schedule(_eag_constant, _ETA, "eag_constant"),
     "eag_varying": Schedule(_eag_varying, {"eta0": None}, "eag_varying"),
     "comono_eag": Schedule(_comono_eag, {"rho": None}, "comono"),
     "peag": Schedule(_peag, _SIGMA, "peag_probe"),
     "peag_legacy": Schedule(_peag_legacy, {"eta0": None}, None),
-    "nag_eag": Schedule(_nag_eag, {}, "eag"),
-    "nag_comono": Schedule(_nag_comono, {"rho": None}, "comono"),
-    "nag_peag": Schedule(_nag_peag, _SIGMA, "peag_probe"),
+    # eag runs this kind too: the transform keeps its beta, eta, eta_hat
+    "nag_eag": Schedule(_corrected(_nag_eag, "extra-gradient"), {}, "eag",
+                        "nag_eag"),
+    "nag_comono": Schedule(_corrected(_comono_eag, "extra-gradient"),
+                           {"rho": None}, "comono", "comono_eag"),
+    # the peag steps, transformed: theta = k/(k+2), nu = (k+1)/(k+2);
+    # gamma_hat = eta_hat at k = 0, then 2 eta_hat; kappa = 0, 1/3, then
+    # k/(2(k+2)) from k = 2; zeta = 0, 0, 1/4, then (k-1)/(2(k+2)) from
+    # k = 3; each to rounding
+    "nag_peag": Schedule(_corrected(_peag, "past-extra"), _SIGMA,
+                         "peag_probe", "peag"),
 }
 
 SCHEDULE_KINDS = tuple(SCHEDULES)

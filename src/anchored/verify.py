@@ -44,7 +44,7 @@ from .rng import SplitMix64
 from .schedules import SCHEDULES
 # no row uses it; the benchmark's tracer patches it under this name
 from .schedules import transformed_nesterov_stream  # noqa: F401
-from .schemes import RunTrace, TraceOpts, _norm, run, solver_for
+from .schemes import SCHEMES, RunTrace, TraceOpts, _norm, run, solver_for
 
 SUITES = ("equivalence", "lemmas", "bounds", "all")
 EQUIV_TOL = 1e-8
@@ -387,44 +387,63 @@ def _change_of_variable(case, trace):
     return worst <= 1e-10, f"max_dev={worst:.2e}"
 
 
-def _twins(name, instance, runs, names, kw=None):
-    """An equivalence row: two runs for EQUIV_STEPS, iterates compared."""
-    return Check("equivalence", f"{name} [{instance}]", instance, runs,
-                 _equivalent(*names), ("record",), kw,
-                 lambda iters: EQUIV_STEPS)
+#: the cases of an equivalence row, by the operator class of its schemes.
+#: The anchored rules need a co-coercive operator, so they run on the
+#: proximal-point operator of the bilinear instance, not on the merely
+#: monotone Huber operator (where the fast rule diverges).
+EQUIV_CASES = {"co-coercive": ("ls", "prox bilinear"),
+               "monotone": ("ls", "huber"),
+               "rho-co-monotone": ("ls", "huber")}
 
 
-#: nesterov_fast and nesterov_slow stream the two-correction transform
-#: of halpern_fast and halpern_slow
-_ANCHORED = "halpern/halpern_fast nesterov/nesterov_fast"
-_SLOW = "halpern/halpern_slow nesterov/nesterov_slow"
-_EAG = "eag/nag_eag nag_eag/nag_eag"
-_PEAG = "peag/peag nag_peag/nag_peag"
-_COMONO = "comono_eag/comono_eag nag_comono/nag_comono"
+def _equivalences():
+    """The equivalence rows, case by case, from SCHEMES and SCHEDULES.
+
+    A corrected scheme (its step reads theta) runs each of its kinds that
+    ``corrects`` an anchored kind against the anchored scheme that lists
+    that kind, on each case of its class. A keyword the kind has no
+    default for comes from the KWARGS entry named "keyword=...". The row
+    compares the iterates among y and z that both schemes advance.
+    """
+    anchored = {kind: name for name, scheme in SCHEMES.items()
+                if "theta" not in scheme.params for kind in scheme.schedules}
+    rows = []
+    for name, scheme in SCHEMES.items():
+        for kind in scheme.schedules if "theta" in scheme.params else ():
+            row = SCHEDULES[kind]
+            if row.corrects is None:
+                continue
+            other = anchored[row.corrects]
+            need = [key for key, default in row.defaults.items()
+                    if default is None]
+            kw = next((kw for kw in KWARGS if kw.partition("=")[0] in need),
+                      None)
+            names = [n for n in "yz"
+                     if n in SCHEMES[other].updates and n in scheme.updates]
+            label = (f"{other}<->{name}" if row.corrects == kind
+                     else f"{row.corrects}<->{kind}")
+            rows += [Check("equivalence", f"{label} [{case}]", case,
+                           f"{other}/{row.corrects} {name}/{kind}",
+                           _equivalent(*names), ("record",), kw,
+                           lambda iters: EQUIV_STEPS)
+                     for case in EQUIV_CASES[scheme.operator_class]]
+    order = list(dict.fromkeys(c for cs in EQUIV_CASES.values() for c in cs))
+    return sorted(rows, key=lambda row: order.index(row.instance))
+
+
 _OMEGA = dict(runs="nesterov/nesterov_omega")
 _PEAG_2 = dict(runs="peag/peag", kw="sigma=2")
 _BILINEAR = dict(kw="rho=-1/4L", K=lambda iters: max(iters, 3000))
 
 #: the verify table, in output order. Each suite lists its rows case by
 #: case ("prox bilinear" with "bilinear"), so that a plan of one suite
-#: holds one instance at a time. The anchored equivalence rows need
-#: a co-coercive operator, so the second runs on the proximal-point
-#: operator of the bilinear instance, not on the merely monotone Huber
-#: operator (where the fast rule diverges). The extra-gradient potential
+#: holds one instance at a time. The extra-gradient potential
 #: decreases from k = 1 on: the k = 0 coefficients zero out the
 #: compensating terms. The interior-stepsize anchored rule settles on
 #: the 1/k envelope at this horizon, so its row asserts the fitted slope
 #: rather than a vanishing trend.
 CHECKS = (
-    _twins("halpern<->two-corr nesterov", "ls", _ANCHORED, "y"),
-    _twins("halpern<->two-corr nesterov, slow", "ls", _SLOW, "y"),
-    _twins("eag<->nag_eag", "ls", _EAG, "yz"),
-    _twins("peag<->nag_peag", "ls", _PEAG, "z"),
-    _twins("comono_eag<->nag_comono", "ls", _COMONO, "yz", "rho=-1/4L"),
-    _twins("halpern<->two-corr nesterov", "prox bilinear", _ANCHORED, "y"),
-    _twins("eag<->nag_eag", "huber", _EAG, "yz"),
-    _twins("peag<->nag_peag", "huber", _PEAG, "z"),
-    _twins("comono_eag<->nag_comono", "huber", _COMONO, "yz", "rho=-1/4L"),
+    *_equivalences(),
 
     Check("lemmas", "anchored potential nonincreasing [ls, fast]", "ls",
           "halpern/halpern_fast", _decrease("anchored_potential"),

@@ -335,7 +335,7 @@ class TestCli:
         # the fast anchored rule on the merely monotone Huber operator
         # diverges in both forms; agreeing up to the blow-up is no pass
         row = next(r for r in verify.CHECKS if r.name
-                   == "halpern<->two-corr nesterov [prox bilinear]")
+                   == "halpern_fast<->nesterov_fast [prox bilinear]")
         [result] = verify.run_checks([replace(row, instance="huber")])
         assert not result.ok and not result.skipped
         assert result.detail.startswith("run error: ")
@@ -388,6 +388,23 @@ class TestCli:
         for name in names:
             assert (out0 / name).read_bytes() != (out7 / name).read_bytes()
 
+    @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+    @pytest.mark.parametrize("command", ["run", "figure"])
+    def test_seed_flag_outside_64_bits_exits_two(self, tmp_path, capsys,
+                                                 command, seed):
+        # 2^64 used to give the bytes of seed 0, and -1 those of 2^64 - 1
+        which = ["--which", "exam2"] if command == "figure" else []
+        assert main([command, *which, "--seed", seed,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed = ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figure_seed_2_to_the_64_minus_1_runs(self, tmp_path):
+        assert main(["figure", "--which", "exam2", "--seed",
+                     str(2 ** 64 - 1), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "exam2.svg").exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("run", "iters", "abc"),
         ("instance", "n", "1.5"),
@@ -422,6 +439,13 @@ class TestCli:
         ("trace", "snapshot_stride", "-1", "nesterov_omega"),
         ("instance", "noise_var", "-1", "nesterov_omega"),
         ("instance", "noise_var", "nan", "nesterov_omega"),
+        # an infinite noise scale used to exit 1 at step 0, after warnings
+        ("instance", "noise_var", "inf", "nesterov_omega"),
+        # seeds outside 64 bits used to alias one inside, modulo 2^64
+        ("run", "seed", str(2 ** 64), "nesterov_omega"),
+        ("run", "seed", "-1", "nesterov_omega"),
+        ("instance", "seed", str(2 ** 64), "nesterov_omega"),
+        ("instance", "seed", "-1", "nesterov_omega"),
     ])
     def test_run_out_of_range_number_exits_two(self, tmp_path, capsys,
                                                section, key, value, schedule):
@@ -604,6 +628,17 @@ class TestCli:
         cfg = self._ls_config(tmp_path, run_seed=4, instance_seed=4)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert "seed=4" in (tmp_path / "report.txt").read_text()
+
+    @pytest.mark.parametrize("where", ["flag", "run", "instance"])
+    def test_seed_2_to_the_64_minus_1_runs(self, tmp_path, where):
+        seed = 2 ** 64 - 1
+        cfg = self._ls_config(tmp_path, **{
+            "run": {"run_seed": seed}, "instance": {"instance_seed": seed},
+            "flag": {}}[where])
+        flag = ["--seed", str(seed)] if where == "flag" else []
+        assert main(["run", "--config", str(cfg), *flag,
+                     "--out", str(tmp_path)]) == 0
+        assert f"seed={seed}" in (tmp_path / "report.txt").read_text()
 
     def test_conflicting_seed_keys_exit_two(self, tmp_path, capsys):
         cfg = self._ls_config(tmp_path, run_seed=3, instance_seed=4)

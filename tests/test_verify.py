@@ -11,11 +11,12 @@ from anchored import diagnostics, verify
 from anchored.cli import main
 from anchored.instances import desk_huber, desk_least_squares, gen_least_squares
 from anchored.operators import ResolventSpec, counted, least_squares_kind
-from anchored.schemes import run
+from anchored.schemes import SCHEMES, run
 
 
 EQUIVALENCE = [r for r in verify.CHECKS if r.suite == "equivalence"]
-CORRECTED = ("nesterov", "nag_eag", "nag_peag", "nag_comono")
+#: the corrected schemes: their steps read theta
+CORRECTED = tuple(name for name, s in SCHEMES.items() if "theta" in s.params)
 
 
 def row(name):
@@ -35,7 +36,7 @@ def failing_after(inst, n_evals):
 
 
 def test_run_plan_of_the_small_suites(monkeypatch):
-    # 46 runs before sharing; 20 of them repeated another run or a prefix
+    # 48 runs before sharing; 20 of them repeated another run or a prefix
     counters, seen = [], []
     for name in ("desk_least_squares", "desk_huber", "desk_bilinear"):
         def make(build=getattr(verify, name)):
@@ -55,11 +56,11 @@ def test_run_plan_of_the_small_suites(monkeypatch):
 
     monkeypatch.setattr(verify, "run", recording_run)
     results = verify.run_suites("all", "small")
-    assert len(results) == 40 and all(r.ok for r in results)
+    assert len(results) == 41 and all(r.ok for r in results)
     assert len(counters) == 3  # each instance built once
-    assert len(seen) == 26
+    assert len(seen) == 28
     assert all(opts.snapshot_stride == 0 for _, opts in seen)
-    assert len({key for key, _ in seen}) == 26
+    assert len({key for key, _ in seen}) == 28
     # a tracked run's G x_0 is its G y_0 or G z_0, x_0 being y_0 = z_0
     assert sum(c.count for c in counters) == 60224
 
@@ -153,7 +154,7 @@ def test_verify_json_rows(capsys):
     assert main(["verify", "--suite", "equivalence", "--json"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [json.loads(line) for line in lines]
-    assert len(rows) == 9
+    assert len(rows) == 10
     for r in rows:
         assert set(r) == {"suite", "name", "status", "detail", "seconds"}
         assert r["suite"] == "equivalence" and r["status"] == "PASS"
@@ -226,12 +227,13 @@ def test_equivalence_row_fails_on_a_perturbed_corrected_run(monkeypatch,
     assert float(result.detail.removeprefix("max_dev=")) > verify.EQUIV_TOL
 
 
-def test_slow_equivalence_row_fails_on_theta_1_off_by_1e_6(monkeypatch):
+@pytest.mark.parametrize("check", EQUIVALENCE, ids=lambda r: r.name)
+def test_equivalence_row_fails_on_theta_1_off_by_1e_6(monkeypatch, check):
     real = verify.solver_for
 
     def perturbed(op, scheme, schedule, **kw):
         solver = real(op, scheme, schedule, **kw)
-        if schedule != "nesterov_slow":
+        if scheme not in CORRECTED:
             return solver
 
         def factory(make=solver.schedule_factory):
@@ -241,8 +243,7 @@ def test_slow_equivalence_row_fails_on_theta_1_off_by_1e_6(monkeypatch):
         return replace(solver, schedule_factory=factory)
 
     monkeypatch.setattr(verify, "solver_for", perturbed)
-    [result] = verify.run_checks(
-        [row("halpern<->two-corr nesterov, slow [ls]")])
+    [result] = verify.run_checks([check])
     assert result.status == "FAIL"
     assert float(result.detail.removeprefix("max_dev=")) > verify.EQUIV_TOL
 

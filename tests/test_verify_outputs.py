@@ -15,7 +15,7 @@ import hashlib
 
 from anchored.verify import format_table, run_suites
 
-DIGEST = "36de0b70078fea6ed32757544d0c371afcd77a01afb92352665ea47ed6ec3a99"
+DIGEST = "195dc2f0a8bf17c6d071533c0adb90be5b928d90c7b03632f94494976bbda2d9"
 
 
 def test_small_verify_table_is_byte_identical():
