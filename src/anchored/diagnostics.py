@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DataError, InputError
+from .errors import DataError, InputError, in_range
 from .schedules import peag_root
 from .schemes import SCHEMES, _norm
 
@@ -554,9 +554,8 @@ def eag_varying_limit_lower_bound(eta0, L):
     the sum telescopes. Every factor is positive only for c < 3, that is
     L eta0 < sqrt(3)/2.
     """
+    in_range("eta0", eta0, 0.0, np.sqrt(0.75) / L)
     le2 = (L * eta0) ** 2
-    if not 0.0 < le2 < 0.75:
-        raise InputError("certified limit stepsize needs 0 < L eta0 < sqrt(3)/2")
     c = le2 / (1.0 - le2)
     prod = 1.0
     for j in range(_LIMIT_FACTORS):
@@ -720,9 +719,8 @@ def rate_fit(series, window=None):
     n = len(series)
     if window is None:
         window = (n // 4, n - 1)
-    k_lo, k_hi = int(window[0]), int(window[1])
-    if not 0 <= k_lo < k_hi < n:
-        raise InputError("fit window outside the series")
+    k_lo = in_range("window start", window[0], 0, n - 1, "[)", integer=True)
+    k_hi = in_range("window end", window[1], k_lo, n, "()", integer=True)
     vals = series[k_lo:k_hi + 1]
     if np.any(~(vals > 0.0)):
         raise DataError("rate fit needs positive values on the window")

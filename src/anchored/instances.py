@@ -6,11 +6,12 @@ points are drawn from an offset stream, keeping instance data and
 initial iterates independent but jointly reproducible.
 """
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import MAX_ENTRIES, InputError, in_range
 from .operators import (
     ProblemInstance,
     bilinear_saddle_operator,
@@ -30,6 +31,15 @@ PAPER_LS = (500, 1000)
 PAPER_HUBER = (1000, 750)
 
 HUBER_EPS = 0.05
+
+
+def _check_seed_and_sizes(seed, **dims):
+    """Refuse a seed outside [0, 2^64), read modulo 2^64, a dimension above
+    MAX_ENTRIES // 2 (an iterate has m + n entries) or a larger matrix."""
+    in_range("seed", seed, 0, 2 ** 64, "[)", integer=True)
+    for name, size in dims.items():
+        in_range(name, size, 1, MAX_ENTRIES // 2, "[]", integer=True)
+    in_range(" * ".join(dims), math.prod(dims.values()), 1, MAX_ENTRIES, "[]")
 
 
 def unit_columns(m):
@@ -83,10 +93,8 @@ def gen_least_squares(n, p, seed, noise_var=0.1):
     :func:`least_squares_solution` (a direct solve, independent of any
     iterative scheme).
     """
-    if n < 1 or p < 1:
-        raise InputError("dimensions must be positive")
-    if not 0 <= noise_var < np.inf:
-        raise InputError("noise_var must be nonnegative and finite")
+    _check_seed_and_sizes(seed, n=n, p=p)
+    in_range("noise_var", noise_var, 0.0, np.inf, "[)")
     rng = SplitMix64(seed)
     p_mat = unit_columns(rng.normal_matrix(n, p))
     y_nat = rng.normal(p)
@@ -112,8 +120,7 @@ def gen_minimax_huber(m, n, seed):
     and the bilinear terms are linear), so it serves as the reference
     solution.
     """
-    if m < 1 or n < 1:
-        raise InputError("dimensions must be positive")
+    _check_seed_and_sizes(seed, m=m, n=n)
     rng = SplitMix64(seed)
     k_mat = unit_columns(rng.normal_matrix(m, n))
     k_norm = spectral_norm(k_mat, seed=seed)
@@ -127,8 +134,7 @@ def gen_minimax_huber(m, n, seed):
 
 def gen_bilinear(m, n, seed):
     """Pure bilinear saddle: skew, monotone, never co-coercive."""
-    if m < 1 or n < 1:
-        raise InputError("dimensions must be positive")
+    _check_seed_and_sizes(seed, m=m, n=n)
     rng = SplitMix64(seed)
     k_mat = unit_columns(rng.normal_matrix(m, n))
     op = bilinear_saddle_operator(k_mat, seed=seed)

@@ -12,12 +12,11 @@ read-only evaluation.
 """
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, in_range
 from .rng import SplitMix64
 
 
@@ -67,13 +66,13 @@ class ResolventSpec:
                                           repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.lam < np.inf and 0.0 < self.weight < np.inf
-                and self.lo <= self.hi):  # so that a NaN fails
-            raise InputError("a resolvent needs lam and weight positive and "
-                             "finite, and lo <= hi")
+        in_range("lam", self.lam, 0.0, np.inf)
+        in_range("weight", self.weight, 0.0, np.inf)
+        in_range("hi", self.hi, -np.inf, np.inf, "[]")
+        in_range("lo", self.lo, -np.inf, self.hi, "[]")
 
     def with_lambda(self, lam):
-        return replace(self, lam=float(lam))
+        return replace(self, lam=lam)
 
 
 def _affine_inverse(matrix, lam):
@@ -91,11 +90,11 @@ def zero_kind():
 
 
 def l1_kind(weight=1.0):
-    return ResolventSpec("l1", weight=float(weight))
+    return ResolventSpec("l1", weight=weight)
 
 
 def box_kind(lo, hi):
-    return ResolventSpec("box", lo=float(lo), hi=float(hi))
+    return ResolventSpec("box", lo=lo, hi=hi)
 
 
 def affine_kind(matrix, shift=None):
@@ -184,10 +183,8 @@ def spectral_norm(m, power=1, tol=1e-10, max_iter=10_000, seed=0):
     Rayleigh quotient has not stabilized within ``max_iter`` sweeps.
     """
     m = np.asarray(m, dtype=np.float64)
-    if not 0.0 < tol < np.inf:
-        raise InputError("tol must be positive and finite")
-    if not isinstance(power, Integral) or power < 1:
-        raise InputError("power must be a positive integer")
+    in_range("tol", tol, 0.0, np.inf)
+    in_range("power", power, 1, np.inf, "[)", integer=True)
     if not np.any(m):
         raise InputError("matrix must be nonzero")
     wide = m.shape[0] < m.shape[1]
@@ -268,8 +265,8 @@ def huber_saddle_operator(k_mat, lam, rho_w, eps, k_norm=None, seed=0):
     w*eps rounds to zero, below 5e-324, can the sign of a zero differ.)
     """
     k_mat = np.asarray(k_mat, dtype=np.float64)
-    if not all(0.0 < v < np.inf for v in (lam, rho_w, eps)):
-        raise InputError("lam, rho_w and eps must be positive and finite")
+    for name, v in (("lam", lam), ("rho_w", rho_w), ("eps", eps)):
+        in_range(name, v, 0.0, np.inf)
     m, n = k_mat.shape
     if k_norm is None:
         k_norm = spectral_norm(k_mat, seed=seed)

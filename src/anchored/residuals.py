@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import MAX_ENTRIES, InputError, in_range
 from .operators import OperatorSpec, ResolventSpec, resolvent_apply
 from .rng import SplitMix64
 
@@ -38,15 +38,12 @@ class SplittingSpec:
     c: Optional[OperatorSpec] = None
 
     def __post_init__(self):
-        if not 0.0 < self.lam < np.inf:
-            raise InputError("lam must be positive and finite")
+        in_range("lam", self.lam, 0.0, np.inf)
 
 
 def default_lambda(l_const):
     """Midpoint 2/L of the admissible window, maximizing lam*(4-lam*L)/4."""
-    if not 0.0 < l_const < np.inf:
-        raise InputError("L must be positive and finite")
-    return 2.0 / l_const
+    return 2.0 / in_range("L", l_const, 0.0, np.inf)
 
 
 def _modulus(lam, forward):
@@ -57,14 +54,9 @@ def _modulus(lam, forward):
     """
     if forward is None:
         return lam
-    rho = forward.comonotone_modulus
-    if rho is None or not rho > 0.0:
-        raise InputError(f"the forward operator declares co-monotone modulus "
-                         f"{rho}; a residual needs a positive one")
+    rho = in_range("forward rho", forward.comonotone_modulus, 0.0, np.inf)
     l_const = 1.0 / rho
-    if not lam < 4.0 / l_const:
-        raise InputError(f"lam = {lam} outside the window (0, 4/L) = "
-                         f"(0, {4.0 / l_const:.6g})")
+    in_range("lam", lam, 0.0, 4.0 / l_const)
     return lam * (4.0 - lam * l_const) / 4.0
 
 
@@ -142,17 +134,13 @@ def cocoercivity_report(op, modulus, n_pairs, seed=0, dim=None):
     gap. A NaN margin or norm is a violation, and a NaN margin makes
     ``worst_margin`` NaN. ``dim`` defaults to ``op.dim``.
     """
-    if n_pairs < 1:
-        raise InputError("n_pairs must be at least 1")
-    if modulus is None or np.isnan(modulus):
-        raise InputError(f"co-coercivity modulus {modulus} is not a number")
+    in_range("n_pairs", n_pairs, 1, MAX_ENTRIES // 3, "[]", integer=True)
+    in_range("co-coercivity modulus", modulus, -np.inf, np.inf, "[]")
     lip = op.lipschitz
-    if lip is not None and np.isnan(lip):
-        raise InputError("the operator declares a NaN Lipschitz constant")
-    if dim is None:
-        dim = op.dim
-    if dim is None or dim <= 0:
-        raise InputError("operator dimension unknown; pass dim explicitly")
+    if lip is not None:
+        in_range("declared Lipschitz constant", lip, -np.inf, np.inf, "[]")
+    dim = in_range("dim", op.dim if dim is None else dim, 1, MAX_ENTRIES,
+                   "[]", integer=True)
     rng = SplitMix64(seed)
     sums = np.empty((n_pairs, 3))
     for row in sums:

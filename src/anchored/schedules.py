@@ -13,7 +13,7 @@ from inspect import Parameter, Signature, signature
 from itertools import accumulate, count
 from typing import Callable, NamedTuple, Optional
 
-from .errors import InputError
+from .errors import InputError, in_range
 
 
 class ScheduleParams(NamedTuple):
@@ -46,8 +46,8 @@ class Schedule(NamedTuple):
         return tuple(self.defaults)
 
 
-def _need(ok, message):
-    if not ok:  # written so that a NaN constant is never ok
+def _need(ok, message):  # membership only: a range is in_range's
+    if not ok:
         raise InputError(message)
 
 
@@ -148,8 +148,8 @@ def _corrected(anchored, family):
     the corrected step's own gamma, any positive finite value.
     """
     def rule(L, gamma=None, **keywords):
-        _need(gamma is None or 0.0 < gamma < math.inf,
-              f"gamma = {gamma} must be positive and finite")
+        if gamma is not None:
+            in_range("gamma", gamma, 0.0, math.inf)
         return transformed_nesterov_stream(anchored(L, **keywords), family,
                                            gamma)
 
@@ -163,8 +163,8 @@ def _corrected(anchored, family):
 
 def _halpern_omega(L, gamma, omega):
     """beta = (w+1)/(k+2w+2), eta = gamma (1-beta); gamma < 1/L, omega > 2."""
-    _need(0.0 < gamma < 1.0 / L, f"gamma = {gamma} must lie inside (0, 1/L)")
-    _need(2.0 < omega < math.inf, f"omega = {omega} must exceed 2, finite")
+    in_range("gamma", gamma, 0.0, 1.0 / L)
+    in_range("omega", omega, 2.0, math.inf)
     betas = ((omega + 1.0) / (k + 2.0 * omega + 2.0) for k in count())
     return (ScheduleParams(k, b, gamma * (1.0 - b), gamma=gamma)
             for k, b in enumerate(betas))
@@ -177,9 +177,8 @@ def _nesterov_omega(L, gamma, omega):
     omega > 2 gives the full guarantees; omega >= 1 keeps the rule well
     defined but offers none.
     """
-    _need(0.0 < gamma < math.inf,
-          f"gamma = {gamma} must be positive and finite")
-    _need(1.0 <= omega < math.inf, f"omega = {omega} must be >= 1, finite")
+    in_range("gamma", gamma, 0.0, math.inf)
+    in_range("omega", omega, 1.0, math.inf, "[)")
 
     def params(k):
         d = k + 2.0 * omega + 2.0
@@ -190,7 +189,7 @@ def _nesterov_omega(L, gamma, omega):
 
 def _eag_constant(L, eta):
     """Constant EAG step eta = eta_hat in (0, 1/(8L)]."""
-    _need(0.0 < eta <= 1.0 / (8.0 * L), f"eta = {eta} must lie in (0, 1/(8L)]")
+    in_range("eta", eta, 0.0, 1.0 / (8.0 * L), "(]")
     return (ScheduleParams(k, b, eta, eta) for k, b in _betas(2))
 
 
@@ -205,8 +204,7 @@ def _eag_varying(L, eta0):
 
         eta_k = (1 - e^2 / ((1 - e^2) k (k+2))) eta_{k-1}.
     """
-    _need(eta0 is not None and 0.0 < eta0 < 1.0 / L,
-          f"eag_varying needs eta0 in (0, 1/L), got {eta0}")
+    in_range("eta0", eta0, 0.0, 1.0 / L)
 
     def update(eta, k):
         le2 = (L * eta) ** 2
@@ -221,8 +219,7 @@ def _peag_legacy(L, eta0):
 
     where b = beta_{k-1} = 1/(k+1) and b' = beta_k = 1/(k+2).
     """
-    _need(eta0 is not None and 0.0 < eta0 < 1.0 / (2.0 * L),
-          f"peag_legacy needs eta0 in (0, 1/(2L)), got {eta0}")
+    in_range("eta0", eta0, 0.0, 1.0 / (2.0 * L))
 
     def update(eta, k):
         b, b1 = 1.0 / (k + 1), 1.0 / (k + 2)
@@ -233,8 +230,7 @@ def _peag_legacy(L, eta0):
 
 def _comono_eag(L, rho):
     """Co-monotone EAG: beta = 1/(k+1), eta = 1/L, rho in (-1/(2L), 1/L]."""
-    _need(rho is not None and -1.0 / (2.0 * L) < rho <= 1.0 / L,
-          f"rho = {rho} must lie in (-1/(2L), 1/L]")
+    in_range("rho", rho, -1.0 / (2.0 * L), 1.0 / L, "(]")
     return (ScheduleParams(k, b, 1.0 / L, rho=rho) for k, b in _betas(1))
 
 
@@ -255,7 +251,7 @@ def _peag(L, sigma):
 
     M = L^2 (1 + sigma), for sigma > 0.
     """
-    _need(0.0 < sigma < math.inf, f"sigma = {sigma} must be positive, finite")
+    in_range("sigma", sigma, 0.0, math.inf)
     root = peag_root(L, sigma)
     return (ScheduleParams(k, b, (1.0 - b) / root, 1.0 / root)
             for k, b in _betas(2))
@@ -306,8 +302,7 @@ def constants(kind, L, **keywords):
     ``rho`` have no default and stay None; the rule checks every range.
     """
     _need(kind in SCHEDULES, f"unknown schedule kind {kind!r}")
-    _need(L is not None and 0.0 < L < math.inf,
-          f"schedules need a finite L > 0, got {L}")
+    in_range("L", L, 0.0, math.inf)
     row = SCHEDULES[kind]
     unread = [key for key in keywords if key not in row.defaults]
     _need(not unread, f"schedule {kind!r} does not read {', '.join(unread)} "

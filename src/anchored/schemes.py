@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import MAX_ENTRIES, InputError, NumericError, in_range
 from .operators import OperatorSpec
 from .schedules import ScheduleParams, constants, schedule_stream
 
@@ -319,6 +319,7 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+@np.errstate(all="ignore")  # the divergence guard reports overflow and NaN
 def run(solver, y0, K, trace_opts=None, observers=()):
     """Execute ``K`` steps and collect a :class:`RunTrace`.
 
@@ -344,8 +345,8 @@ def run(solver, y0, K, trace_opts=None, observers=()):
     never evaluate the operator, so the evaluation budget is the same
     with or without them, and with no observers no point is built.
     """
-    if K < 0:
-        raise InputError("K must be nonnegative")
+    # the residual records are one (6, K + 1) array
+    in_range("K", K, 0, MAX_ENTRIES // 6 - 1, "[]", integer=True)
     opts = trace_opts or TraceOpts()
     # iterates are float64 arrays by construction: skip the conversion
     # of OperatorSpec.__call__
@@ -377,8 +378,8 @@ def run(solver, y0, K, trace_opts=None, observers=()):
                 g_y, g_z = step(state, op, params)
                 v = guarded(state)
                 # one dot product on the common path; NaN, inf and a dot
-                # that overflows (numpy warns) fail the comparison and
-                # reach the exact test
+                # that overflows fail the comparison and reach the exact
+                # test
                 if not v.dot(v) <= _SAFE_SQUARED_NORM:
                     _check(v, k)
             except NumericError as exc:

@@ -64,8 +64,8 @@ class CheckResult:
     def status(self):
         return "SKIP" if self.skipped else ("PASS" if self.ok else "FAIL")
 
-    def row(self):
-        return f"{self.suite:<12} {self.name:<52} {self.status:<5} {self.detail}"
+    def row(self, width=0):
+        return f"{self.suite:<12} {self.name:<{width}} {self.status:<5} {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -560,9 +560,10 @@ def run_suites(suite="all", scale="small"):
 
 
 def format_table(results):
-    lines = [f"{'suite':<12} {'check':<52} {'stat':<5} detail",
+    width = max([len("check")] + [len(r.name) for r in results])
+    lines = [f"{'suite':<12} {'check':<{width}} {'stat':<5} detail",
              "-" * 100]
-    lines += [r.row() for r in results]
+    lines += [r.row(width) for r in results]
     n_fail = sum(1 for r in results if not r.ok and not r.skipped)
     n_skip = sum(1 for r in results if r.skipped)
     lines.append("-" * 100)

@@ -15,7 +15,7 @@ import hashlib
 
 from anchored.verify import format_table, run_suites
 
-DIGEST = "195dc2f0a8bf17c6d071533c0adb90be5b928d90c7b03632f94494976bbda2d9"
+DIGEST = "a9f2593d26e13c96693ab75b2b60cf341b3003d7e054871316ab935cbb22013c"
 
 
 def test_small_verify_table_is_byte_identical():
